@@ -5,19 +5,34 @@
 // can sweep.
 #include <benchmark/benchmark.h>
 
+#include <thread>
+
 #include "algos/mergesort.hpp"
 #include "core/hybrid.hpp"
 #include "platforms/platforms.hpp"
 #include "sim/device.hpp"
 #include "util/makespan.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace hpu;
 
+// Pool workers for the pooled runs: nproc − 1 plus the calling thread,
+// the executors' default.
+std::int64_t pooled_workers() {
+    const unsigned hc = std::thread::hardware_concurrency();
+    return hc > 1 ? static_cast<std::int64_t>(hc) - 1 : 0;
+}
+
+// Arguments: items (tasks), pool workers. With 0 workers the launch or level
+// runs inline. Pooled, it is one pool batch, so the run also pays the batch
+// submit/wake/complete cost and the block folds that inline runs cannot
+// see. 2^21 is mergesort's deepest level at n = 2^22.
 void BM_DeviceLaunch(benchmark::State& state) {
-    sim::Device dev(platforms::hpu1().gpu);
+    util::ThreadPool pool(static_cast<std::size_t>(state.range(1)));
+    sim::Device dev(platforms::hpu1().gpu, &pool);
     const auto items = static_cast<std::uint64_t>(state.range(0));
     for (auto _ : state) {
         auto r = dev.launch(items, [](sim::WorkItem& wi) { wi.charge_compute(1); });
@@ -26,10 +41,16 @@ void BM_DeviceLaunch(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(items));
 }
-BENCHMARK(BM_DeviceLaunch)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
+BENCHMARK(BM_DeviceLaunch)
+    ->Args({1 << 10, 0})
+    ->Args({1 << 14, 0})
+    ->Args({1 << 18, 0})
+    ->Args({1 << 21, pooled_workers()})
+    ->UseRealTime();
 
 void BM_CpuLevel(benchmark::State& state) {
-    sim::CpuUnit cpu(platforms::hpu1().cpu);
+    util::ThreadPool pool(static_cast<std::size_t>(state.range(1)));
+    sim::CpuUnit cpu(platforms::hpu1().cpu, &pool);
     const auto tasks = static_cast<std::uint64_t>(state.range(0));
     for (auto _ : state) {
         auto r = cpu.run_level(tasks, [](std::uint64_t, sim::OpCounter& ops) {
@@ -40,7 +61,12 @@ void BM_CpuLevel(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(tasks));
 }
-BENCHMARK(BM_CpuLevel)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
+BENCHMARK(BM_CpuLevel)
+    ->Args({1 << 10, 0})
+    ->Args({1 << 14, 0})
+    ->Args({1 << 18, 0})
+    ->Args({1 << 21, pooled_workers()})
+    ->UseRealTime();
 
 void BM_MakespanSkewed(benchmark::State& state) {
     util::Rng rng(1);

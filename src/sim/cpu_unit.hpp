@@ -3,8 +3,17 @@
 // pool); virtual time is the list-scheduling makespan of the measured
 // per-task op counts, matching the §5 cost (a^i / p) · f(n / b^i) for
 // uniform levels.
+//
+// A level runs as blocks of consecutive tasks, one pool batch per level
+// (or the same block loop inline, without a pool). Each task records its
+// CPU op count in costs_, which the makespan needs; each block folds its
+// tasks' OpCounter sum and largest cost into its own slot, and the slots
+// are folded in index order after the batch. Those folds are uint64 sums
+// and a max, exact in any grouping, so LevelResult is bit-identical with
+// or without a pool (enforced by test).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -49,7 +58,7 @@ public:
     /// narrower than the pool then runs inline so the workers serve the
     /// merges *inside* the few tasks instead of idling — near the tree
     /// root that is the only parallelism available. Wall-clock only: the
-    /// inline fold below is bit-identical to the pooled one.
+    /// inline fold is bit-identical to the pooled one.
     template <typename Task>
     LevelResult run_level(std::uint64_t n_tasks, Task&& task, std::uint64_t working_set_bytes = 0,
                           util::ListOrder order = util::ListOrder::kArrival,
@@ -57,33 +66,36 @@ public:
         LevelResult r;
         r.tasks = n_tasks;
         if (n_tasks == 0) return r;
-        trace::count(trace::counters().cpu_levels);
         costs_.resize(n_tasks);  // reusable arena: no per-level allocation
-        const bool pooled = pool_ != nullptr && pool_->worker_count() > 0 &&
-                            !(tasks_use_pool && n_tasks <= pool_->worker_count());
-        if (pooled) {
-            // Every task charges into its own arena slot; the full
-            // OpCounters are folded in index order after the parallel
-            // section, so the per-category split (compute / coalesced /
-            // strided) in LevelResult is bit-identical to the inline path.
-            task_ops_.assign(n_tasks, OpCounter{});
-            pool_->parallel_for(n_tasks, [&](std::size_t i) {
-                task(static_cast<std::uint64_t>(i), task_ops_[i]);
-                costs_[i] = task_ops_[i].cpu_ops();
-            });
-            for (std::uint64_t i = 0; i < n_tasks; ++i) {
-                r.total_ops += task_ops_[i];
-                r.max_task_ops = std::max(r.max_task_ops, costs_[i]);
-            }
-        } else {
-            for (std::uint64_t i = 0; i < n_tasks; ++i) {
+        const std::uint64_t workers = pool_ != nullptr ? pool_->worker_count() : 0;
+        const bool pooled =
+            workers > 0 && n_tasks > 1 && !(tasks_use_pool && n_tasks <= workers);
+        const std::uint64_t block = block_items(n_tasks, pooled ? workers + 1 : 1);
+        const std::uint64_t n_blocks = util::ceil_div(n_tasks, block);
+        blocks_.assign(n_blocks, BlockCharges<std::uint64_t>{});
+        auto run_block = [&](std::uint64_t b) {
+            const std::uint64_t end = std::min(n_tasks, (b + 1) * block);
+            BlockCharges<std::uint64_t> acc;
+            for (std::uint64_t i = b * block; i < end; ++i) {
                 OpCounter ops;
                 task(i, ops);
-                costs_[i] = ops.cpu_ops();
-                r.total_ops += ops;
-                r.max_task_ops = std::max(r.max_task_ops, costs_[i]);
+                const std::uint64_t cost = ops.cpu_ops();
+                costs_[i] = cost;
+                acc.max_cost = std::max(acc.max_cost, cost);
+                acc.ops += ops;
             }
+            blocks_[b] = acc;
+        };
+        if (pooled) {
+            pool_->parallel_for(n_blocks, run_block);
+        } else {
+            for (std::uint64_t b = 0; b < n_blocks; ++b) run_block(b);
         }
+        for (const auto& acc : blocks_) {
+            r.total_ops += acc.ops;
+            r.max_task_ops = std::max(r.max_task_ops, acc.max_cost);
+        }
+        trace::count(trace::counters().cpu_levels);
         r.time = static_cast<Ticks>(
             util::makespan(std::span(costs_.data(), n_tasks), params_.p, order));
         r.time *= contention_factor(n_tasks, working_set_bytes);
@@ -113,9 +125,10 @@ private:
     CpuParams params_;
     util::ThreadPool* pool_;
     // Per-level scratch, reused across levels so functional execution
-    // allocates nothing steady-state (task_ops_ is only touched pooled).
+    // allocates nothing steady-state: one cost per task for the makespan,
+    // one charge slot per block (at most 8 × participants).
     std::vector<std::uint64_t> costs_;
-    std::vector<OpCounter> task_ops_;
+    std::vector<BlockCharges<std::uint64_t>> blocks_;
 };
 
 }  // namespace hpu::sim

@@ -8,14 +8,20 @@
 // back. Items charge their work through WorkItem::ops().
 //
 // Functional execution is optionally *host-parallel*: constructed with a
-// util::ThreadPool, the device runs each wave's items across the pool (the
+// util::ThreadPool, the device runs a whole launch as one pool batch (the
 // items of one launch are independent by the framework's contract — the
-// hpu::analysis race detector enforces it). Virtual time, LaunchResult,
-// and WaveTrace stay bit-identical to the serial path: per-item charges
-// land in a per-wave arena and are folded into the wave max/sum in index
-// order after the parallel section (enforced by test).
+// hpu::analysis race detector enforces it). A wave is a unit of the
+// virtual clock only. The host splits each wave into blocks of
+// consecutive items, no block straddling two waves, and each block folds
+// its items' max GPU op count and OpCounter sum into its own slot. After
+// the batch the slots are folded wave by wave in index order, and the
+// wave durations are summed in a serial loop over waves. Every slot fold
+// is a uint64 sum or a double max, exact in any grouping, so virtual
+// time, LaunchResult, and WaveTrace are bit-identical with or without a
+// pool (enforced by test). Without a pool the same block loop runs inline.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -101,66 +107,68 @@ public:
 
     /// Launches `n_items` invocations of `kernel` (callable taking
     /// WorkItem&). Items run functionally on the host; virtual time follows
-    /// the wave model. Exceptions from kernel bodies propagate to the
-    /// caller after no further items are run.
+    /// the wave model. An exception from a kernel body propagates to the
+    /// caller, and the failed launch records nothing: no stats, counters,
+    /// or wave traces. Inline, no further items run after the throw. Pooled,
+    /// the pool's contract applies: chunks claimed after the failure is
+    /// recorded are skipped, but chunks already running finish, so items
+    /// of any wave — earlier or later than the failing one — may still run.
     ///
     /// `items_use_pool` declares that the kernel bodies can split their own
     /// work across the host pool (LevelAlgorithm::intra_task_parallel): a
-    /// wave narrower than the pool then runs inline so the workers serve
-    /// the merges *inside* the few items. Wall-clock only — the serial
-    /// fold is bit-identical to the pooled one.
+    /// launch whose waves are no wider than the pool then runs inline so
+    /// the workers serve the merges *inside* the few items. Wall-clock
+    /// only — the inline fold is bit-identical to the pooled one.
     template <typename Kernel>
     LaunchResult launch(std::uint64_t n_items, Kernel&& kernel, bool items_use_pool = false) {
         HPU_CHECK(n_items >= 1, "kernel launch needs at least one work-item");
         LaunchResult r;
         r.items = n_items;
         r.waves = util::ceil_div(n_items, params_.g);
-        const bool pooled = pool_ != nullptr && pool_->worker_count() > 0;
-        Ticks total = params_.launch_overhead;
-        std::uint64_t id = 0;
-        for (std::uint64_t w = 0; w < r.waves; ++w) {
-            const std::uint64_t wave_begin = id;
-            const std::uint64_t wave_end = std::min(n_items, (w + 1) * params_.g);
-            double wave_max_ops = 0.0;
-            OpCounter wave_ops;
-            if (pooled && wave_end - wave_begin > 1 &&
-                !(items_use_pool && wave_end - wave_begin <= pool_->worker_count())) {
-                // Host-parallel wave: every item charges into its own arena
-                // slot, then the slots are folded in index order — the same
-                // max/sum sequence the serial loop below produces, so the
-                // two paths are bit-identical.
-                const std::size_t items = wave_end - wave_begin;
-                item_ops_.assign(items, OpCounter{});  // reused arena, reset
-                item_cost_.resize(items);
-                pool_->parallel_for(items, [&](std::size_t j) {
-                    WorkItem wi(wave_begin + j, n_items, item_ops_[j]);
-                    kernel(wi);
-                    item_cost_[j] = item_ops_[j].gpu_ops(params_.strided_penalty);
-                });
-                for (std::size_t j = 0; j < items; ++j) {
-                    wave_max_ops = std::max(wave_max_ops, item_cost_[j]);
-                    r.max_item_ops = std::max(r.max_item_ops, item_cost_[j]);
-                    r.total_ops += item_ops_[j];
-                    if (wave_trace_ != nullptr) wave_ops += item_ops_[j];
-                }
-                id = wave_end;
-            } else {
-                for (; id < wave_end; ++id) {
-                    OpCounter ops;
-                    WorkItem wi(id, n_items, ops);
-                    kernel(wi);
-                    const double item_ops = ops.gpu_ops(params_.strided_penalty);
-                    wave_max_ops = std::max(wave_max_ops, item_ops);
-                    r.max_item_ops = std::max(r.max_item_ops, item_ops);
-                    r.total_ops += ops;
-                    if (wave_trace_ != nullptr) wave_ops += ops;
-                }
+        const std::uint64_t width = std::min(n_items, params_.g);  // widest wave
+        const std::uint64_t workers = pool_ != nullptr ? pool_->worker_count() : 0;
+        const bool pooled = workers > 0 && width > 1 && !(items_use_pool && width <= workers);
+        const std::uint64_t block = std::min(width, block_items(n_items, pooled ? workers + 1 : 1));
+        const std::uint64_t wave_blocks = util::ceil_div(width, block);
+        const std::uint64_t last_wave = n_items - (r.waves - 1) * params_.g;
+        const std::uint64_t n_blocks =
+            (r.waves - 1) * wave_blocks + util::ceil_div(last_wave, block);
+        blocks_.assign(n_blocks, BlockCharges<double>{});
+        auto run_block = [&](std::uint64_t b) {
+            const std::uint64_t wave = b / wave_blocks;
+            const std::uint64_t begin = wave * params_.g + (b % wave_blocks) * block;
+            const std::uint64_t end = std::min({begin + block, (wave + 1) * params_.g, n_items});
+            BlockCharges<double> acc;
+            for (std::uint64_t id = begin; id < end; ++id) {
+                OpCounter ops;
+                WorkItem wi(id, n_items, ops);
+                kernel(wi);
+                acc.max_cost = std::max(acc.max_cost, ops.gpu_ops(params_.strided_penalty));
+                acc.ops += ops;
             }
-            total += wave_max_ops / params_.gamma;
+            blocks_[b] = acc;
+        };
+        if (pooled) {
+            pool_->parallel_for(n_blocks, run_block);
+        } else {
+            for (std::uint64_t b = 0; b < n_blocks; ++b) run_block(b);
+        }
+        Ticks total = params_.launch_overhead;
+        for (std::uint64_t w = 0; w < r.waves; ++w) {
+            BlockCharges<double> wave;
+            for (std::uint64_t b = w * wave_blocks; b < std::min((w + 1) * wave_blocks, n_blocks);
+                 ++b) {
+                wave.max_cost = std::max(wave.max_cost, blocks_[b].max_cost);
+                wave.ops += blocks_[b].ops;
+            }
+            total += wave.max_cost / params_.gamma;
+            r.max_item_ops = std::max(r.max_item_ops, wave.max_cost);
+            r.total_ops += wave.ops;
             if (wave_trace_ != nullptr) {
-                wave_trace_->push_back({wave_begin, wave_end - wave_begin,
-                                        wave_max_ops / params_.gamma, wave_max_ops,
-                                        wave_ops});
+                const std::uint64_t first = w * params_.g;
+                wave_trace_->push_back({first, std::min(params_.g, n_items - first),
+                                        wave.max_cost / params_.gamma, wave.max_cost,
+                                        wave.ops});
             }
         }
         r.time = total;
@@ -191,10 +199,10 @@ private:
     DeviceStats stats_;
     std::vector<WaveTrace>* wave_trace_ = nullptr;
     util::ThreadPool* pool_ = nullptr;
-    // Per-wave scratch, reused across waves and launches so pooled
-    // execution allocates nothing steady-state (capacity is bounded by g).
-    std::vector<OpCounter> item_ops_;
-    std::vector<double> item_cost_;
+    // Per-block charge slots, reused across launches so steady-state
+    // execution allocates nothing. At most waves + 8 × participants slots:
+    // a launch of many waves has one block per wave.
+    std::vector<BlockCharges<double>> blocks_;
 };
 
 }  // namespace hpu::sim

@@ -6,6 +6,7 @@
 #include <cstdint>
 
 #include "sim/access_log.hpp"
+#include "util/math.hpp"
 
 namespace hpu::sim {
 
@@ -64,5 +65,28 @@ struct OpCounter {
         return *this;
     }
 };
+
+/// Charges of one block of consecutive items (Device) or tasks (CpuUnit),
+/// folded where the block ran: the summed OpCounter and the largest single
+/// cost. Both folds are exact in any grouping — uint64 sums, and a max over
+/// NaN-free doubles or integers — so folding blocks in index order after a
+/// pooled run reproduces the one-item-at-a-time fold bit for bit.
+template <typename Cost>
+struct BlockCharges {
+    Cost max_cost = 0;
+    OpCounter ops;
+};
+
+/// Blocks per participating thread, the same target util::ThreadPool's
+/// automatic grain uses: enough claims that late-arriving workers and
+/// uneven item costs still balance.
+inline constexpr std::uint64_t kBlocksPerParticipant = 8;
+
+/// Items per charge block when `count` items run on `participants`
+/// threads (1 when inline). A launch of a few heavy items still splits
+/// into one-item blocks, so it keeps its parallelism.
+constexpr std::uint64_t block_items(std::uint64_t count, std::uint64_t participants) noexcept {
+    return util::ceil_div(count, participants * kBlocksPerParticipant);
+}
 
 }  // namespace hpu::sim

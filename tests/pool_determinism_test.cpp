@@ -27,6 +27,7 @@
 #include "core/pipeline.hpp"
 #include "platforms/platforms.hpp"
 #include "trace/span.hpp"
+#include "util/makespan.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hpu::core {
@@ -267,12 +268,31 @@ TEST(PoolDeterminism, IrregularAlgorithmsExecutorsAndModes) {
     sweep_irregular<std::int64_t>(ka, coeffs, inline_pool, pool);
 }
 
-// Raw device layer: non-uniform per-item charges across several waves.
-// The pooled fold must reproduce the serial max/sum sequence exactly —
-// LaunchResult, DeviceStats, and the per-wave trace records all match.
+/// Worker counts the raw sim-layer tests run at: one worker plus the
+/// caller, and three plus the caller (a 4-core host's nproc − 1).
+constexpr std::size_t kLayerWorkers[] = {1, 3};
+
+// Raw device layer: non-uniform per-item charges across several waves. A
+// pooled launch is one batch of blocks, none straddling two waves; folding
+// the block slots must reproduce the item-by-item wave model exactly —
+// LaunchResult, DeviceStats, and the per-wave trace records all match a
+// reference computed here — inline and pooled, whatever the wave width,
+// tail wave, or inline fallback.
 TEST(PoolDeterminism, DeviceNonUniformWavesMatchSerial) {
-    sim::DeviceParams dp = small_hw().gpu;
-    dp.g = 8;  // 125 waves at 1000 items
+    struct Shape {
+        const char* name;
+        std::uint64_t g;
+        std::uint64_t items;
+        bool items_use_pool;
+    };
+    const Shape shapes[] = {
+        {"g=8, 125 waves", 8, 1000, false},
+        {"g=1200 (HPU2, not a power of two)", 1200, 5001, false},
+        {"last wave of one item", 64, 3 * 64 + 1, false},
+        {"narrower than one wave", 4096, 1000, false},
+        {"items_use_pool, waves no wider than the pool", 3, 10, true},
+        {"items_use_pool, waves wider than the pool", 64, 1000, true},
+    };
     auto kernel = [](sim::WorkItem& wi) {
         const std::uint64_t id = wi.global_id();
         wi.charge_compute(1 + (id * 2654435761ull) % 97);
@@ -280,43 +300,88 @@ TEST(PoolDeterminism, DeviceNonUniformWavesMatchSerial) {
         if (id % 3 == 0) wi.charge_mem(2, sim::Pattern::kStrided);
     };
 
-    sim::Device serial(dp);
-    std::vector<sim::WaveTrace> serial_waves;
-    serial.set_wave_trace(&serial_waves);
-    const sim::LaunchResult rs = serial.launch(1000, kernel);
+    for (const std::size_t workers : kLayerWorkers) {
+        util::ThreadPool pool(workers);
+        for (const Shape& shape : shapes) {
+            SCOPED_TRACE(::testing::Message()
+                         << shape.name << " workers=" << workers << " g=" << shape.g
+                         << " items=" << shape.items);
+            sim::DeviceParams dp = small_hw().gpu;
+            dp.g = shape.g;
 
-    util::ThreadPool pool(pooled_workers());
-    sim::Device pooled(dp, &pool);
-    std::vector<sim::WaveTrace> pooled_waves;
-    pooled.set_wave_trace(&pooled_waves);
-    const sim::LaunchResult rp = pooled.launch(1000, kernel);
+            // Reference: the wave model applied item by item, in order.
+            std::vector<sim::WaveTrace> want;
+            sim::Ticks want_time = dp.launch_overhead;
+            for (std::uint64_t first = 0; first < shape.items; first += shape.g) {
+                sim::WaveTrace wave;
+                wave.first_item = first;
+                wave.items = std::min(shape.g, shape.items - first);
+                for (std::uint64_t id = first; id < first + wave.items; ++id) {
+                    sim::OpCounter ops;
+                    sim::WorkItem wi(id, shape.items, ops);
+                    kernel(wi);
+                    wave.max_item_ops =
+                        std::max(wave.max_item_ops, ops.gpu_ops(dp.strided_penalty));
+                    wave.ops += ops;
+                }
+                wave.duration = wave.max_item_ops / dp.gamma;
+                want_time += wave.duration;
+                want.push_back(wave);
+            }
 
-    EXPECT_EQ(rs.time, rp.time);
-    EXPECT_EQ(rs.items, rp.items);
-    EXPECT_EQ(rs.waves, rp.waves);
-    EXPECT_EQ(rs.max_item_ops, rp.max_item_ops);
-    EXPECT_EQ(rs.total_ops.compute, rp.total_ops.compute);
-    EXPECT_EQ(rs.total_ops.mem_coalesced, rp.total_ops.mem_coalesced);
-    EXPECT_EQ(rs.total_ops.mem_strided, rp.total_ops.mem_strided);
-    EXPECT_EQ(serial.stats().busy_time, pooled.stats().busy_time);
+            sim::Device serial(dp);
+            sim::Device pooled(dp, &pool);
+            for (sim::Device* dev : {&serial, &pooled}) {
+                SCOPED_TRACE(dev == &serial ? "inline" : "pooled");
+                std::vector<sim::WaveTrace> waves;
+                dev->set_wave_trace(&waves);
+                pool.reset_telemetry();
+                const sim::LaunchResult r = dev->launch(shape.items, kernel, shape.items_use_pool);
+                EXPECT_LE(pool.telemetry().batches, 1u);  // one batch per launch, not per wave
 
-    ASSERT_EQ(serial_waves.size(), pooled_waves.size());
-    for (std::size_t w = 0; w < serial_waves.size(); ++w) {
-        SCOPED_TRACE(::testing::Message() << "wave " << w);
-        EXPECT_EQ(serial_waves[w].first_item, pooled_waves[w].first_item);
-        EXPECT_EQ(serial_waves[w].items, pooled_waves[w].items);
-        EXPECT_EQ(serial_waves[w].duration, pooled_waves[w].duration);
-        EXPECT_EQ(serial_waves[w].max_item_ops, pooled_waves[w].max_item_ops);
-        EXPECT_EQ(serial_waves[w].ops.compute, pooled_waves[w].ops.compute);
-        EXPECT_EQ(serial_waves[w].ops.mem_coalesced, pooled_waves[w].ops.mem_coalesced);
-        EXPECT_EQ(serial_waves[w].ops.mem_strided, pooled_waves[w].ops.mem_strided);
+                EXPECT_EQ(r.time, want_time);
+                EXPECT_EQ(r.items, shape.items);
+                EXPECT_EQ(r.waves, want.size());
+                EXPECT_EQ(dev->stats().launches, 1u);
+                EXPECT_EQ(dev->stats().busy_time, want_time);
+                sim::OpCounter total;
+                double max_item_ops = 0.0;
+                ASSERT_EQ(waves.size(), want.size());
+                for (std::size_t w = 0; w < want.size(); ++w) {
+                    SCOPED_TRACE(::testing::Message() << "wave " << w);
+                    EXPECT_EQ(waves[w].first_item, want[w].first_item);
+                    EXPECT_EQ(waves[w].items, want[w].items);
+                    EXPECT_EQ(waves[w].duration, want[w].duration);
+                    EXPECT_EQ(waves[w].max_item_ops, want[w].max_item_ops);
+                    EXPECT_EQ(waves[w].ops.compute, want[w].ops.compute);
+                    EXPECT_EQ(waves[w].ops.mem_coalesced, want[w].ops.mem_coalesced);
+                    EXPECT_EQ(waves[w].ops.mem_strided, want[w].ops.mem_strided);
+                    total += want[w].ops;
+                    max_item_ops = std::max(max_item_ops, want[w].max_item_ops);
+                }
+                EXPECT_EQ(r.max_item_ops, max_item_ops);
+                EXPECT_EQ(r.total_ops.compute, total.compute);
+                EXPECT_EQ(r.total_ops.mem_coalesced, total.mem_coalesced);
+                EXPECT_EQ(r.total_ops.mem_strided, total.mem_strided);
+                EXPECT_EQ(dev->stats().total_ops.compute, total.compute);
+            }
+        }
     }
 }
 
-// Raw CPU layer: the pooled fold must keep the full per-category OpCounter
+// Raw CPU layer: the block folds must keep the full per-category OpCounter
 // split (compute / coalesced / strided), not just the scalar totals — the
-// regression this test pins collapsed everything into `compute`.
+// regression this test pins collapsed everything into `compute`. Inline and
+// pooled levels match a reference computed here; levels span one block,
+// many blocks with a ragged tail (2^16 + 3 tasks), and the narrow
+// tasks_use_pool case that runs inline.
 TEST(PoolDeterminism, CpuLevelKeepsCategorySplit) {
+    struct Shape {
+        std::uint64_t tasks;
+        bool tasks_use_pool;
+    };
+    const Shape shapes[] = {{1, false}, {777, false}, {(1u << 16) + 3, false}, {3, true},
+                            {777, true}};
     sim::CpuParams cp = small_hw().cpu;
     auto task = [](std::uint64_t i, sim::OpCounter& ops) {
         ops.charge_compute(3 + i % 11);
@@ -324,21 +389,42 @@ TEST(PoolDeterminism, CpuLevelKeepsCategorySplit) {
         if (i % 2 == 0) ops.charge_mem(1 + i % 3, sim::Pattern::kStrided);
     };
 
-    sim::CpuUnit serial(cp);
-    const sim::LevelResult rs = serial.run_level(777, task);
+    for (const std::size_t workers : kLayerWorkers) {
+        util::ThreadPool pool(workers);
+        for (const Shape& shape : shapes) {
+            SCOPED_TRACE(::testing::Message() << "workers=" << workers << " tasks=" << shape.tasks
+                                              << " tasks_use_pool=" << shape.tasks_use_pool);
+            // Reference: every task charged in order, then the makespan.
+            std::vector<std::uint64_t> costs;
+            sim::OpCounter want_ops;
+            for (std::uint64_t i = 0; i < shape.tasks; ++i) {
+                sim::OpCounter ops;
+                task(i, ops);
+                costs.push_back(ops.cpu_ops());
+                want_ops += ops;
+            }
+            const auto want_time = static_cast<sim::Ticks>(util::makespan(costs, cp.p));
 
-    util::ThreadPool pool(pooled_workers());
-    sim::CpuUnit pooled(cp, &pool);
-    const sim::LevelResult rp = pooled.run_level(777, task);
+            sim::CpuUnit serial(cp);
+            sim::CpuUnit pooled(cp, &pool);
+            for (sim::CpuUnit* cpu : {&serial, &pooled}) {
+                SCOPED_TRACE(cpu == &serial ? "inline" : "pooled");
+                pool.reset_telemetry();
+                const sim::LevelResult r = cpu->run_level(
+                    shape.tasks, task, 0, util::ListOrder::kArrival, shape.tasks_use_pool);
+                EXPECT_LE(pool.telemetry().batches, 1u);
 
-    EXPECT_EQ(rs.time, rp.time);
-    EXPECT_EQ(rs.tasks, rp.tasks);
-    EXPECT_EQ(rs.max_task_ops, rp.max_task_ops);
-    EXPECT_EQ(rs.total_ops.compute, rp.total_ops.compute);
-    EXPECT_EQ(rs.total_ops.mem_coalesced, rp.total_ops.mem_coalesced);
-    EXPECT_EQ(rs.total_ops.mem_strided, rp.total_ops.mem_strided);
-    EXPECT_GT(rp.total_ops.mem_coalesced, 0u);  // the split actually survived
-    EXPECT_GT(rp.total_ops.mem_strided, 0u);
+                EXPECT_EQ(r.time, want_time);
+                EXPECT_EQ(r.tasks, shape.tasks);
+                EXPECT_EQ(r.max_task_ops, *std::max_element(costs.begin(), costs.end()));
+                EXPECT_EQ(r.total_ops.compute, want_ops.compute);
+                EXPECT_EQ(r.total_ops.mem_coalesced, want_ops.mem_coalesced);
+                EXPECT_EQ(r.total_ops.mem_strided, want_ops.mem_strided);
+                EXPECT_GT(r.total_ops.mem_coalesced, 0u);  // the split actually survived
+                EXPECT_GT(r.total_ops.mem_strided, 0u);
+            }
+        }
+    }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "sim/buffer.hpp"
 #include "sim/cpu_unit.hpp"
@@ -8,7 +10,9 @@
 #include "sim/hpu.hpp"
 #include "sim/memory_model.hpp"
 #include "sim/timeline.hpp"
+#include "trace/counters.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hpu::sim {
 namespace {
@@ -135,12 +139,53 @@ TEST(Device, RejectsEmptyLaunch) {
 }
 
 TEST(Device, KernelExceptionPropagates) {
+    // Inline: the throw stops the launch, no further items run.
     Device dev(small_device());
+    std::uint64_t ran = 0;
     EXPECT_THROW(dev.launch(4,
-                            [](WorkItem& wi) {
+                            [&ran](WorkItem& wi) {
+                                ++ran;
                                 if (wi.global_id() == 2) throw std::runtime_error("kernel fault");
                             }),
                  std::runtime_error);
+    EXPECT_EQ(ran, 3u);
+
+    // Pooled, 16 waves in one batch, the throw in the last wave: it still
+    // propagates, and the failed launch records nothing — no stats, no
+    // process counters, no wave traces.
+    util::ThreadPool pool(3);
+    Device pooled(small_device(), &pool);
+    std::vector<WaveTrace> waves;
+    pooled.set_wave_trace(&waves);
+    const trace::CounterSnapshot before = trace::counters().snapshot();
+    EXPECT_THROW(pooled.launch(64,
+                               [](WorkItem& wi) {
+                                   wi.charge_compute(1);
+                                   if (wi.global_id() == 61) {
+                                       throw std::runtime_error("late-wave fault");
+                                   }
+                               }),
+                 std::runtime_error);
+    const trace::CounterSnapshot delta = trace::counters().snapshot() - before;
+    EXPECT_EQ(delta.kernel_launches, 0u);
+    EXPECT_EQ(delta.waves_launched, 0u);
+    EXPECT_EQ(delta.work_items, 0u);
+    EXPECT_EQ(delta.coalesced_transactions, 0u);
+    EXPECT_EQ(delta.strided_transactions, 0u);
+    EXPECT_EQ(pooled.stats().launches, 0u);
+    EXPECT_EQ(pooled.stats().items, 0u);
+    EXPECT_EQ(pooled.stats().busy_time, 0.0);
+    EXPECT_EQ(pooled.stats().total_ops.cpu_ops(), 0u);
+    EXPECT_TRUE(waves.empty());
+
+    // The device stays usable: the next launch matches an inline one.
+    auto kernel = [](WorkItem& wi) { wi.charge_compute(1 + wi.global_id() % 7); };
+    const LaunchResult rp = pooled.launch(64, kernel);
+    const LaunchResult rs = Device(small_device()).launch(64, kernel);
+    EXPECT_EQ(rp.time, rs.time);
+    EXPECT_EQ(rp.total_ops.compute, rs.total_ops.compute);
+    EXPECT_EQ(pooled.stats().launches, 1u);
+    EXPECT_EQ(waves.size(), 16u);
 }
 
 TEST(Buffer, ResidencyIsEnforced) {
