@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
                 d = std::span(copy);
             }
             const auto rep = core::run_advanced_hybrid(h, alg, d, alpha, y, adv);
-            row.push_back(seq / rep.total);
+            row.emplace_back(seq / rep.total);
             if (seq / rep.total > best_speedup) {
                 best_speedup = seq / rep.total;
                 best_alpha = alpha;

@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
                 pip.exec = adv.exec;
                 const auto prep = core::run_pipelined_hybrid(hp, alg, std::span(pdata),
                                                              opt.alpha, y, pip);
-                row.push_back(seq / prep.total);
-                row.push_back(static_cast<std::int64_t>(prep.chunks));
+                row.emplace_back(seq / prep.total);
+                row.emplace_back(static_cast<std::int64_t>(prep.chunks));
             }
             t.add_row(row);
         }

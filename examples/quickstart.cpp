@@ -8,7 +8,9 @@
 //   3. Ask the analytical model for the optimal work division first.
 //
 // Build: cmake --build build && ./build/examples/quickstart
+#include <iomanip>
 #include <iostream>
+#include <string>
 
 #include "algos/dc_problems.hpp"
 #include "algos/mergesort.hpp"
@@ -16,6 +18,7 @@
 #include "core/hybrid.hpp"
 #include "model/advanced.hpp"
 #include "platforms/platforms.hpp"
+#include "trace/span.hpp"
 #include "util/rng.hpp"
 
 int main() {
@@ -48,16 +51,27 @@ int main() {
 
     sim::CpuUnit one_core(machine.params().cpu);
     const auto seq = core::run_sequential(one_core, mergesort, std::span(baseline));
+    trace::TraceSession session;
+    core::AdvancedOptions adv;
+    adv.exec.trace = &session;
     const auto hyb = core::run_advanced_hybrid(
         machine, mergesort, std::span(data), plan.alpha,
-        static_cast<std::uint64_t>(std::llround(plan.y)));
+        static_cast<std::uint64_t>(std::llround(plan.y)), adv);
 
     std::cout << "Simulated: 1-core " << seq.total << " ticks, hybrid " << hyb.total
               << " ticks -> speedup " << seq.total / hyb.total << "x\n";
     std::cout << "Sorted correctly: " << std::boolalpha
               << std::is_sorted(data.begin(), data.end()) << "\n\n";
 
-    std::cout << "Timeline of the hybrid run:\n";
-    machine.timeline().print(std::cout);
+    // The run's span tree: run → phase → transfer / level (waves omitted).
+    std::cout << "Span tree of the hybrid run (ticks):\n";
+    for (const trace::Span& s : session.spans()) {
+        if (s.kind == trace::SpanKind::kWave) continue;
+        int depth = 0;
+        for (trace::SpanId p = s.parent; p != trace::kNoSpan; p = session.span(p).parent) ++depth;
+        std::cout << std::string(2 * static_cast<std::size_t>(depth), ' ') << std::setw(8)
+                  << std::left << trace::to_string(s.kind) << std::right << " [" << std::setw(12)
+                  << s.start << ", " << std::setw(12) << s.end << ")  " << s.label << "\n";
+    }
     return 0;
 }

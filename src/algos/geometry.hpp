@@ -32,6 +32,13 @@ inline i128 cross(const Pt& o, const Pt& a, const Pt& b) {
     return ax * by - ay * bx;
 }
 
+/// Dot product (a − o)·(b − o): how far b lies along the direction o→a.
+inline i128 along(const Pt& o, const Pt& a, const Pt& b) {
+    const i128 ax = a.x - o.x, ay = a.y - o.y;
+    const i128 bx = b.x - o.x, by = b.y - o.y;
+    return ax * bx + ay * by;
+}
+
 /// Squared Euclidean distance.
 inline std::uint64_t dist2(const Pt& a, const Pt& b) {
     const i128 dx = a.x - b.x, dy = a.y - b.y;

@@ -11,7 +11,8 @@
 // = false); finalize gathers the marked points into the front of the array,
 // sorted lexicographically.
 //
-// Determinism: the farthest point breaks ties by smallest index, the
+// Determinism: the farthest point breaks ties toward P along the edge,
+// then by smallest index (so collinear edge points are never marked), the
 // partition is a stable two-pass sweep through per-extent scratch, and the
 // per-task edge table is keyed by extent begin (unique among the non-empty
 // tasks of a level; written by the parent one level earlier) — so every
@@ -128,13 +129,15 @@ public:
         const std::uint64_t b = t.begin, e = t.end, m = t.size();
         const Pt P = edge_from_[b], Q = edge_to_[b];
         ops.log_read(verify::kScratchRegionBase + b, 1);
-        // Farthest point from the edge; ties break toward the smaller
-        // index so pooled and inline scans agree.
+        // Farthest point from the edge. Points tied on distance lie on one
+        // line parallel to P→Q, and only its two ends are hull vertices:
+        // ties break toward P along P→Q, then toward the smaller index, so
+        // C is always a vertex and pooled and inline scans agree.
         std::uint64_t imax = b;
         i128 dmax = cross(P, Q, data[b]);
         for (std::uint64_t i = b + 1; i < e; ++i) {
             const i128 d = cross(P, Q, data[i]);
-            if (d > dmax) {
+            if (d > dmax || (d == dmax && along(P, Q, data[i]) < along(P, Q, data[imax]))) {
                 dmax = d;
                 imax = i;
             }

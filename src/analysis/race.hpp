@@ -36,7 +36,7 @@ struct RaceOptions {
 /// Checks one launch. `items[j]` is work-item j's access log; `wave_width`
 /// is the device's g (or the CPU's p for CPU levels) used for wave
 /// attribution in diagnostics; `launch_label` names the owning launch /
-/// timeline event. Findings and counters are appended to `report`.
+/// trace span. Findings and counters are appended to `report`.
 void detect_races(std::span<const sim::ItemAccessLog> items, std::uint64_t wave_width,
                   std::string_view launch_label, AnalysisReport& report,
                   const RaceOptions& opts = {});

@@ -34,7 +34,7 @@ enum class FindingKind : std::uint8_t {
 const char* to_string(FindingKind k) noexcept;
 const char* to_string(Severity s) noexcept;
 
-/// One diagnosed defect. `launch` names the owning launch / timeline event
+/// One diagnosed defect. `launch` names the owning launch / trace span
 /// (executors label launches "<algo>/<phase>[<tasks> tasks]"); the item and
 /// wave fields are only meaningful for the race/order kinds.
 struct Finding {

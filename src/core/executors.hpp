@@ -1,23 +1,18 @@
 // Single-unit executors for LevelAlgorithms: the 1-core sequential baseline
 // (the paper's speedup denominator), the multi-core breadth-first executor,
 // and the GPU-only breadth-first executor (§4.2). The hybrid schedulers
-// live in core/hybrid.hpp.
+// live in core/hybrid.hpp and core/pipeline.hpp.
 //
 // All executors process the recursion tree bottom-up by *global level*
 // index i (0 = root, L-1 = deepest internal level, L = log_b n), running
 // the a^i independent tasks of each level on the chosen unit. They require
 // a == b so that level tasks tile the array contiguously.
 //
-// With ExecOptions::validate on (or HPU_VALIDATE set), every functional
-// level additionally runs the hpu::analysis correctness passes — wave race
-// detection, schedule-independence re-execution, buffer-residency lint —
-// and the findings are attached to ExecReport::analysis.
-//
-// With ExecOptions::trace set, every executor records a hierarchical span
-// tree (run → phase → level → wave) into the given hpu::trace session.
-// Tracing follows the same discipline as validation: it is strictly off
-// the virtual-clock critical path, so attaching a session never changes
-// any ExecReport tick (enforced by test).
+// Every regular executor is the same three steps: a producer builds the
+// run's Plan (core/plan.hpp), the static verifier checks that plan priced
+// (ExecOptions::verify), and the plan walker runs it — functionally or
+// analytically — through the one launch primitive (core/launch.hpp), which
+// also records the span tree and the validation findings.
 //
 // Host-parallel functional execution: construct the sim::Hpu (or CpuUnit)
 // with a util::ThreadPool and CPU levels / device waves run pool-parallel.
@@ -30,128 +25,16 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
-#include "analysis/race.hpp"
-#include "analysis/report.hpp"
-#include "analysis/residency.hpp"
-#include "analysis/schedule.hpp"
-#include "analysis/validate.hpp"
-#include "core/labels.hpp"
+#include "core/launch.hpp"
 #include "core/level_algorithm.hpp"
+#include "core/plan.hpp"
 #include "obs/watchdog.hpp"
-#include "sim/buffer.hpp"
 #include "sim/hpu.hpp"
 #include "trace/span.hpp"
-#include "util/check.hpp"
-#include "util/math.hpp"
-#include "util/stopwatch.hpp"
-#include "verify/conformance.hpp"
-#include "verify/report.hpp"
 #include "verify/verify.hpp"
 
 namespace hpu::core {
-
-/// HPU_PROFILE environment default for ExecOptions::profile (same
-/// convention as HPU_VALIDATE).
-inline bool env_profile_default() { return analysis::env_flag_enabled("HPU_PROFILE"); }
-
-/// HPU_OBSERVE environment default for ExecOptions::observe.
-inline bool env_observe_default() { return analysis::env_flag_enabled("HPU_OBSERVE"); }
-
-/// HPU_MERGE_PATH environment default for ExecOptions::merge_path. Unlike
-/// the validation flags this one defaults ON (it is a pure wall-clock
-/// optimization); set HPU_MERGE_PATH=0 to disable.
-inline bool env_merge_path_default() { return util::merge_path_env_default(); }
-
-/// Execution knobs shared by all executors.
-struct ExecOptions {
-    /// Functional mode runs task bodies on real data (results verifiable);
-    /// analytic mode skips data work and prices levels from the
-    /// recurrence — instant, used by large parameter sweeps. Both modes
-    /// produce the same virtual times for uniform-cost algorithms (tests
-    /// enforce this).
-    bool functional = true;
-    /// CPU list-scheduling order (ablation knob).
-    util::ListOrder order = util::ListOrder::kArrival;
-    /// Run the hpu::analysis correctness passes on every functional level
-    /// (race detection, schedule-independence re-execution, residency
-    /// lint). Costly — re-executes kernels — so off unless requested here
-    /// or via the HPU_VALIDATE environment variable. No effect on the
-    /// virtual clock. Ignored in analytic mode (nothing executes).
-    bool validate = analysis::env_validate_default();
-    /// Span tracer sink (see trace/span.hpp); nullptr = tracing off. The
-    /// session is not owned and may accumulate several runs. No effect on
-    /// the virtual clock.
-    trace::TraceSession* trace = nullptr;
-    /// Stamp wall-clock (host) time onto the recorded trace spans: each
-    /// functional level / leaf sweep / hook / transfer span, plus the run
-    /// root, gets wall_start_ns / wall_ns filled in. Requires `trace`;
-    /// no-op without it. The wall stamps feed metrics::derive_profile; the
-    /// virtual-clock side of the spans and the ExecReport stay
-    /// byte-identical with profiling on or off (enforced by test). Off
-    /// unless requested here or via the HPU_PROFILE environment variable.
-    bool profile = env_profile_default();
-    /// Run the hpu::verify static pass before executing: prove the declared
-    /// footprints race-free and check the planned schedule's invariants.
-    /// The certificate lands in ExecReport::verify; under `validate`,
-    /// statically proven launches swap word-level race concretization for
-    /// the cheaper footprint-conformance check. Never touches the virtual
-    /// clock. Off unless requested here or via HPU_VERIFY.
-    bool verify = verify::env_verify_default();
-    /// Budget/caps for the runtime race detector and the conformance
-    /// checker (see analysis::RaceOptions).
-    analysis::RaceOptions race;
-    /// Run the hpu::obs observation over the finished run's span subtree:
-    /// (g, γ, λ, δ) re-fit vs the configured parameters, utilization
-    /// derivation, and watchdog findings, attached to ExecReport::obs.
-    /// Requires `trace`; no-op without it. Runs strictly after the last
-    /// tick is computed and is read-only over the session, so the virtual
-    /// clock, the trace, and every other ExecReport field are bit-identical
-    /// with observe on or off (enforced by test). Off unless requested here
-    /// or via the HPU_OBSERVE environment variable.
-    bool observe = env_observe_default();
-    /// Thresholds the observation's watchdog checks against.
-    obs::WatchdogThresholds watchdog;
-    /// Let functional task bodies split large merges into Merge Path
-    /// segments across the host pool (DESIGN.md §15). Wall-clock only:
-    /// ExecReports, traces, outputs, and analysis findings are
-    /// bit-identical on or off (enforced by tests/merge_path_test.cpp).
-    /// No effect in analytic mode or without a pool. Defaults from
-    /// HPU_MERGE_PATH (on unless "0"/"off"/"false"/"no").
-    bool merge_path = env_merge_path_default();
-};
-
-/// Where time went; every executor fills one of these.
-struct ExecReport {
-    sim::Ticks total = 0.0;
-    sim::Ticks cpu_busy = 0.0;       ///< CPU-unit time (parallel phase for hybrids)
-    sim::Ticks gpu_busy = 0.0;       ///< device kernel time
-    sim::Ticks transfer = 0.0;       ///< link time
-    sim::Ticks finish = 0.0;         ///< post-sync CPU wrap-up (advanced hybrid)
-    std::uint64_t levels_cpu = 0;
-    std::uint64_t levels_gpu = 0;
-    double alpha_effective = 0.0;    ///< realized CPU work ratio (advanced hybrid)
-    /// Transfer chunks actually pipelined (pipelined hybrid; 1 = the
-    /// schedule degenerated to the advanced hybrid, 0 = other executors).
-    std::uint64_t chunks = 0;
-    /// Findings of the correctness passes (empty unless ExecOptions::
-    /// validate was on).
-    analysis::AnalysisReport analysis;
-    /// Certificate of the static pass (attempted=false unless
-    /// ExecOptions::verify was on).
-    hpu::verify::VerifyReport verify;
-    /// The trace session spans were recorded into (echoes ExecOptions::
-    /// trace; nullptr when tracing was off).
-    trace::TraceSession* trace = nullptr;
-    /// Observation over this run (attempted=false unless ExecOptions::
-    /// observe was on and a trace session was attached).
-    obs::ObsReport obs;
-    /// Total tasks of the dynamic expand sweep, empty branches included
-    /// (irregular algorithms only; stays 0 on every regular path, which
-    /// keeps regular reports bit-identical to the pre-irregular build).
-    std::uint64_t tasks_spawned = 0;
-};
 
 /// Which scheduler shape core/irregular.hpp emulates for a dynamic task
 /// tree. Each of the six public executors maps onto one of these when
@@ -172,471 +55,6 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
                          bool include_transfers, const char* executor_label);
 
 namespace detail {
-
-template <typename T>
-std::uint64_t level_count(const LevelAlgorithm<T>& alg, std::uint64_t n) {
-    HPU_CHECK(alg.a() == alg.b(),
-              "array executors require a == b (contiguous level tiling)");
-    HPU_CHECK(n >= alg.base_size() * alg.b(), "input must contain at least one division");
-    HPU_CHECK(alg.admissible(n), "input size not admissible for this algorithm");
-    std::uint64_t L = 0, m = n;
-    while (m > alg.base_size()) {
-        m /= alg.b();
-        ++L;
-    }
-    return L;  // internal levels 0 .. L-1; leaves below level L-1
-}
-
-/// Validation context of one run, threaded into the functional helpers:
-/// the analysis sink (null = validation off), the run's static certificate,
-/// and the detector budget. A default-constructed context means
-/// "validation off".
-struct ValCtx {
-    analysis::AnalysisReport* report = nullptr;
-    const hpu::verify::VerifyReport* cert = nullptr;
-    analysis::RaceOptions race{};
-
-    bool on() const noexcept { return report != nullptr; }
-
-    /// This phase was statically proven race-free — the runtime may check
-    /// footprint conformance instead of concretizing words.
-    bool proven(verify::Phase ph) const {
-        return cert != nullptr && cert->proven(ph);
-    }
-};
-
-inline ValCtx validation_ctx(const ExecOptions& opts, ExecReport& rep) {
-    ValCtx v;
-    if (opts.validate && opts.functional) v.report = &rep.analysis;
-    v.cert = &rep.verify;
-    v.race = opts.race;
-    return v;
-}
-
-/// Binds the run's Merge Path context onto the algorithm, right after
-/// prepare(): the functional pool when the kernel is enabled for this run,
-/// a null binding otherwise. Every executor entry point calls this, so a
-/// single ExecOptions flag (or HPU_MERGE_PATH) governs all six executors.
-template <typename T>
-void bind_merge_exec(const LevelAlgorithm<T>& alg, util::ThreadPool* pool,
-                     const ExecOptions& opts) {
-    util::MergeExec ex;
-    ex.kernel = opts.merge_path && opts.functional;
-    ex.pool = ex.kernel ? pool : nullptr;
-    alg.bind_exec(ex);
-}
-
-/// Race-checks one functional launch: launches whose phase the static pass
-/// certified are checked for conformance against the declared footprint
-/// (O(descriptors) per item); everything else goes through the exact
-/// word-concretizing detector. Both paths share counter and budget
-/// semantics, so a clean run's AnalysisReport is byte-identical either way.
-template <typename T>
-void check_launch(const LevelAlgorithm<T>& alg, verify::Phase phase,
-                  const std::vector<sim::ItemAccessLog>& logs, std::uint64_t wave_width,
-                  std::uint64_t task_size, const std::string& label, const ValCtx& val) {
-    if (val.proven(phase)) {
-        if (auto fp = alg.footprint(verify::FootprintQuery{phase}); fp.has_value()) {
-            verify::check_conformance(*fp, logs, task_size, wave_width, label, *val.report,
-                                      val.race);
-            return;
-        }
-    }
-    analysis::detect_races(logs, wave_width, label, *val.report, val.race);
-}
-
-/// Where a detail helper records its trace spans: the session, the parent
-/// span, the virtual-clock tick the helper's span starts at, and (for
-/// level helpers) the global level index. A default-constructed context
-/// means "tracing off".
-struct SpanCtx {
-    trace::TraceSession* session = nullptr;
-    trace::SpanId parent = trace::kNoSpan;
-    sim::Ticks at = 0.0;
-    std::uint64_t level = trace::SpanAttrs::kNoLevel;
-    bool profile = false;  ///< stamp wall time onto recorded spans
-
-    bool on() const noexcept { return session != nullptr; }
-
-    /// Same sink/parent, shifted clock (and optionally a level index).
-    SpanCtx shifted(sim::Ticks by, std::uint64_t lvl = trace::SpanAttrs::kNoLevel) const {
-        return SpanCtx{session, parent, at + by, lvl, profile};
-    }
-
-    /// now_ns() when profiling this span tree, else 0 ("not profiled") —
-    /// the token annotate_wall() later turns into a wall stamp.
-    std::uint64_t wall_start() const noexcept {
-        return (profile && session != nullptr) ? util::now_ns() : 0;
-    }
-};
-
-/// Stamps wall time onto a recorded span: `w0` is the wall_start() token
-/// taken before the work; elapsed is clamped up to 1 ns so a profiled span
-/// is always distinguishable from an unprofiled one (wall_ns == 0).
-inline void annotate_wall(const SpanCtx& tc, trace::SpanId id, std::uint64_t w0) {
-    if (w0 == 0 || id == trace::kNoSpan || tc.session == nullptr) return;
-    const std::uint64_t t1 = util::now_ns();
-    tc.session->annotate_wall(id, w0, t1 > w0 ? t1 - w0 : 1);
-}
-
-/// Clears the device's wave sink on scope exit (kernel bodies may throw).
-class WaveTraceGuard {
-public:
-    WaveTraceGuard(sim::Device& dev, std::vector<sim::WaveTrace>* sink) : dev_(dev) {
-        dev_.set_wave_trace(sink);
-    }
-    ~WaveTraceGuard() { dev_.set_wave_trace(nullptr); }
-    WaveTraceGuard(const WaveTraceGuard&) = delete;
-    WaveTraceGuard& operator=(const WaveTraceGuard&) = delete;
-
-private:
-    sim::Device& dev_;
-};
-
-/// Records the level span of one device launch plus its per-wave children.
-inline trace::SpanId trace_gpu_launch(const SpanCtx& tc, const std::string& name, const char* phase,
-                             const sim::Device& dev, const sim::LaunchResult& r,
-                             std::uint64_t tasks, const std::vector<sim::WaveTrace>& waves,
-                             trace::SpanKind kind) {
-    const auto& dp = dev.params();
-    trace::SpanAttrs a;
-    a.level = tc.level;
-    a.tasks = tasks;
-    a.items = r.items;
-    a.waves = r.waves;
-    a.ops = r.total_ops.gpu_ops(dp.strided_penalty);
-    a.max_ops = r.max_item_ops;
-    a.work = static_cast<double>(r.total_ops.cpu_ops());
-    a.coalesced_transactions = util::ceil_div(r.total_ops.mem_coalesced, dp.coalesce_width);
-    a.strided_transactions = r.total_ops.mem_strided;
-    const trace::SpanId lvl = tc.session->record(
-        kind, trace::Unit::kGpu, launch_label(name, phase, tasks), tc.at, r.time, a,
-        tc.parent);
-    sim::Ticks cursor = tc.at + dp.launch_overhead;
-    for (const sim::WaveTrace& w : waves) {
-        trace::SpanAttrs wa;
-        wa.items = w.items;
-        wa.ops = w.ops.gpu_ops(dp.strided_penalty);
-        wa.max_ops = w.max_item_ops;
-        wa.work = static_cast<double>(w.ops.cpu_ops());
-        wa.coalesced_transactions = util::ceil_div(w.ops.mem_coalesced, dp.coalesce_width);
-        wa.strided_transactions = w.ops.mem_strided;
-        tc.session->record(trace::SpanKind::kWave, trace::Unit::kGpu,
-                           launch_label(name, "wave", w.items), cursor, w.duration, wa, lvl);
-        cursor += w.duration;
-    }
-    return lvl;
-}
-
-/// Records the span of one CPU level/leaf sweep from its LevelResult.
-inline trace::SpanId trace_cpu_level(const SpanCtx& tc, const std::string& name,
-                                     const char* phase, const sim::LevelResult& r,
-                                     trace::SpanKind kind) {
-    trace::SpanAttrs a;
-    a.level = tc.level;
-    a.tasks = r.tasks;
-    a.ops = static_cast<double>(r.total_ops.cpu_ops());
-    a.max_ops = static_cast<double>(r.max_task_ops);
-    a.work = a.ops;
-    return tc.session->record(kind, trace::Unit::kCpu, launch_label(name, phase, r.tasks),
-                              tc.at, r.time, a, tc.parent);
-}
-
-/// Records an analytic (not executed) level span on either unit.
-inline trace::SpanId trace_analytic_level(const SpanCtx& tc, const std::string& name,
-                                          const char* phase, trace::Unit unit,
-                                          std::uint64_t tasks, double work, double unit_ops,
-                                          sim::Ticks time, trace::SpanKind kind,
-                                          std::uint64_t g = 0) {
-    trace::SpanAttrs a;
-    a.level = tc.level;
-    a.tasks = tasks;
-    a.work = work;
-    a.ops = unit_ops;
-    // Analytic levels are uniform by construction: every task charges the
-    // same unit-priced cost, so the critical item IS the mean.
-    if (tasks > 0) a.max_ops = unit_ops / static_cast<double>(tasks);
-    if (unit == trace::Unit::kGpu && g > 0) {
-        a.items = tasks;
-        a.waves = util::ceil_div(tasks, g);
-    }
-    return tc.session->record(kind, unit, launch_label(name, phase, tasks), tc.at, time, a,
-                              tc.parent);
-}
-
-/// CPU time of one level in analytic mode (uniform tasks).
-template <typename T>
-sim::Ticks analytic_cpu_level(const sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg,
-                              std::uint64_t n_total, std::uint64_t tasks, std::uint64_t level,
-                              const SpanCtx& tc = {}) {
-    const auto rec = alg.recurrence();
-    const double ops = rec.task_cost(static_cast<double>(n_total), static_cast<double>(level));
-    const sim::Ticks t =
-        cpu.uniform_level_time(tasks, ops, alg.level_working_set_bytes(n_total));
-    if (tc.on()) {
-        const double work = static_cast<double>(tasks) * ops;
-        trace_analytic_level(tc, alg.name(), "cpu-level", trace::Unit::kCpu, tasks, work,
-                             work, t, trace::SpanKind::kLevel);
-    }
-    return t;
-}
-
-/// Functional CPU execution of one level: run every task, measure, makespan.
-/// With validation on, task access sets are recorded and race-checked.
-template <typename T>
-sim::Ticks functional_cpu_level(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg,
-                                std::span<T> data, std::uint64_t tasks,
-                                const ExecOptions& opts, const ValCtx& val = {},
-                                const SpanCtx& tc = {}) {
-    const std::uint64_t w0 = tc.wall_start();
-    sim::LevelResult r;
-    if (!val.on()) {
-        r = cpu.run_level(
-            tasks,
-            [&](std::uint64_t j, sim::OpCounter& ops) { alg.run_task(data, tasks, j, ops); },
-            alg.level_working_set_bytes(data.size()), opts.order, alg.intra_task_parallel());
-    } else {
-        std::vector<sim::ItemAccessLog> logs(tasks);
-        r = cpu.run_level(
-            tasks,
-            [&](std::uint64_t j, sim::OpCounter& ops) {
-                ops.trace = &logs[j];
-                alg.run_task(data, tasks, j, ops);
-            },
-            alg.level_working_set_bytes(data.size()), opts.order, alg.intra_task_parallel());
-        check_launch(alg, verify::Phase::kCpuTask, logs, cpu.params().p,
-                     data.size() / tasks, launch_label(alg.name(), "cpu-level", tasks), val);
-    }
-    if (tc.on()) {
-        annotate_wall(tc, trace_cpu_level(tc, alg.name(), "cpu-level", r,
-                                          trace::SpanKind::kLevel),
-                      w0);
-    }
-    return r.time;
-}
-
-/// Functional device execution of one level as a kernel of `tasks` items.
-/// With validation on, the launch is race-checked AND re-executed in a
-/// permuted item order to catch order-dependent kernels the declared
-/// access sets miss.
-template <typename T>
-sim::Ticks functional_gpu_level(sim::Device& dev, const LevelAlgorithm<T>& alg,
-                                std::span<T> device_data, std::uint64_t tasks,
-                                const ValCtx& val = {}, const SpanCtx& tc = {}) {
-    const std::uint64_t w0 = tc.wall_start();
-    std::vector<sim::WaveTrace> waves;
-    WaveTraceGuard guard(dev, tc.on() ? &waves : nullptr);
-    sim::LaunchResult r;
-    if (!val.on()) {
-        r = dev.launch(
-            tasks,
-            [&](sim::WorkItem& wi) {
-                alg.run_device_task(device_data, tasks, wi.global_id(), wi.ops());
-            },
-            alg.intra_task_parallel());
-    } else {
-        std::vector<sim::ItemAccessLog> logs(tasks);
-        const std::vector<T> before(device_data.begin(), device_data.end());
-        r = dev.launch(
-            tasks,
-            [&](sim::WorkItem& wi) {
-                wi.ops().trace = &logs[wi.global_id()];
-                alg.run_device_task(device_data, tasks, wi.global_id(), wi.ops());
-            },
-            alg.intra_task_parallel());
-        const std::string label = launch_label(alg.name(), "gpu-level", tasks);
-        check_launch(alg, verify::Phase::kDeviceTask, logs, dev.params().g,
-                     device_data.size() / tasks, label, val);
-        const std::vector<T> after(device_data.begin(), device_data.end());
-        auto finding = analysis::check_schedule_independence(
-            device_data, std::span<const T>(before), std::span<const T>(after), tasks,
-            [&](std::uint64_t j) {
-                sim::OpCounter throwaway;
-                alg.run_device_task(device_data, tasks, j, throwaway);
-            },
-            /*seed=*/tasks, label);
-        if (finding) val.report->add(std::move(*finding));
-    }
-    if (tc.on()) {
-        annotate_wall(tc,
-                      trace_gpu_launch(tc, alg.name(), "gpu-level", dev, r, tasks, waves,
-                                       trace::SpanKind::kLevel),
-                      w0);
-    }
-    return r.time;
-}
-
-/// Virtual time of a device-side hook (permutation, ping-pong flip):
-/// charged as perfectly parallel device work spread over all g lanes.
-inline sim::Ticks hook_time(const sim::Device& dev, const sim::OpCounter& ops) {
-    return ops.gpu_ops(dev.params().strided_penalty) / dev.params().gamma /
-           static_cast<double>(dev.params().g);
-}
-
-/// hook_time plus an optional kHook span (skipped when the hook charged
-/// nothing — most algorithms have empty hooks). `wall0` is a wall_start()
-/// token taken before the hook body executed; 0 = not profiled.
-inline sim::Ticks traced_hook(const sim::Device& dev, const sim::OpCounter& ops,
-                              const std::string& name, const char* what, const SpanCtx& tc,
-                              std::uint64_t wall0 = 0) {
-    const sim::Ticks t = hook_time(dev, ops);
-    if (tc.on() && t > 0.0) {
-        trace::SpanAttrs a;
-        a.ops = ops.gpu_ops(dev.params().strided_penalty);
-        a.work = static_cast<double>(ops.cpu_ops());
-        const trace::SpanId id =
-            tc.session->record(trace::SpanKind::kHook, trace::Unit::kGpu,
-                               phase_label(name, what), tc.at, t, a, tc.parent);
-        annotate_wall(tc, id, wall0);
-    }
-    return t;
-}
-
-/// Analytic device time of one level (uniform tasks, device pricing via the
-/// algorithm's op mix).
-template <typename T>
-sim::Ticks analytic_gpu_level(const sim::Device& dev, const LevelAlgorithm<T>& alg,
-                              std::uint64_t n_total, std::uint64_t tasks, std::uint64_t level,
-                              const SpanCtx& tc = {}) {
-    const auto rec = alg.recurrence();
-    const double work =
-        rec.task_cost(static_cast<double>(n_total), static_cast<double>(level));
-    const double ops = work * alg.device_ops_multiplier(dev.params());
-    const sim::Ticks t = dev.uniform_launch_time(tasks, ops);
-    if (tc.on()) {
-        trace_analytic_level(tc, alg.name(), "gpu-level", trace::Unit::kGpu, tasks,
-                             static_cast<double>(tasks) * work,
-                             static_cast<double>(tasks) * ops, t, trace::SpanKind::kLevel,
-                             dev.params().g);
-    }
-    return t;
-}
-
-/// Host pre-pass (e.g. FFT bit-reversal), priced as p-way parallel CPU work.
-template <typename T>
-sim::Ticks host_pre_pass(const LevelAlgorithm<T>& alg, std::span<T> data, std::size_t p,
-                         const SpanCtx& tc = {}) {
-    const std::uint64_t w0 = tc.wall_start();
-    sim::OpCounter pre;
-    alg.before_run(data, pre);
-    const sim::Ticks t = static_cast<sim::Ticks>(pre.cpu_ops()) / static_cast<double>(p);
-    if (tc.on() && t > 0.0) {
-        trace::SpanAttrs a;
-        a.ops = static_cast<double>(pre.cpu_ops());
-        a.work = a.ops;
-        const trace::SpanId id =
-            tc.session->record(trace::SpanKind::kHook, trace::Unit::kCpu,
-                               phase_label(alg.name(), "pre"), tc.at, t, a, tc.parent);
-        annotate_wall(tc, id, w0);
-    }
-    return t;
-}
-
-/// Leaf sweep on the CPU unit: functional when the algorithm has real leaf
-/// work, analytic otherwise.
-template <typename T>
-sim::Ticks cpu_leaves(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::span<T> region,
-                      bool functional, const ValCtx& val = {}, const SpanCtx& tc = {}) {
-    const std::uint64_t count = region.size() / alg.base_size();
-    if (count == 0) return 0.0;
-    if (functional && alg.has_leaf_work()) {
-        const std::uint64_t w0 = tc.wall_start();
-        sim::LevelResult r;
-        if (!val.on()) {
-            r = cpu.run_level(count, [&](std::uint64_t j, sim::OpCounter& ops) {
-                alg.run_leaf(region, count, j, ops);
-            });
-        } else {
-            std::vector<sim::ItemAccessLog> logs(count);
-            r = cpu.run_level(count, [&](std::uint64_t j, sim::OpCounter& ops) {
-                ops.trace = &logs[j];
-                alg.run_leaf(region, count, j, ops);
-            });
-            check_launch(alg, verify::Phase::kLeaf, logs, cpu.params().p, alg.base_size(),
-                         launch_label(alg.name(), "cpu-leaves", count), val);
-        }
-        if (tc.on()) {
-            annotate_wall(tc, trace_cpu_level(tc, alg.name(), "cpu-leaves", r,
-                                              trace::SpanKind::kLeaves),
-                          w0);
-        }
-        return r.time;
-    }
-    const sim::Ticks t = cpu.uniform_level_time(count, alg.recurrence().leaf_cost);
-    if (tc.on()) {
-        const double work = static_cast<double>(count) * alg.recurrence().leaf_cost;
-        trace_analytic_level(tc, alg.name(), "cpu-leaves", trace::Unit::kCpu, count, work,
-                             work, t, trace::SpanKind::kLeaves);
-    }
-    return t;
-}
-
-/// Leaf sweep on the device, one work-item per base block.
-template <typename T>
-sim::Ticks gpu_leaves(sim::Device& dev, const LevelAlgorithm<T>& alg, std::span<T> region,
-                      bool functional, const ValCtx& val = {}, const SpanCtx& tc = {}) {
-    const std::uint64_t count = region.size() / alg.base_size();
-    if (count == 0) return 0.0;
-    if (functional && alg.has_leaf_work()) {
-        const std::uint64_t w0 = tc.wall_start();
-        std::vector<sim::WaveTrace> waves;
-        WaveTraceGuard guard(dev, tc.on() ? &waves : nullptr);
-        sim::LaunchResult r;
-        if (!val.on()) {
-            r = dev.launch(count, [&](sim::WorkItem& wi) {
-                alg.run_leaf(region, count, wi.global_id(), wi.ops());
-            });
-        } else {
-            std::vector<sim::ItemAccessLog> logs(count);
-            r = dev.launch(count, [&](sim::WorkItem& wi) {
-                wi.ops().trace = &logs[wi.global_id()];
-                alg.run_leaf(region, count, wi.global_id(), wi.ops());
-            });
-            check_launch(alg, verify::Phase::kLeaf, logs, dev.params().g, alg.base_size(),
-                         launch_label(alg.name(), "gpu-leaves", count), val);
-        }
-        if (tc.on()) {
-            annotate_wall(tc,
-                          trace_gpu_launch(tc, alg.name(), "gpu-leaves", dev, r, count, waves,
-                                           trace::SpanKind::kLeaves),
-                          w0);
-        }
-        return r.time;
-    }
-    const sim::Ticks t = dev.uniform_launch_time(count, alg.recurrence().leaf_cost);
-    if (tc.on()) {
-        const double work = static_cast<double>(count) * alg.recurrence().leaf_cost;
-        trace_analytic_level(tc, alg.name(), "gpu-leaves", trace::Unit::kGpu, count, work,
-                             work, t, trace::SpanKind::kLeaves, dev.params().g);
-    }
-    return t;
-}
-
-/// Opens the root run span of one executor invocation (kNoSpan when
-/// tracing is off); close_run finalizes its end once the total is known.
-inline trace::SpanId open_run(const ExecOptions& opts, const std::string& name,
-                              const char* executor, std::uint64_t n) {
-    if (opts.trace == nullptr) return trace::kNoSpan;
-    trace::SpanAttrs a;
-    a.items = n;
-    const trace::SpanId id = opts.trace->record(trace::SpanKind::kRun, trace::Unit::kHost,
-                                                phase_label(name, executor), 0.0, 0.0, a);
-    // Profiling stashes the wall start on the open span; close_run turns it
-    // into the run's wall duration (wall_ns stays 0 — "unprofiled" — until
-    // then).
-    if (opts.profile) opts.trace->annotate_wall(id, util::now_ns(), 0);
-    return id;
-}
-
-inline void close_run(const ExecOptions& opts, trace::SpanId run, sim::Ticks total) {
-    if (opts.trace == nullptr || run == trace::kNoSpan) return;
-    opts.trace->close(run, total);
-    const std::uint64_t w0 = opts.trace->span(run).wall_start_ns;
-    if (opts.profile && w0 != 0) {
-        const std::uint64_t t1 = util::now_ns();
-        opts.trace->annotate_wall(run, w0, t1 > w0 ? t1 - w0 : 1);
-    }
-}
 
 /// Runs the hpu::obs observation over the just-closed run when
 /// ExecOptions::observe is on. Called strictly after close_run — every
@@ -662,28 +80,38 @@ void observe_run(const ExecOptions& opts, ExecReport& rep, trace::SpanId run,
     rep.obs = obs::observe(*opts.trace, run, ctx);
 }
 
-/// Records a link-transfer span. `wall0` is a wall_start() token taken
-/// before the physical copy; 0 = not profiled.
-inline void trace_transfer(const SpanCtx& tc, const std::string& name, const char* what,
-                           std::uint64_t words, std::uint64_t bytes, sim::Ticks time,
-                           std::uint64_t wall0 = 0) {
-    if (!tc.on()) return;
-    trace::SpanAttrs a;
-    a.items = words;
-    a.bytes = bytes;
-    const trace::SpanId id =
-        tc.session->record(trace::SpanKind::kTransfer, trace::Unit::kLink,
-                           phase_label(name, what), tc.at, time, a, tc.parent);
-    annotate_wall(tc, id, wall0);
-}
-
-/// Opens a phase grouping span under `run`; closed by the caller.
-inline trace::SpanId open_phase(const ExecOptions& opts, trace::SpanId run,
-                                const std::string& name, const char* phase, trace::Unit unit,
-                                sim::Ticks start) {
-    if (opts.trace == nullptr) return trace::kNoSpan;
-    return opts.trace->record(trace::SpanKind::kPhase, unit, phase_label(name, phase), start,
-                              0.0, {}, run);
+/// Runs one regular plan end to end on `cpu` (and `dev`): opens the run
+/// span, runs the host pre-pass — or, when the caller already ran it,
+/// records `pre_done` — walks the plan, closes the run and observes it.
+/// `rep` arrives with its verify certificate filled in.
+template <typename T>
+ExecReport run_plan(const Plan& plan, sim::CpuUnit& cpu, sim::Device* dev,
+                    const sim::HpuParams& hw, const LevelAlgorithm<T>& alg, std::span<T> data,
+                    const ExecOptions& opts, ExecReport rep,
+                    std::optional<sim::Ticks> pre_done = std::nullopt,
+                    std::size_t requested_chunks = 0) {
+    rep.trace = opts.trace;
+    const ValCtx val = validation_ctx(opts, rep);
+    const trace::SpanId run = open_run(opts, alg.name(), plan.executor, data.size());
+    const SpanCtx rt{opts.trace, run, 0.0, trace::SpanAttrs::kNoLevel, opts.profile};
+    const std::size_t p = cpu.params().p;
+    sim::Ticks pre = pre_done.value_or(0.0);
+    if (!pre_done) {
+        pre = host_pre_pass(alg, data, p, rt);
+    } else if (opts.trace != nullptr && pre > 0.0) {
+        // The basic hybrid prices its pre-pass before it knows whether it
+        // falls back to the multicore executor; its span is recorded here.
+        trace::SpanAttrs a;
+        a.ops = pre * static_cast<double>(p);
+        a.work = a.ops;
+        opts.trace->record(trace::SpanKind::kHook, trace::Unit::kCpu,
+                           phase_label(alg.name(), "pre"), 0.0, pre, a, run);
+    }
+    Walker<T> w{plan, alg, cpu, dev, hw.link, opts, val, data, rep};
+    w.walk(pre, run);
+    close_run(opts, run, rep.total);
+    observe_run(opts, rep, run, hw, alg, cpu.pool(), requested_chunks, rep.chunks);
+    return rep;
 }
 
 }  // namespace detail
@@ -694,20 +122,6 @@ inline trace::SpanId open_phase(const ExecOptions& opts, trace::SpanId run,
 template <typename T>
 ExecReport run_sequential(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::span<T> data,
                           const ExecOptions& opts = {}) {
-    if (const auto* irr = alg.as_irregular()) {
-        sim::CpuParams one_core = cpu.params();
-        one_core.p = 1;
-        one_core.contention = 0.0;
-        sim::CpuUnit single(one_core, cpu.pool());
-        sim::HpuParams hw;
-        hw.cpu = one_core;
-        return run_irregular(single, static_cast<sim::Device*>(nullptr), hw, *irr, data,
-                             IrregularMode::kSequential, opts, /*chunks=*/0,
-                             /*include_transfers=*/false, "sequential");
-    }
-    const std::uint64_t L = detail::level_count(alg, data.size());
-    alg.prepare(data.size());
-    detail::bind_merge_exec(alg, cpu.pool(), opts);
     sim::CpuParams one_core = cpu.params();
     one_core.p = 1;
     one_core.contention = 0.0;  // a single core does not compete with itself
@@ -715,75 +129,38 @@ ExecReport run_sequential(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::
     // still rides the caller's thread pool — the two clocks are
     // independent (DESIGN.md §10).
     sim::CpuUnit single(one_core, cpu.pool());
-    ExecReport rep;
-    rep.trace = opts.trace;
-    if (opts.verify) {
-        rep.verify = verify::verify_cpu_run(alg, data.size(), single, "sequential");
-    }
-    const detail::ValCtx val = detail::validation_ctx(opts, rep);
-    const trace::SpanId run = detail::open_run(opts, alg.name(), "sequential", data.size());
-    const detail::SpanCtx tc{opts.trace, run, 0.0, trace::SpanAttrs::kNoLevel, opts.profile};
-    rep.cpu_busy += detail::host_pre_pass(alg, data, 1, tc);
-    rep.cpu_busy +=
-        detail::cpu_leaves(single, alg, data, opts.functional, val, tc.shifted(rep.cpu_busy));
-    // Internal levels, bottom-up.
-    for (std::uint64_t i = L; i-- > 0;) {
-        const std::uint64_t tasks = util::ipow(alg.a(), static_cast<std::uint32_t>(i));
-        const detail::SpanCtx lt = tc.shifted(rep.cpu_busy, i);
-        rep.cpu_busy += opts.functional
-                            ? detail::functional_cpu_level(single, alg, data, tasks, opts, val,
-                                                           lt)
-                            : detail::analytic_cpu_level(single, alg, data.size(), tasks, i,
-                                                         lt);
-        ++rep.levels_cpu;
-    }
-    rep.total = rep.cpu_busy;
-    detail::close_run(opts, run, rep.total);
     sim::HpuParams hw;
     hw.cpu = one_core;
-    detail::observe_run(opts, rep, run, hw, alg, cpu.pool());
-    return rep;
+    if (const auto* irr = alg.as_irregular()) {
+        return run_irregular(single, static_cast<sim::Device*>(nullptr), hw, *irr, data,
+                             IrregularMode::kSequential, opts, /*chunks=*/0,
+                             /*include_transfers=*/false, "sequential");
+    }
+    const Plan plan = plan_cpu(alg, data.size(), "sequential");
+    alg.prepare(data.size());
+    detail::bind_merge_exec(alg, cpu.pool(), opts);
+    ExecReport rep;
+    if (opts.verify) rep.verify = verify::verify_cpu_run(alg, data.size(), single, "sequential");
+    return detail::run_plan(plan, single, nullptr, hw, alg, data, opts, std::move(rep));
 }
 
 /// Multi-core breadth-first execution on the HPU's p CPU cores (GPU idle).
 template <typename T>
 ExecReport run_multicore(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::span<T> data,
                          const ExecOptions& opts = {}) {
+    sim::HpuParams hw;
+    hw.cpu = cpu.params();
     if (const auto* irr = alg.as_irregular()) {
-        sim::HpuParams hw;
-        hw.cpu = cpu.params();
         return run_irregular(cpu, static_cast<sim::Device*>(nullptr), hw, *irr, data,
                              IrregularMode::kMulticore, opts, /*chunks=*/0,
                              /*include_transfers=*/false, "multicore");
     }
-    const std::uint64_t L = detail::level_count(alg, data.size());
+    const Plan plan = plan_cpu(alg, data.size(), "multicore");
     alg.prepare(data.size());
     detail::bind_merge_exec(alg, cpu.pool(), opts);
     ExecReport rep;
-    rep.trace = opts.trace;
-    if (opts.verify) {
-        rep.verify = verify::verify_cpu_run(alg, data.size(), cpu, "multicore");
-    }
-    const detail::ValCtx val = detail::validation_ctx(opts, rep);
-    const trace::SpanId run = detail::open_run(opts, alg.name(), "multicore", data.size());
-    const detail::SpanCtx tc{opts.trace, run, 0.0, trace::SpanAttrs::kNoLevel, opts.profile};
-    rep.cpu_busy += detail::host_pre_pass(alg, data, cpu.params().p, tc);
-    rep.cpu_busy +=
-        detail::cpu_leaves(cpu, alg, data, opts.functional, val, tc.shifted(rep.cpu_busy));
-    for (std::uint64_t i = L; i-- > 0;) {
-        const std::uint64_t tasks = util::ipow(alg.a(), static_cast<std::uint32_t>(i));
-        const detail::SpanCtx lt = tc.shifted(rep.cpu_busy, i);
-        rep.cpu_busy += opts.functional
-                            ? detail::functional_cpu_level(cpu, alg, data, tasks, opts, val, lt)
-                            : detail::analytic_cpu_level(cpu, alg, data.size(), tasks, i, lt);
-        ++rep.levels_cpu;
-    }
-    rep.total = rep.cpu_busy;
-    detail::close_run(opts, run, rep.total);
-    sim::HpuParams hw;
-    hw.cpu = cpu.params();
-    detail::observe_run(opts, rep, run, hw, alg, cpu.pool());
-    return rep;
+    if (opts.verify) rep.verify = verify::verify_cpu_run(alg, data.size(), cpu, "multicore");
+    return detail::run_plan(plan, cpu, nullptr, hw, alg, data, opts, std::move(rep));
 }
 
 /// GPU-only breadth-first execution (§4.2): ship the array, run every level
@@ -797,121 +174,18 @@ ExecReport run_gpu(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std::span<T> dat
                              IrregularMode::kGpu, opts, /*chunks=*/0, include_transfers,
                              "gpu");
     }
-    const std::uint64_t L = detail::level_count(alg, data.size());
+    const Plan plan = plan_gpu(alg, data.size(), include_transfers);
     alg.prepare(data.size());
     detail::bind_merge_exec(alg, hpu.cpu().pool(), opts);
-    sim::Device& dev = hpu.gpu();
     ExecReport rep;
-    rep.trace = opts.trace;
     if (opts.verify) {
         verify::RunShape shape;
         shape.kind = verify::RunShape::Kind::kGpu;
         shape.include_transfers = include_transfers;
         rep.verify = verify::verify_hybrid_run(alg, data.size(), hpu, shape);
     }
-    const detail::ValCtx val = detail::validation_ctx(opts, rep);
-    const trace::SpanId run = detail::open_run(opts, alg.name(), "gpu", data.size());
-    const detail::SpanCtx tc{opts.trace, run, 0.0, trace::SpanAttrs::kNoLevel, opts.profile};
-    rep.cpu_busy += detail::host_pre_pass(alg, data, hpu.params().cpu.p, tc);
-    // The span clock serializes pre → ship-in → kernels → ship-out, which
-    // is exactly how rep.total adds up.
-    sim::Ticks clock = rep.cpu_busy;
-
-    // Functional runs materialize a real device buffer; the analytic path
-    // lets the hooks operate on the host span (data is dummy there) and
-    // skips the physical copies entirely.
-    std::optional<sim::DeviceBuffer<T>> buf;
-    std::vector<sim::BufferEvent> buf_events;
-    std::span<T> dspan = data;
-    const std::uint64_t xin_w0 = tc.wall_start();
-    if (opts.functional) {
-        buf.emplace(std::vector<T>(data.begin(), data.end()));
-        if (val.on()) buf->set_trace(&buf_events);
-        buf->copy_to_device();
-        dspan = buf->device();
-    }
-    if (include_transfers) {
-        const sim::Ticks x = hpu.transfer_time(data.size());
-        detail::trace_transfer(tc.shifted(clock), alg.name(), "xfer-in", data.size(),
-                               data.size() * sizeof(T), x, xin_w0);
-        rep.transfer += x;
-        clock += x;
-    }
-
-    if (opts.functional) {
-        const std::uint64_t hw0 = tc.wall_start();
-        sim::OpCounter hook_ops;
-        alg.before_gpu_levels(dspan, util::ipow(alg.a(), static_cast<std::uint32_t>(L - 1)),
-                              hook_ops);
-        const sim::Ticks t = detail::traced_hook(dev, hook_ops, alg.name(), "gpu-pre-hook",
-                                                 tc.shifted(clock), hw0);
-        rep.gpu_busy += t;
-        clock += t;
-    } else {
-        const sim::Ticks t = detail::traced_hook(dev, alg.analytic_gpu_hook_ops(data.size()),
-                                                 alg.name(), "gpu-hooks", tc.shifted(clock));
-        rep.gpu_busy += t;
-        clock += t;
-    }
-
-    {
-        const sim::Ticks t =
-            detail::gpu_leaves(dev, alg, dspan, opts.functional, val, tc.shifted(clock));
-        rep.gpu_busy += t;
-        clock += t;
-    }
-    for (std::uint64_t i = L; i-- > 0;) {
-        const std::uint64_t tasks = util::ipow(alg.a(), static_cast<std::uint32_t>(i));
-        if (opts.functional) {
-            sim::Ticks t =
-                detail::functional_gpu_level(dev, alg, dspan, tasks, val, tc.shifted(clock, i));
-            rep.gpu_busy += t;
-            clock += t;
-            const std::uint64_t hw0 = tc.wall_start();
-            sim::OpCounter flip;
-            alg.after_gpu_level(dspan, tasks, flip);
-            t = detail::traced_hook(dev, flip, alg.name(), "gpu-level-hook",
-                                    tc.shifted(clock), hw0);
-            rep.gpu_busy += t;
-            clock += t;
-        } else {
-            const sim::Ticks t = detail::analytic_gpu_level(dev, alg, data.size(), tasks, i,
-                                                            tc.shifted(clock, i));
-            rep.gpu_busy += t;
-            clock += t;
-        }
-        ++rep.levels_gpu;
-    }
-
-    if (opts.functional) {
-        const std::uint64_t hw0 = tc.wall_start();
-        sim::OpCounter post_ops;
-        alg.after_gpu_levels(dspan, 1, post_ops);
-        const sim::Ticks t = detail::traced_hook(dev, post_ops, alg.name(), "gpu-post-hook",
-                                                 tc.shifted(clock), hw0);
-        rep.gpu_busy += t;
-        clock += t;
-    }
-
-    const std::uint64_t xout_w0 = tc.wall_start();
-    if (opts.functional) buf->copy_to_host();
-    if (include_transfers) {
-        const sim::Ticks x = hpu.transfer_time(data.size());
-        detail::trace_transfer(tc.shifted(clock), alg.name(), "xfer-out", data.size(),
-                               data.size() * sizeof(T), x, xout_w0);
-        rep.transfer += x;
-        clock += x;
-    }
-    if (opts.functional) {
-        std::copy(buf->host_view().begin(), buf->host_view().end(), data.begin());
-        if (val.on()) {
-            analysis::lint_residency(buf_events, alg.name() + "/device-buffer", *val.report);
-        }
-    }
-    rep.total = rep.cpu_busy + rep.gpu_busy + rep.transfer;
-    detail::close_run(opts, run, rep.total);
-    detail::observe_run(opts, rep, run, hpu.params(), alg, hpu.cpu().pool());
-    return rep;
+    return detail::run_plan(plan, hpu.cpu(), &hpu.gpu(), hpu.params(), alg, data, opts,
+                            std::move(rep));
 }
 
 }  // namespace hpu::core

@@ -11,10 +11,10 @@
 // runs back (the second of exactly two transfers); the CPU then finishes
 // the GPU slice's remaining levels and the shared top of the tree.
 //
-// Both schedulers log flat phase events into the Hpu timeline and, when
-// ExecOptions::trace is set, a hierarchical span tree (run → phase →
-// level → wave) into the given trace session. Timeline events and trace
-// phase spans share the same phase_label strings so the two views join.
+// Both schedules are plans (plan_basic, plan_advanced in core/plan.hpp) run
+// by the one plan walker. When ExecOptions::trace is set, the walker
+// records a hierarchical span tree (run → phase → level → wave) into the
+// given trace session.
 //
 // Both inherit host-parallel functional execution from the Hpu's units:
 // if the Hpu was built with a util::ThreadPool, every CPU level and GPU
@@ -22,15 +22,10 @@
 // analysis stay bit-identical to the inline run (DESIGN.md §10).
 #pragma once
 
-#include <algorithm>
-#include <cmath>
-#include <optional>
 #include <cstdint>
 #include <span>
 
 #include "core/executors.hpp"
-#include "model/basic.hpp"
-#include "util/math.hpp"
 
 namespace hpu::core {
 
@@ -44,80 +39,6 @@ struct AdvancedOptions {
     ExecOptions exec;
 };
 
-namespace detail {
-
-/// Integer levels of the whole tree plus common sizes for hybrid runs.
-template <typename T>
-struct TreeShape {
-    std::uint64_t L = 0;       ///< internal levels
-    std::uint64_t n = 0;       ///< total elements
-    std::uint64_t a = 2;
-
-    std::uint64_t tasks_at(std::uint64_t level) const {
-        return util::ipow(a, static_cast<std::uint32_t>(level));
-    }
-    std::uint64_t task_size_at(std::uint64_t level) const { return n / tasks_at(level); }
-};
-
-template <typename T>
-TreeShape<T> shape_of(const LevelAlgorithm<T>& alg, std::uint64_t n) {
-    TreeShape<T> s;
-    s.L = level_count(alg, n);
-    s.n = n;
-    s.a = alg.a();
-    return s;
-}
-
-/// Runs levels [from_deep, to_shallow] (inclusive, from_deep >= to_shallow)
-/// of a region on the CPU; returns the summed level times. `tc.at` is the
-/// virtual tick the first level starts at.
-template <typename T>
-sim::Ticks cpu_levels(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::span<T> region,
-                      std::uint64_t n_total, std::uint64_t from_deep, std::uint64_t to_shallow,
-                      const ExecOptions& opts, std::uint64_t* levels_done = nullptr,
-                      const ValCtx& val = {}, const SpanCtx& tc = {}) {
-    sim::Ticks t = 0.0;
-    for (std::uint64_t i = from_deep + 1; i-- > to_shallow;) {
-        const std::uint64_t task_size =
-            n_total / util::ipow(alg.a(), static_cast<std::uint32_t>(i));
-        const std::uint64_t tasks = static_cast<std::uint64_t>(region.size()) / task_size;
-        if (tasks == 0) continue;
-        const SpanCtx lt = tc.shifted(t, i);
-        if (opts.functional) {
-            t += functional_cpu_level(cpu, alg, region, tasks, opts, val, lt);
-        } else {
-            const auto rec = alg.recurrence();
-            const double ops =
-                rec.task_cost(static_cast<double>(n_total), static_cast<double>(i));
-            const sim::Ticks lvl =
-                cpu.uniform_level_time(tasks, ops, alg.level_working_set_bytes(n_total));
-            if (lt.on()) {
-                const double work = static_cast<double>(tasks) * ops;
-                trace_analytic_level(lt, alg.name(), "cpu-level", trace::Unit::kCpu, tasks,
-                                     work, work, lvl, trace::SpanKind::kLevel);
-            }
-            t += lvl;
-        }
-        if (levels_done != nullptr) ++*levels_done;
-    }
-    return t;
-}
-
-/// Records the host pre-pass hook span after the fact (the basic hybrid
-/// prices the pre-pass before it knows whether it will fall back to the
-/// multicore executor, so the span is recorded once that is decided).
-inline void trace_pre_span(trace::TraceSession* session, trace::SpanId run,
-                           const std::string& name, sim::Ticks pre, std::size_t p) {
-    if (session == nullptr || pre <= 0.0) return;
-    trace::SpanAttrs a;
-    a.ops = pre * static_cast<double>(p);
-    a.work = a.ops;
-    session->record(trace::SpanKind::kHook, trace::Unit::kCpu, phase_label(name, "pre"), 0.0,
-                    pre, a, run);
-}
-
-}  // namespace detail
-
 /// Basic hybrid scheduler (§5.1). Levels at or below the crossover run on
 /// the device; one transfer each way.
 template <typename T>
@@ -128,152 +49,20 @@ ExecReport run_basic_hybrid(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std::sp
                              IrregularMode::kBasic, opts, /*chunks=*/0,
                              /*include_transfers=*/true, "basic-hybrid");
     }
-    const auto shape = detail::shape_of(alg, data.size());
+    detail::level_count(alg, data.size());
     alg.prepare(data.size());
     detail::bind_merge_exec(alg, hpu.cpu().pool(), opts);
-    const auto& hw = hpu.params();
+    const sim::Ticks pre = detail::host_pre_pass(alg, data, hpu.params().cpu.p);
+    const Plan plan = plan_basic(alg, data.size(), hpu.params());
+    if (plan.shape == PlanShape::kCpu) return run_multicore(hpu.cpu(), alg, data, opts);
     ExecReport rep;
-    rep.trace = opts.trace;
-    const sim::Ticks pre = detail::host_pre_pass(alg, data, hw.cpu.p);
-    rep.cpu_busy += pre;
-
-    const auto pred = model::predict_basic(hw, alg.recurrence(), static_cast<double>(data.size()));
-    if (pred.cpu_only) return run_multicore(hpu.cpu(), alg, data, opts);
-
-    // First GPU level: the shallowest level the device wins.
-    const std::uint64_t gpu_top = std::min<std::uint64_t>(
-        shape.L, static_cast<std::uint64_t>(std::ceil(std::max(0.0, pred.crossover_level))));
-
-    sim::Device& dev = hpu.gpu();
     if (opts.verify) {
-        verify::RunShape vshape;
-        vshape.kind = verify::RunShape::Kind::kBasic;
-        rep.verify = verify::verify_hybrid_run(alg, data.size(), hpu, vshape);
+        verify::RunShape shape;
+        shape.kind = verify::RunShape::Kind::kBasic;
+        rep.verify = verify::verify_hybrid_run(alg, data.size(), hpu, shape);
     }
-    const detail::ValCtx val = detail::validation_ctx(opts, rep);
-    sim::Ticks clock = 0.0;
-
-    const trace::SpanId run = detail::open_run(opts, alg.name(), "basic-hybrid", data.size());
-    detail::trace_pre_span(opts.trace, run, alg.name(), pre, hw.cpu.p);
-    // Span clock: the timeline keeps its historical zero at the first
-    // transfer; spans account the pre-pass explicitly, so they start at pre.
-    const trace::SpanId gphase =
-        detail::open_phase(opts, run, alg.name(), "gpu-phase", trace::Unit::kGpu, pre);
-    const detail::SpanCtx gtc{opts.trace, gphase, pre, trace::SpanAttrs::kNoLevel,
-                              opts.profile};
-    sim::Ticks gcur = pre;
-
-    // --- Device phase: leaves + levels L-1 .. gpu_top over the whole array.
-    std::optional<sim::DeviceBuffer<T>> buf;
-    std::vector<sim::BufferEvent> buf_events;
-    std::span<T> dspan = data;
-    const std::uint64_t xin_w0 = gtc.wall_start();
-    if (opts.functional) {
-        buf.emplace(std::vector<T>(data.begin(), data.end()));
-        if (val.on()) buf->set_trace(&buf_events);
-        buf->copy_to_device();
-        dspan = buf->device();
-    }
-    rep.transfer += hpu.transfer_time(data.size());
-    clock = hpu.timeline().record(sim::EventKind::kTransferToGpu,
-                                  phase_label(alg.name(), "xfer-in"), clock,
-                                  hpu.transfer_time(data.size()));
-    detail::trace_transfer(gtc.shifted(gcur - pre), alg.name(), "xfer-in", data.size(),
-                           data.size() * sizeof(T), hpu.transfer_time(data.size()), xin_w0);
-    gcur += hpu.transfer_time(data.size());
-
-    if (opts.functional) {
-        const std::uint64_t hw0 = gtc.wall_start();
-        sim::OpCounter hook;
-        alg.before_gpu_levels(dspan, shape.tasks_at(shape.L - 1), hook);
-        const sim::Ticks t = detail::traced_hook(dev, hook, alg.name(), "gpu-pre-hook",
-                                                 gtc.shifted(gcur - pre), hw0);
-        rep.gpu_busy += t;
-        gcur += t;
-    } else if (gpu_top < shape.L) {
-        // Hook costs apply only when device levels actually execute.
-        const sim::Ticks t = detail::traced_hook(dev, alg.analytic_gpu_hook_ops(data.size()),
-                                                 alg.name(), "gpu-hooks",
-                                                 gtc.shifted(gcur - pre));
-        rep.gpu_busy += t;
-        gcur += t;
-    }
-
-    {
-        const sim::Ticks t = detail::gpu_leaves(dev, alg, dspan, opts.functional, val,
-                                                gtc.shifted(gcur - pre));
-        rep.gpu_busy += t;
-        gcur += t;
-    }
-    for (std::uint64_t i = shape.L; i-- > gpu_top;) {
-        const std::uint64_t tasks = shape.tasks_at(i);
-        if (opts.functional) {
-            sim::Ticks t = detail::functional_gpu_level(dev, alg, dspan, tasks, val,
-                                                        gtc.shifted(gcur - pre, i));
-            rep.gpu_busy += t;
-            gcur += t;
-            const std::uint64_t hw0 = gtc.wall_start();
-            sim::OpCounter flip;
-            alg.after_gpu_level(dspan, tasks, flip);
-            t = detail::traced_hook(dev, flip, alg.name(), "gpu-level-hook",
-                                    gtc.shifted(gcur - pre), hw0);
-            rep.gpu_busy += t;
-            gcur += t;
-        } else {
-            const sim::Ticks t = detail::analytic_gpu_level(dev, alg, data.size(), tasks, i,
-                                                            gtc.shifted(gcur - pre, i));
-            rep.gpu_busy += t;
-            gcur += t;
-        }
-        ++rep.levels_gpu;
-    }
-    if (opts.functional) {
-        const std::uint64_t hw0 = gtc.wall_start();
-        sim::OpCounter post;
-        alg.after_gpu_levels(dspan, shape.tasks_at(gpu_top), post);
-        const sim::Ticks t = detail::traced_hook(dev, post, alg.name(), "gpu-post-hook",
-                                                 gtc.shifted(gcur - pre), hw0);
-        rep.gpu_busy += t;
-        gcur += t;
-    }
-    clock = hpu.timeline().record(sim::EventKind::kGpuKernel,
-                                  phase_label(alg.name(), "gpu-phase"), clock, rep.gpu_busy);
-
-    rep.transfer += hpu.transfer_time(data.size());
-    clock = hpu.timeline().record(sim::EventKind::kTransferToCpu,
-                                  phase_label(alg.name(), "xfer-out"), clock,
-                                  hpu.transfer_time(data.size()));
-    const std::uint64_t xout_w0 = gtc.wall_start();
-    if (opts.functional) buf->copy_to_host();
-    detail::trace_transfer(gtc.shifted(gcur - pre), alg.name(), "xfer-out", data.size(),
-                           data.size() * sizeof(T), hpu.transfer_time(data.size()), xout_w0);
-    gcur += hpu.transfer_time(data.size());
-    if (opts.trace != nullptr) opts.trace->close(gphase, gcur);
-    if (opts.functional) {
-        std::copy(buf->host_view().begin(), buf->host_view().end(), data.begin());
-        if (val.on()) {
-            analysis::lint_residency(buf_events, alg.name() + "/device-buffer", *val.report);
-        }
-    }
-
-    // --- CPU phase: remaining top levels.
-    if (gpu_top > 0) {
-        const trace::SpanId cphase =
-            detail::open_phase(opts, run, alg.name(), "cpu-levels", trace::Unit::kCpu, gcur);
-        const sim::Ticks cpu_part = detail::cpu_levels(
-            hpu.cpu(), alg, data, data.size(), gpu_top - 1, std::uint64_t{0}, opts,
-            &rep.levels_cpu, val,
-            detail::SpanCtx{opts.trace, cphase, gcur, trace::SpanAttrs::kNoLevel,
-                            opts.profile});
-        rep.cpu_busy += cpu_part;
-        clock = hpu.timeline().record(sim::EventKind::kCpuLevel,
-                                      phase_label(alg.name(), "cpu-levels"), clock, cpu_part);
-        if (opts.trace != nullptr) opts.trace->close(cphase, gcur + cpu_part);
-    }
-    rep.total = rep.gpu_busy + rep.cpu_busy + rep.transfer;
-    detail::close_run(opts, run, rep.total);
-    detail::observe_run(opts, rep, run, hpu.params(), alg, hpu.cpu().pool());
-    return rep;
+    return detail::run_plan(plan, hpu.cpu(), &hpu.gpu(), hpu.params(), alg, data, opts,
+                            std::move(rep), pre);
 }
 
 /// Advanced hybrid scheduler (§5.2) at explicit (α, transfer level y).
@@ -292,167 +81,22 @@ ExecReport run_advanced_hybrid(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std:
                              IrregularMode::kAdvanced, adv.exec, /*chunks=*/0,
                              /*include_transfers=*/true, "advanced-hybrid");
     }
-    HPU_CHECK(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
-    const auto shape = detail::shape_of(alg, data.size());
+    const Plan plan =
+        plan_advanced(alg, hpu.params(), data.size(), alpha, y, adv.split_tasks);
     alg.prepare(data.size());
     const ExecOptions& opts = adv.exec;
     detail::bind_merge_exec(alg, hpu.cpu().pool(), opts);
-    HPU_CHECK(y >= 1 && y <= shape.L, "transfer level y must be in [1, L]");
-    sim::Device& dev = hpu.gpu();
     ExecReport rep;
-    rep.trace = opts.trace;
     if (opts.verify) {
-        verify::RunShape vshape;
-        vshape.kind = verify::RunShape::Kind::kAdvanced;
-        vshape.alpha = alpha;
-        vshape.y = y;
-        vshape.split_tasks = adv.split_tasks;
-        rep.verify = verify::verify_hybrid_run(alg, data.size(), hpu, vshape);
+        verify::RunShape shape;
+        shape.kind = verify::RunShape::Kind::kAdvanced;
+        shape.alpha = alpha;
+        shape.y = y;
+        shape.split_tasks = adv.split_tasks;
+        rep.verify = verify::verify_hybrid_run(alg, data.size(), hpu, shape);
     }
-    const detail::ValCtx val = detail::validation_ctx(opts, rep);
-    const trace::SpanId run = detail::open_run(opts, alg.name(), "advanced-hybrid",
-                                               data.size());
-    const sim::Ticks pre = detail::host_pre_pass(
-        alg, data, hpu.params().cpu.p,
-        detail::SpanCtx{opts.trace, run, 0.0, trace::SpanAttrs::kNoLevel, opts.profile});
-
-    // --- Split level: tasks tile the array; the CPU takes the first
-    // cpu_tasks slices, the device the rest. The arithmetic lives in
-    // verify::choose_split so the static verifier checks the same plan.
-    const verify::SplitChoice split = verify::choose_split(
-        shape.L, data.size(), shape.a, alpha, y, adv.split_tasks, hpu.params().cpu.p);
-    const std::uint64_t s = split.s;
-    const std::uint64_t split_elem = split.split_elem;
-    rep.alpha_effective = split.alpha_effective;
-
-    std::span<T> cpu_region = data.subspan(0, split_elem);
-    std::span<T> gpu_region = data.subspan(split_elem);
-
-    // --- GPU thread: ship slice, leaves + levels L-1..y, ship back.
-    // Timeline clocks start at 0 (historical); spans start at pre, where
-    // both concurrent phases really begin.
-    sim::Ticks gpu_clock = 0.0;
-    const trace::SpanId gphase =
-        detail::open_phase(opts, run, alg.name(), "gpu-phase", trace::Unit::kGpu, pre);
-    const detail::SpanCtx gtc{opts.trace, gphase, pre, trace::SpanAttrs::kNoLevel,
-                              opts.profile};
-    std::optional<sim::DeviceBuffer<T>> buf;
-    std::vector<sim::BufferEvent> buf_events;
-    std::span<T> dspan = gpu_region;
-    const std::uint64_t xin_w0 = gtc.wall_start();
-    if (opts.functional) {
-        buf.emplace(std::vector<T>(gpu_region.begin(), gpu_region.end()));
-        if (val.on()) buf->set_trace(&buf_events);
-        buf->copy_to_device();
-        dspan = buf->device();
-    }
-    const sim::Ticks x1 = hpu.transfer_time(gpu_region.size());
-    rep.transfer += x1;
-    gpu_clock = hpu.timeline().record(sim::EventKind::kTransferToGpu,
-                                      phase_label(alg.name(), "xfer-in"), gpu_clock, x1);
-    detail::trace_transfer(gtc, alg.name(), "xfer-in", gpu_region.size(),
-                           gpu_region.size() * sizeof(T), x1, xin_w0);
-
-    sim::Ticks gpu_kernels = 0.0;
-    if (opts.functional) {
-        const std::uint64_t hw0 = gtc.wall_start();
-        sim::OpCounter hook;
-        alg.before_gpu_levels(dspan, gpu_region.size() / shape.task_size_at(shape.L - 1),
-                              hook);
-        gpu_kernels += detail::traced_hook(dev, hook, alg.name(), "gpu-pre-hook",
-                                           gtc.shifted(x1 + gpu_kernels), hw0);
-    } else if (y < shape.L) {
-        // Hook costs apply only when device levels actually execute.
-        gpu_kernels +=
-            detail::traced_hook(dev, alg.analytic_gpu_hook_ops(gpu_region.size()), alg.name(),
-                                "gpu-hooks", gtc.shifted(x1 + gpu_kernels));
-    }
-    gpu_kernels += detail::gpu_leaves(dev, alg, dspan, opts.functional, val,
-                                      gtc.shifted(x1 + gpu_kernels));
-    for (std::uint64_t i = shape.L; i-- > y;) {
-        const std::uint64_t tasks = gpu_region.size() / shape.task_size_at(i);
-        if (tasks == 0) continue;
-        if (opts.functional) {
-            gpu_kernels += detail::functional_gpu_level(dev, alg, dspan, tasks, val,
-                                                        gtc.shifted(x1 + gpu_kernels, i));
-            const std::uint64_t hw0 = gtc.wall_start();
-            sim::OpCounter flip;
-            alg.after_gpu_level(dspan, tasks, flip);
-            gpu_kernels += detail::traced_hook(dev, flip, alg.name(), "gpu-level-hook",
-                                               gtc.shifted(x1 + gpu_kernels), hw0);
-        } else {
-            gpu_kernels += detail::analytic_gpu_level(dev, alg, data.size(), tasks, i,
-                                                      gtc.shifted(x1 + gpu_kernels, i));
-        }
-        ++rep.levels_gpu;
-    }
-    if (opts.functional) {
-        const std::uint64_t hw0 = gtc.wall_start();
-        sim::OpCounter post;
-        alg.after_gpu_levels(dspan, gpu_region.size() / shape.task_size_at(y), post);
-        gpu_kernels += detail::traced_hook(dev, post, alg.name(), "gpu-post-hook",
-                                           gtc.shifted(x1 + gpu_kernels), hw0);
-    }
-    rep.gpu_busy = gpu_kernels;
-    gpu_clock = hpu.timeline().record(sim::EventKind::kGpuKernel,
-                                      phase_label(alg.name(), "gpu-phase"), gpu_clock,
-                                      gpu_kernels);
-    const sim::Ticks x2 = hpu.transfer_time(gpu_region.size());
-    rep.transfer += x2;
-    gpu_clock = hpu.timeline().record(sim::EventKind::kTransferToCpu,
-                                      phase_label(alg.name(), "xfer-out"), gpu_clock, x2);
-    const std::uint64_t xout_w0 = gtc.wall_start();
-    if (opts.functional) buf->copy_to_host();
-    detail::trace_transfer(gtc.shifted(x1 + gpu_kernels), alg.name(), "xfer-out",
-                           gpu_region.size(), gpu_region.size() * sizeof(T), x2, xout_w0);
-    if (opts.trace != nullptr) opts.trace->close(gphase, pre + gpu_clock);
-    if (opts.functional) {
-        std::copy(buf->host_view().begin(), buf->host_view().end(), gpu_region.begin());
-        if (val.on()) {
-            analysis::lint_residency(buf_events, alg.name() + "/device-buffer", *val.report);
-        }
-    }
-
-    // --- CPU thread (concurrent): leaves + levels L-1..s of its slice.
-    const trace::SpanId cphase =
-        detail::open_phase(opts, run, alg.name(), "cpu-parallel", trace::Unit::kCpu, pre);
-    const detail::SpanCtx ctc{opts.trace, cphase, pre, trace::SpanAttrs::kNoLevel,
-                              opts.profile};
-    sim::Ticks cpu_clock = detail::cpu_leaves(hpu.cpu(), alg, cpu_region, opts.functional,
-                                              val, ctc);
-    cpu_clock += detail::cpu_levels(hpu.cpu(), alg, cpu_region, data.size(), shape.L - 1, s,
-                                    opts, &rep.levels_cpu, val, ctc.shifted(cpu_clock));
-    rep.cpu_busy = cpu_clock;
-    hpu.timeline().record(sim::EventKind::kCpuLevel, phase_label(alg.name(), "cpu-parallel"),
-                          0.0, cpu_clock);
-    if (opts.trace != nullptr) opts.trace->close(cphase, pre + cpu_clock);
-
-    // --- Sync point: both threads joined, GPU slice back on the host.
-    const sim::Ticks sync = std::max(gpu_clock, cpu_clock);
-
-    // --- Finish phase on the CPU: GPU slice levels y-1..s, then the shared
-    // top levels s-1..0 across the whole array.
-    const trace::SpanId fphase =
-        detail::open_phase(opts, run, alg.name(), "finish", trace::Unit::kCpu, pre + sync);
-    const detail::SpanCtx ftc{opts.trace, fphase, pre + sync, trace::SpanAttrs::kNoLevel,
-                              opts.profile};
-    sim::Ticks fin = 0.0;
-    if (y > s) {
-        fin += detail::cpu_levels(hpu.cpu(), alg, gpu_region, data.size(), y - 1, s, opts,
-                                  &rep.levels_cpu, val, ftc);
-    }
-    if (s > 0) {
-        fin += detail::cpu_levels(hpu.cpu(), alg, data, data.size(), s - 1, std::uint64_t{0},
-                                  opts, &rep.levels_cpu, val, ftc.shifted(fin));
-    }
-    rep.finish = fin;
-    hpu.timeline().record(sim::EventKind::kCpuLevel, phase_label(alg.name(), "finish"), sync,
-                          fin);
-    if (opts.trace != nullptr) opts.trace->close(fphase, pre + sync + fin);
-    rep.total = pre + sync + fin;
-    detail::close_run(opts, run, rep.total);
-    detail::observe_run(opts, rep, run, hpu.params(), alg, hpu.cpu().pool());
-    return rep;
+    return detail::run_plan(plan, hpu.cpu(), &hpu.gpu(), hpu.params(), alg, data, opts,
+                            std::move(rep));
 }
 
 }  // namespace hpu::core

@@ -14,6 +14,11 @@
 //             combine_task with its recorded children (empty span = leaf).
 //             Skipped when has_combine() is false.
 //
+// Every level part runs — or, in analytic mode, is priced — through the
+// launch primitive the regular plan walker uses (core/launch.hpp); only
+// the sweeps and the per-level scheduling below are specific to dynamic
+// trees.
+//
 // Scheduling: the closed-form (α, y) plans of §5 assume level i has a^i
 // equal tasks, which a dynamic tree does not honor. The hybrid modes
 // therefore re-derive the split PER LEVEL from the observed task list
@@ -55,6 +60,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -178,105 +184,101 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
         return plan;
     };
 
-    // Runs the CPU part [0, k) of one level (functional); returns its time.
-    auto run_cpu_part = [&](const irr_detail::LevelPlan& plan,
-                            const std::vector<model::ObservedTask>& est, std::uint64_t depth,
-                            trace::SpanId phase_span, sim::Ticks level_start, double imb,
-                            std::vector<sim::ItemAccessLog>& logs, auto&& body) {
-        const detail::SpanCtx tc{opts.trace, phase_span, level_start, depth, opts.profile};
-        const std::uint64_t w0 = tc.wall_start();
-        const std::uint64_t cpu_words = irr_detail::est_words(est, 0, plan.k);
-        const sim::LevelResult r = cpu.run_level(
-            plan.k,
-            [&](std::uint64_t j, sim::OpCounter& ops) {
-                if (!logs.empty()) ops.trace = &logs[j];
-                body(j, ops);
-            },
-            alg.level_working_set_bytes(cpu_words), opts.order, alg.intra_task_parallel());
-        rep.cpu_busy += r.time;
-        ++rep.levels_cpu;
-        if (tc.on()) {
-            const trace::SpanId id =
-                detail::trace_cpu_level(tc, alg.name(), "cpu-level", r, trace::SpanKind::kLevel);
-            trace::SpanAttrs a;
-            a.extent_words = cpu_words;
-            a.imbalance = imb;
-            tc.session->annotate(id, a);
-            detail::annotate_wall(tc, id, w0);
-        }
-        return r.time;
-    };
-
-    // Runs the GPU part [k, W) of one level (functional), optionally as
-    // k_chunks pipelined chunks; returns the GPU path length relative to
-    // the level start (transfers included when the plan ships per level).
-    auto run_gpu_part = [&](const irr_detail::LevelPlan& plan,
-                            const std::vector<model::ObservedTask>& est, std::uint64_t depth,
-                            trace::SpanId phase_span, sim::Ticks level_start, double imb,
-                            std::vector<sim::ItemAccessLog>& logs, auto&& body) {
+    // Schedules one level from its per-task estimates and runs its CPU
+    // part [0, k) and GPU part [k, W) through the launch primitive —
+    // functionally with `body(j, ops)` executing task j, priced from the
+    // (uniform) estimates when `body` is nullptr — then advances the clock
+    // by the level makespan.
+    auto run_level = [&](const std::vector<model::ObservedTask>& est, std::uint64_t depth,
+                         trace::SpanId phase_span, double imb,
+                         std::vector<sim::ItemAccessLog>& logs, auto&& body) {
         const std::uint64_t width = est.size();
+        const irr_detail::LevelPlan plan = plan_level(est);
+        const detail::SpanCtx tc{opts.trace, phase_span, clock, depth, opts.profile};
+        if (plan.switch_xfer > 0.0) {
+            detail::trace_transfer(tc, alg.name(), plan.switch_dir, plan.switch_words,
+                                   plan.switch_words * sizeof(T), plan.switch_xfer);
+            rep.transfer += plan.switch_xfer;
+            clock += plan.switch_xfer;
+        }
+        const sim::Ticks level_start = clock;
+        // Tasks [b, e) of the level on `unit`, starting `at` into the level.
+        auto part = [&](trace::Unit unit, std::uint64_t b, std::uint64_t e, sim::Ticks at) {
+            const bool gpu = unit == trace::Unit::kGpu;
+            detail::Launch l;
+            l.unit = unit;
+            l.phase = gpu ? "gpu-level" : "cpu-level";
+            l.tasks = e - b;
+            l.intra = alg.intra_task_parallel();
+            l.extent_words = irr_detail::est_words(est, b, e);
+            l.imbalance = imb;
+            if (!gpu) {
+                l.working_set = alg.level_working_set_bytes(l.extent_words);
+                l.order = opts.order;
+            }
+            const detail::SpanCtx pt = tc.moved(at, depth);
+            if constexpr (std::is_null_pointer_v<std::remove_cvref_t<decltype(body)>>) {
+                const double cost = est[b].cost;
+                l.task_ops = gpu ? cost * mult : cost;
+                l.work = cost * static_cast<double>(l.tasks);
+                l.ops = gpu ? l.work * mult : l.work;
+                return detail::launch(cpu, dev, alg, l, pt, nullptr).time;
+            } else {
+                return detail::launch(cpu, dev, alg, l, pt,
+                                      [&](std::uint64_t j, sim::OpCounter& ops) {
+                                          if (!logs.empty()) ops.trace = &logs[b + j];
+                                          body(b + j, ops);
+                                      })
+                    .time;
+            }
+        };
+        sim::Ticks cpu_time = 0.0, gpu_path = 0.0;
+        if (plan.k > 0) {
+            cpu_time = part(trace::Unit::kCpu, 0, plan.k, level_start);
+            rep.cpu_busy += cpu_time;
+            ++rep.levels_cpu;
+        }
         const std::uint64_t gw = width - plan.k;
-        const std::uint64_t K = mode == IrregularMode::kPipelined ? std::min(k_chunks, gw) : 1;
-        sim::Ticks arrive = 0.0;   // input-transfer front, relative to level start
-        sim::Ticks gpu_end = 0.0;  // device busy front, relative to level start
-        for (std::uint64_t c = 0; c < K; ++c) {
-            const std::uint64_t cb = plan.k + (c * gw) / K;
-            const std::uint64_t ce = plan.k + ((c + 1) * gw) / K;
-            if (ce == cb) continue;
-            const std::uint64_t cw = irr_detail::est_words(est, cb, ce);
+        if (gw > 0) {
+            // Optionally k_chunks pipelined chunks, each shipped in ahead of
+            // its launch when the plan ships per level.
+            const std::uint64_t K = mode == IrregularMode::kPipelined ? std::min(k_chunks, gw) : 1;
+            sim::Ticks arrive = 0.0;   // input-transfer front, relative to level start
+            sim::Ticks gpu_end = 0.0;  // device busy front, relative to level start
+            for (std::uint64_t c = 0; c < K; ++c) {
+                const std::uint64_t cb = plan.k + (c * gw) / K;
+                const std::uint64_t ce = plan.k + ((c + 1) * gw) / K;
+                if (ce == cb) continue;
+                if (plan.per_level_xfers) {
+                    const std::uint64_t cw = irr_detail::est_words(est, cb, ce);
+                    const sim::Ticks x = hw.link.transfer_time(cw);
+                    detail::trace_transfer(tc.moved(level_start + arrive, depth), alg.name(),
+                                           "xfer-in", cw, cw * sizeof(T), x);
+                    rep.transfer += x;
+                    arrive += x;
+                }
+                const sim::Ticks start = std::max(arrive, gpu_end);
+                const sim::Ticks t = part(trace::Unit::kGpu, cb, ce, level_start + start);
+                rep.gpu_busy += t;
+                gpu_end = start + t;
+            }
+            ++rep.levels_gpu;
+            if (mode == IrregularMode::kPipelined) rep.chunks = std::max(rep.chunks, K);
             if (plan.per_level_xfers) {
-                const sim::Ticks x = hw.link.transfer_time(cw);
-                detail::trace_transfer(
-                    detail::SpanCtx{opts.trace, phase_span, level_start + arrive, depth,
-                                    opts.profile},
-                    alg.name(), "xfer-in", cw, cw * sizeof(T), x);
+                const std::uint64_t gpu_words = irr_detail::est_words(est, plan.k, width);
+                const sim::Ticks x = hw.link.transfer_time(gpu_words);
+                detail::trace_transfer(tc.moved(level_start + gpu_end, depth), alg.name(),
+                                       "xfer-out", gpu_words, gpu_words * sizeof(T), x);
                 rep.transfer += x;
-                arrive += x;
+                gpu_end += x;
             }
-            const sim::Ticks start = std::max(arrive, gpu_end);
-            const detail::SpanCtx tg{opts.trace, phase_span, level_start + start, depth,
-                                     opts.profile};
-            const std::uint64_t w0 = tg.wall_start();
-            std::vector<sim::WaveTrace> waves;
-            detail::WaveTraceGuard guard(*dev, tg.on() ? &waves : nullptr);
-            const sim::LaunchResult r = dev->launch(
-                ce - cb,
-                [&](sim::WorkItem& wi) {
-                    const std::uint64_t j = cb + wi.global_id();
-                    if (!logs.empty()) wi.ops().trace = &logs[j];
-                    body(j, wi.ops());
-                },
-                alg.intra_task_parallel());
-            rep.gpu_busy += r.time;
-            gpu_end = start + r.time;
-            if (tg.on()) {
-                const trace::SpanId id = detail::trace_gpu_launch(
-                    tg, alg.name(), "gpu-level", *dev, r, ce - cb, waves,
-                    trace::SpanKind::kLevel);
-                trace::SpanAttrs a;
-                a.extent_words = cw;
-                a.imbalance = imb;
-                tg.session->annotate(id, a);
-                detail::annotate_wall(tg, id, w0);
-            }
+            gpu_path = gpu_end;
         }
-        ++rep.levels_gpu;
-        if (mode == IrregularMode::kPipelined) rep.chunks = std::max(rep.chunks, K);
-        if (plan.per_level_xfers) {
-            const std::uint64_t gpu_words = irr_detail::est_words(est, plan.k, width);
-            const sim::Ticks x = hw.link.transfer_time(gpu_words);
-            detail::trace_transfer(
-                detail::SpanCtx{opts.trace, phase_span, level_start + gpu_end, depth,
-                                opts.profile},
-                alg.name(), "xfer-out", gpu_words, gpu_words * sizeof(T), x);
-            rep.transfer += x;
-            gpu_end += x;
-        }
-        return gpu_end;
+        clock = level_start + std::max(cpu_time, gpu_path);
     };
 
-    // Schedules + runs one functional level; advances the clock by the
-    // level makespan. `body(j, ops)` executes task j's divide/combine.
+    // Runs one functional level; `body(j, ops)` executes task j's
+    // divide/combine.
     auto run_level_functional = [&](const TaskList& list, std::uint64_t depth,
                                     const char* sweep, bool combine, trace::SpanId phase_span,
                                     auto&& body) {
@@ -287,7 +289,6 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
             est[j] = model::ObservedTask{alg.task_cost_estimate(list.tasks[j], combine),
                                          list.tasks[j].size()};
         }
-        const irr_detail::LevelPlan plan = plan_level(est);
         const std::string label = launch_label(alg.name(), sweep, width);
         std::vector<sim::ItemAccessLog> logs;
         if (val.on()) {
@@ -297,31 +298,12 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
             analysis::detect_extent_overlaps(ex, label, *val.report, val.race);
             logs.resize(width);
         }
-        const double imb = list.imbalance();
-        if (plan.switch_xfer > 0.0) {
-            detail::trace_transfer(
-                detail::SpanCtx{opts.trace, phase_span, clock, depth, opts.profile},
-                alg.name(), plan.switch_dir, plan.switch_words,
-                plan.switch_words * sizeof(T), plan.switch_xfer);
-            rep.transfer += plan.switch_xfer;
-            clock += plan.switch_xfer;
-        }
-        const sim::Ticks level_start = clock;
-        sim::Ticks cpu_time = 0.0, gpu_path = 0.0;
-        if (plan.k > 0) {
-            cpu_time = run_cpu_part(plan, est, depth, phase_span, level_start, imb, logs,
-                                    body);
-        }
-        if (width > plan.k) {
-            gpu_path = run_gpu_part(plan, est, depth, phase_span, level_start, imb, logs,
-                                    body);
-        }
+        run_level(est, depth, phase_span, list.imbalance(), logs, body);
         if (val.on()) {
             // CPU and GPU parts of a split level overlap in virtual time,
             // so the whole width is one concurrency window.
             analysis::detect_races(logs, width, label, *val.report, val.race);
         }
-        clock = level_start + std::max(cpu_time, gpu_path);
     };
 
     // Analytic twin: prices one uniform level of `width` tasks without
@@ -329,89 +311,10 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
     auto run_level_analytic = [&](std::uint64_t width, std::uint64_t depth,
                                   trace::SpanId phase_span) {
         HPU_CHECK(width > 0, "analytic level width must be positive");
-        const double cost = alg.analytic_task_cost(n, depth);
-        const std::uint64_t per_words = n / width;
-        std::vector<model::ObservedTask> est(width, model::ObservedTask{cost, per_words});
-        const irr_detail::LevelPlan plan = plan_level(est);
-        if (plan.switch_xfer > 0.0) {
-            detail::trace_transfer(
-                detail::SpanCtx{opts.trace, phase_span, clock, depth, opts.profile},
-                alg.name(), plan.switch_dir, plan.switch_words,
-                plan.switch_words * sizeof(T), plan.switch_xfer);
-            rep.transfer += plan.switch_xfer;
-            clock += plan.switch_xfer;
-        }
-        const sim::Ticks level_start = clock;
-        sim::Ticks cpu_time = 0.0, gpu_path = 0.0;
-        if (plan.k > 0) {
-            const std::uint64_t cpu_words = plan.k * per_words;
-            cpu_time = cpu.uniform_level_time(plan.k, cost,
-                                              alg.level_working_set_bytes(cpu_words));
-            rep.cpu_busy += cpu_time;
-            ++rep.levels_cpu;
-            if (opts.trace != nullptr) {
-                const detail::SpanCtx tc{opts.trace, phase_span, level_start, depth,
-                                         opts.profile};
-                const double work = cost * static_cast<double>(plan.k);
-                const trace::SpanId id = detail::trace_analytic_level(
-                    tc, alg.name(), "cpu-level", trace::Unit::kCpu, plan.k, work, work,
-                    cpu_time, trace::SpanKind::kLevel);
-                trace::SpanAttrs a;
-                a.extent_words = cpu_words;
-                a.imbalance = 1.0;
-                opts.trace->annotate(id, a);
-            }
-        }
-        const std::uint64_t gw = width - plan.k;
-        if (gw > 0) {
-            const std::uint64_t K = mode == IrregularMode::kPipelined ? std::min(k_chunks, gw) : 1;
-            sim::Ticks arrive = 0.0, gpu_end = 0.0;
-            for (std::uint64_t c = 0; c < K; ++c) {
-                const std::uint64_t cb = plan.k + (c * gw) / K;
-                const std::uint64_t ce = plan.k + ((c + 1) * gw) / K;
-                if (ce == cb) continue;
-                const std::uint64_t cw = (ce - cb) * per_words;
-                if (plan.per_level_xfers) {
-                    const sim::Ticks x = hw.link.transfer_time(cw);
-                    detail::trace_transfer(
-                        detail::SpanCtx{opts.trace, phase_span, level_start + arrive, depth,
-                                        opts.profile},
-                        alg.name(), "xfer-in", cw, cw * sizeof(T), x);
-                    rep.transfer += x;
-                    arrive += x;
-                }
-                const sim::Ticks start = std::max(arrive, gpu_end);
-                const sim::Ticks t = dev->uniform_launch_time(ce - cb, cost * mult);
-                rep.gpu_busy += t;
-                if (opts.trace != nullptr) {
-                    const detail::SpanCtx tg{opts.trace, phase_span, level_start + start,
-                                             depth, opts.profile};
-                    const double work = cost * static_cast<double>(ce - cb);
-                    const trace::SpanId id = detail::trace_analytic_level(
-                        tg, alg.name(), "gpu-level", trace::Unit::kGpu, ce - cb, work,
-                        work * mult, t, trace::SpanKind::kLevel, hw.gpu.g);
-                    trace::SpanAttrs a;
-                    a.extent_words = cw;
-                    a.imbalance = 1.0;
-                    opts.trace->annotate(id, a);
-                }
-                gpu_end = start + t;
-            }
-            ++rep.levels_gpu;
-            if (mode == IrregularMode::kPipelined) rep.chunks = std::max(rep.chunks, K);
-            if (plan.per_level_xfers) {
-                const std::uint64_t gpu_words = gw * per_words;
-                const sim::Ticks x = hw.link.transfer_time(gpu_words);
-                detail::trace_transfer(
-                    detail::SpanCtx{opts.trace, phase_span, level_start + gpu_end, depth,
-                                    opts.profile},
-                    alg.name(), "xfer-out", gpu_words, gpu_words * sizeof(T), x);
-                rep.transfer += x;
-                gpu_end += x;
-            }
-            gpu_path = gpu_end;
-        }
-        clock = level_start + std::max(cpu_time, gpu_path);
+        const std::vector<model::ObservedTask> est(
+            width, model::ObservedTask{alg.analytic_task_cost(n, depth), n / width});
+        std::vector<sim::ItemAccessLog> no_logs;
+        run_level(est, depth, phase_span, 1.0, no_logs, nullptr);
     };
 
     // ---- root pass (functional only: the analytic path never touches data)
@@ -420,17 +323,8 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
         const std::uint64_t w0 = rt.wall_start();
         sim::OpCounter pre;
         TaskList root = alg.root_tasks(data, pre);
-        const sim::Ticks t = static_cast<sim::Ticks>(pre.cpu_ops()) /
-                             static_cast<double>(cpu.params().p);
-        if (rt.on() && t > 0.0) {
-            trace::SpanAttrs a;
-            a.ops = static_cast<double>(pre.cpu_ops());
-            a.work = a.ops;
-            const trace::SpanId id =
-                rt.session->record(trace::SpanKind::kHook, trace::Unit::kCpu,
-                                   phase_label(alg.name(), "pre"), clock, t, a, run);
-            detail::annotate_wall(rt, id, w0);
-        }
+        const sim::Ticks t =
+            detail::host_pass(pre, cpu.params().p, alg.name(), "pre", rt.moved(clock), w0);
         rep.cpu_busy += t;
         clock += t;
         levels.push_back({std::move(root), {}});
@@ -439,7 +333,7 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
     // ---- boundary ship-in (kGpu only; kBasic pays residency switches)
     if (mode == IrregularMode::kGpu && include_transfers) {
         const sim::Ticks x = hw.link.transfer_time(n);
-        detail::trace_transfer(rt.shifted(clock), alg.name(), "xfer-in", n, n * sizeof(T), x);
+        detail::trace_transfer(rt.moved(clock), alg.name(), "xfer-in", n, n * sizeof(T), x);
         rep.transfer += x;
         clock += x;
         on_device = true;
@@ -473,7 +367,7 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
             levels.push_back({std::move(next), {}});
             ++depth;
         }
-        if (opts.trace != nullptr && expand != trace::kNoSpan) opts.trace->close(expand, clock);
+        detail::close_phase(opts, expand, clock);
     } else {
         const std::vector<std::uint64_t> widths = alg.analytic_widths(n);
         HPU_CHECK(!widths.empty(), "analytic_widths must describe at least one level");
@@ -483,13 +377,13 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
             rep.tasks_spawned += widths[i];
             run_level_analytic(widths[i], i, expand);
         }
-        if (opts.trace != nullptr && expand != trace::kNoSpan) opts.trace->close(expand, clock);
+        detail::close_phase(opts, expand, clock);
 
         if (alg.has_combine()) {
             const trace::SpanId comb = detail::open_phase(opts, run, alg.name(), "combine",
                                                           trace::Unit::kHost, clock);
             for (std::uint64_t i = widths.size(); i-- > 0;) run_level_analytic(widths[i], i, comb);
-            if (opts.trace != nullptr && comb != trace::kNoSpan) opts.trace->close(comb, clock);
+            detail::close_phase(opts, comb, clock);
         }
     }
 
@@ -512,13 +406,13 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
                                      alg.combine_task(data, list.tasks[j], i, ch, ops);
                                  });
         }
-        if (opts.trace != nullptr && comb != trace::kNoSpan) opts.trace->close(comb, clock);
+        detail::close_phase(opts, comb, clock);
     }
 
     // ---- boundary ship-out (the array must end host-resident)
     if (on_device && include_transfers) {
         const sim::Ticks x = hw.link.transfer_time(n);
-        detail::trace_transfer(rt.shifted(clock), alg.name(), "xfer-out", n, n * sizeof(T), x);
+        detail::trace_transfer(rt.moved(clock), alg.name(), "xfer-out", n, n * sizeof(T), x);
         rep.transfer += x;
         clock += x;
         on_device = false;
@@ -529,17 +423,8 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
         const std::uint64_t w0 = rt.wall_start();
         sim::OpCounter fin;
         alg.finalize(data, fin);
-        const sim::Ticks t = static_cast<sim::Ticks>(fin.cpu_ops()) /
-                             static_cast<double>(cpu.params().p);
-        if (rt.on() && t > 0.0) {
-            trace::SpanAttrs a;
-            a.ops = static_cast<double>(fin.cpu_ops());
-            a.work = a.ops;
-            const trace::SpanId id =
-                rt.session->record(trace::SpanKind::kHook, trace::Unit::kCpu,
-                                   phase_label(alg.name(), "finalize"), clock, t, a, run);
-            detail::annotate_wall(rt, id, w0);
-        }
+        const sim::Ticks t = detail::host_pass(fin, cpu.params().p, alg.name(), "finalize",
+                                               rt.moved(clock), w0);
         rep.cpu_busy += t;
         clock += t;
     }

@@ -1,6 +1,6 @@
-// The one label scheme shared by timeline events, hpu::analysis findings,
-// and hpu::trace spans, so diagnostics from all three layers can be joined
-// on the label string (tests assert they match).
+// The one label scheme shared by hpu::analysis findings and hpu::trace
+// spans, so diagnostics from both layers can be joined on the label string
+// (tests assert they match).
 //
 //   launch_label("mergesort", "gpu-level", 8)  -> "mergesort/gpu-level[8 tasks]"
 //   phase_label("mergesort", "cpu-parallel")   -> "mergesort/cpu-parallel"
@@ -22,8 +22,8 @@ inline std::string launch_label(const std::string& name, const char* phase,
     return os.str();
 }
 
-/// Label of a scheduler phase: "<algo>/<phase>". Used for timeline events
-/// and trace phase/transfer spans.
+/// Label of a scheduler phase: "<algo>/<phase>". Used for trace
+/// phase/transfer/hook spans.
 inline std::string phase_label(const std::string& name, const char* phase) {
     return name + '/' + phase;
 }

@@ -1,8 +1,8 @@
 // The pipelined hybrid scheduler (DESIGN.md §9): the advanced schedule of
 // §5.2 with its two bulk transfers split into K chunks that overlap wave
-// execution on a sim::Stream.
+// execution on the link's FIFO stream.
 //
-// The GPU thread runs in three stages:
+// The GPU lane runs in three stages (plan_pipelined in core/plan.hpp):
 //
 //   stage 0 — eager input stream: the K input chunks (aligned to the
 //     transfer-level task size) are enqueued on the link at tick 0 and
@@ -17,15 +17,14 @@
 //     back in one bulk transfer. When d = y the stage is empty and results
 //     stream back chunk by chunk instead, overlapping the last computes.
 //
-// A priori guard: the scheduler prices both the pipelined and the
-// unpipelined (K = 1) GPU thread with the same analytic arithmetic the
-// executors use and falls back to K = 1 unless pipelining strictly wins —
-// so the pipelined makespan is never worse than the advanced one (exactly,
-// in analytic mode; for uniform-cost algorithms the functional clock
-// matches). At K = 1 the schedule degenerates to the advanced hybrid's
-// exact event sequence, reproducing its makespan bit for bit.
+// A priori guard: the producer prices both the K-chunk and the 1-chunk
+// plan's GPU lane with the walker that runs them and falls back to K = 1
+// unless pipelining strictly wins — so the pipelined makespan is never
+// worse than the advanced one (exactly, in analytic mode; for uniform-cost
+// algorithms the functional clock matches). At K = 1 the plan is the
+// advanced hybrid's, reproducing its makespan bit for bit.
 //
-// The CPU thread, sync point, and finish phase are the advanced hybrid's,
+// The CPU lane, sync point, and finish lane are the advanced hybrid's,
 // unchanged.
 //
 // Like the other schedulers, pipelined runs inherit host-parallel
@@ -33,15 +32,10 @@
 // schedule is bit-identical with or without it (DESIGN.md §10).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "core/hybrid.hpp"
-#include "sim/stream.hpp"
 
 namespace hpu::core {
 
@@ -54,15 +48,6 @@ struct PipelinedOptions {
     std::uint64_t split_tasks = 0;
     ExecOptions exec;
 };
-
-namespace detail {
-
-// The chunk-plan vocabulary lives in hpu::verify (single source of truth
-// shared with the static schedule verifier); aliased here for call sites.
-using verify::ChunkPlan;
-using verify::plan_chunks;
-
-}  // namespace detail
 
 /// Pipelined hybrid scheduler at explicit (α, transfer level y, K chunks).
 /// Same contract as run_advanced_hybrid; ExecReport::chunks reports the K
@@ -79,258 +64,23 @@ ExecReport run_pipelined_hybrid(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std
                              IrregularMode::kPipelined, pip.exec, pip.chunks,
                              /*include_transfers=*/true, "pipelined-hybrid");
     }
-    HPU_CHECK(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
-    HPU_CHECK(pip.chunks >= 1, "need at least one chunk");
-    const auto shape = detail::shape_of(alg, data.size());
+    const Plan plan = plan_pipelined(alg, hpu.params(), data.size(), alpha, y, pip.chunks,
+                                     pip.split_tasks);
     alg.prepare(data.size());
     const ExecOptions& opts = pip.exec;
     detail::bind_merge_exec(alg, hpu.cpu().pool(), opts);
-    HPU_CHECK(y >= 1 && y <= shape.L, "transfer level y must be in [1, L]");
-    sim::Device& dev = hpu.gpu();
     ExecReport rep;
-    rep.trace = opts.trace;
     if (opts.verify) {
-        verify::RunShape vshape;
-        vshape.kind = verify::RunShape::Kind::kPipelined;
-        vshape.alpha = alpha;
-        vshape.y = y;
-        vshape.chunks = pip.chunks;
-        vshape.split_tasks = pip.split_tasks;
-        rep.verify = verify::verify_hybrid_run(alg, data.size(), hpu, vshape);
+        verify::RunShape shape;
+        shape.kind = verify::RunShape::Kind::kPipelined;
+        shape.alpha = alpha;
+        shape.y = y;
+        shape.chunks = pip.chunks;
+        shape.split_tasks = pip.split_tasks;
+        rep.verify = verify::verify_hybrid_run(alg, data.size(), hpu, shape);
     }
-    const detail::ValCtx val = detail::validation_ctx(opts, rep);
-    const trace::SpanId run = detail::open_run(opts, alg.name(), "pipelined-hybrid",
-                                               data.size());
-    const sim::Ticks pre = detail::host_pre_pass(
-        alg, data, hpu.params().cpu.p,
-        detail::SpanCtx{opts.trace, run, 0.0, trace::SpanAttrs::kNoLevel, opts.profile});
-
-    // --- Split level: identical to the advanced hybrid. The arithmetic
-    // lives in verify::choose_split so the static verifier checks the same
-    // plan the executor runs.
-    const verify::SplitChoice split = verify::choose_split(
-        shape.L, data.size(), shape.a, alpha, y, pip.split_tasks, hpu.params().cpu.p);
-    const std::uint64_t s = split.s;
-    const std::uint64_t split_elem = split.split_elem;
-    rep.alpha_effective = split.alpha_effective;
-
-    std::span<T> cpu_region = data.subspan(0, split_elem);
-    std::span<T> gpu_region = data.subspan(split_elem);
-    const std::uint64_t W = gpu_region.size();
-
-    // --- Chunk plan, merge level d, and the a-priori never-worse guard:
-    // verify::plan_pipelined IS this executor's decision procedure (moved
-    // there verbatim), so the verified and executed plans coincide.
-    const verify::PipelineChoice pc = verify::plan_pipelined(
-        alg, dev, hpu.params().link, data.size(), shape.L, shape.a, W, y, pip.chunks);
-    const std::vector<detail::ChunkPlan>& plan = pc.plan;
-    const std::uint64_t d = pc.d;
-    const std::uint64_t K = plan.size();
-    rep.chunks = K;
-
-    // --- GPU thread. Timeline clocks start at 0 (historical convention,
-    // as the advanced hybrid); spans start at pre.
-    const trace::SpanId gphase =
-        detail::open_phase(opts, run, alg.name(), "gpu-phase", trace::Unit::kGpu, pre);
-    const detail::SpanCtx gtc{opts.trace, gphase, pre, trace::SpanAttrs::kNoLevel,
-                              opts.profile};
-    std::optional<sim::DeviceBuffer<T>> buf;
-    std::vector<sim::BufferEvent> buf_events;
-    if (opts.functional) {
-        buf.emplace(std::vector<T>(gpu_region.begin(), gpu_region.end()));
-        if (val.on()) buf->set_trace(&buf_events);
-    }
-    sim::Stream stream(hpu.params().link, &hpu.timeline());
-
-    // Stage 0: eager input stream — every chunk enqueued at tick 0.
-    std::vector<sim::StreamEvent> arrived(K);
-    for (std::uint64_t c = 0; c < K; ++c) {
-        const std::uint64_t xw0 = gtc.wall_start();
-        arrived[c] = stream.push_to_device(phase_label(alg.name(), "xfer-in-chunk"),
-                                           plan[c].words, plan[c].offset, 0.0);
-        const sim::StreamChunk& ch = stream.chunks().back();
-        if (opts.functional) buf->stream_to_device(ch.offset, ch.words, ch.start, ch.end);
-        detail::trace_transfer(gtc.shifted(ch.start), alg.name(), "xfer-in-chunk", ch.words,
-                               ch.words * sizeof(T), ch.duration(), xw0);
-    }
-
-    // Stage 1: chunk-local leaves + deep levels, double-buffered against
-    // the stream — each chunk starts at max(arrival, device free).
-    sim::Ticks gpu_kernels = 0.0;
-    sim::Ticks gpu_free = 0.0;
-    std::vector<sim::Ticks> comp_end(K, 0.0);
-    for (std::uint64_t c = 0; c < K; ++c) {
-        const sim::Ticks at = arrived[c].wait(gpu_free);
-        std::span<T> dspan = opts.functional
-                                 ? buf->device_region(plan[c].offset, plan[c].words, at)
-                                 : gpu_region.subspan(plan[c].offset, plan[c].words);
-        sim::Ticks k = 0.0;
-        if (opts.functional) {
-            const std::uint64_t hw0 = gtc.wall_start();
-            sim::OpCounter hook;
-            alg.before_gpu_levels(dspan, plan[c].words / shape.task_size_at(shape.L - 1),
-                                  hook);
-            k += detail::traced_hook(dev, hook, alg.name(), "gpu-pre-hook",
-                                     gtc.shifted(at + k), hw0);
-        } else if (d < shape.L) {
-            // Hook costs apply only when device levels actually execute.
-            k += detail::traced_hook(dev, alg.analytic_gpu_hook_ops(plan[c].words),
-                                     alg.name(), "gpu-hooks", gtc.shifted(at + k));
-        }
-        k += detail::gpu_leaves(dev, alg, dspan, opts.functional, val, gtc.shifted(at + k));
-        for (std::uint64_t i = shape.L; i-- > d;) {
-            const std::uint64_t tasks = plan[c].words / shape.task_size_at(i);
-            if (tasks == 0) continue;
-            if (opts.functional) {
-                k += detail::functional_gpu_level(dev, alg, dspan, tasks, val,
-                                                  gtc.shifted(at + k, i));
-                const std::uint64_t hw0 = gtc.wall_start();
-                sim::OpCounter flip;
-                alg.after_gpu_level(dspan, tasks, flip);
-                k += detail::traced_hook(dev, flip, alg.name(), "gpu-level-hook",
-                                         gtc.shifted(at + k), hw0);
-            } else {
-                k += detail::analytic_gpu_level(dev, alg, data.size(), tasks, i,
-                                                gtc.shifted(at + k, i));
-            }
-            if (c == 0) ++rep.levels_gpu;
-        }
-        if (opts.functional) {
-            const std::uint64_t hw0 = gtc.wall_start();
-            sim::OpCounter post;
-            alg.after_gpu_levels(dspan, plan[c].words / shape.task_size_at(d), post);
-            k += detail::traced_hook(dev, post, alg.name(), "gpu-post-hook",
-                                     gtc.shifted(at + k), hw0);
-        }
-        hpu.timeline().record(sim::EventKind::kGpuKernel,
-                              launch_label(alg.name(), "gpu-chunk", plan[c].words), at, k);
-        comp_end[c] = at + k;
-        gpu_free = comp_end[c];
-        gpu_kernels += k;
-    }
-
-    // Stage 2: merged shallow levels d-1..y over the whole region.
-    if (d > y) {
-        const sim::Ticks at = gpu_free;
-        std::span<T> dspan =
-            opts.functional ? buf->device_region(0, W, at) : gpu_region;
-        sim::Ticks k = 0.0;
-        if (opts.functional) {
-            const std::uint64_t hw0 = gtc.wall_start();
-            sim::OpCounter hook;
-            alg.before_gpu_levels(dspan, W / shape.task_size_at(d - 1), hook);
-            k += detail::traced_hook(dev, hook, alg.name(), "gpu-merge-hook",
-                                     gtc.shifted(at + k), hw0);
-        } else if (d < shape.L) {
-            k += detail::traced_hook(dev, alg.analytic_gpu_hook_ops(W), alg.name(),
-                                     "gpu-merge-hook", gtc.shifted(at + k));
-        }
-        for (std::uint64_t i = d; i-- > y;) {
-            const std::uint64_t tasks = W / shape.task_size_at(i);
-            if (tasks == 0) continue;
-            if (opts.functional) {
-                k += detail::functional_gpu_level(dev, alg, dspan, tasks, val,
-                                                  gtc.shifted(at + k, i));
-                const std::uint64_t hw0 = gtc.wall_start();
-                sim::OpCounter flip;
-                alg.after_gpu_level(dspan, tasks, flip);
-                k += detail::traced_hook(dev, flip, alg.name(), "gpu-level-hook",
-                                         gtc.shifted(at + k), hw0);
-            } else {
-                k += detail::analytic_gpu_level(dev, alg, data.size(), tasks, i,
-                                                gtc.shifted(at + k, i));
-            }
-            ++rep.levels_gpu;
-        }
-        if (opts.functional) {
-            const std::uint64_t hw0 = gtc.wall_start();
-            sim::OpCounter post;
-            alg.after_gpu_levels(dspan, W / shape.task_size_at(y), post);
-            k += detail::traced_hook(dev, post, alg.name(), "gpu-post-hook",
-                                     gtc.shifted(at + k), hw0);
-        } else {
-            k += detail::traced_hook(dev, alg.analytic_gpu_hook_ops(W), alg.name(),
-                                     "gpu-post-hook", gtc.shifted(at + k));
-        }
-        hpu.timeline().record(sim::EventKind::kGpuKernel,
-                              phase_label(alg.name(), "gpu-merge"), at, k);
-        gpu_free = at + k;
-        gpu_kernels += k;
-    }
-    rep.gpu_busy = gpu_kernels;
-
-    // Results retrieval: one bulk transfer after the merged stage, or
-    // per-chunk streaming overlapped with the last computes when d = y.
-    sim::Ticks gpu_clock = 0.0;
-    if (d > y) {
-        const std::uint64_t xw0 = gtc.wall_start();
-        const sim::StreamEvent done =
-            stream.push_to_host(phase_label(alg.name(), "xfer-out"), W, 0, gpu_free);
-        const sim::StreamChunk& ch = stream.chunks().back();
-        if (opts.functional) buf->stream_to_host(0, W, ch.start, ch.end);
-        detail::trace_transfer(gtc.shifted(ch.start), alg.name(), "xfer-out", W,
-                               W * sizeof(T), ch.duration(), xw0);
-        gpu_clock = done.when;
-    } else {
-        for (std::uint64_t c = 0; c < K; ++c) {
-            const std::uint64_t xw0 = gtc.wall_start();
-            const sim::StreamEvent done =
-                stream.push_to_host(phase_label(alg.name(), "xfer-out-chunk"),
-                                    plan[c].words, plan[c].offset, comp_end[c]);
-            const sim::StreamChunk& ch = stream.chunks().back();
-            if (opts.functional) buf->stream_to_host(ch.offset, ch.words, ch.start, ch.end);
-            detail::trace_transfer(gtc.shifted(ch.start), alg.name(), "xfer-out-chunk",
-                                   ch.words, ch.words * sizeof(T), ch.duration(), xw0);
-            gpu_clock = done.when;
-        }
-    }
-    rep.transfer = stream.busy();
-    if (opts.trace != nullptr) opts.trace->close(gphase, pre + gpu_clock);
-    if (opts.functional) {
-        std::copy(buf->host_view().begin(), buf->host_view().end(), gpu_region.begin());
-        if (val.on()) {
-            analysis::lint_residency(buf_events, alg.name() + "/device-buffer", *val.report);
-        }
-    }
-
-    // --- CPU thread (concurrent): identical to the advanced hybrid.
-    const trace::SpanId cphase =
-        detail::open_phase(opts, run, alg.name(), "cpu-parallel", trace::Unit::kCpu, pre);
-    const detail::SpanCtx ctc{opts.trace, cphase, pre, trace::SpanAttrs::kNoLevel,
-                              opts.profile};
-    sim::Ticks cpu_clock = detail::cpu_leaves(hpu.cpu(), alg, cpu_region, opts.functional,
-                                              val, ctc);
-    cpu_clock += detail::cpu_levels(hpu.cpu(), alg, cpu_region, data.size(), shape.L - 1, s,
-                                    opts, &rep.levels_cpu, val, ctc.shifted(cpu_clock));
-    rep.cpu_busy = cpu_clock;
-    hpu.timeline().record(sim::EventKind::kCpuLevel, phase_label(alg.name(), "cpu-parallel"),
-                          0.0, cpu_clock);
-    if (opts.trace != nullptr) opts.trace->close(cphase, pre + cpu_clock);
-
-    // --- Sync point and finish phase: the advanced hybrid's, unchanged.
-    const sim::Ticks sync = std::max(gpu_clock, cpu_clock);
-    const trace::SpanId fphase =
-        detail::open_phase(opts, run, alg.name(), "finish", trace::Unit::kCpu, pre + sync);
-    const detail::SpanCtx ftc{opts.trace, fphase, pre + sync, trace::SpanAttrs::kNoLevel,
-                              opts.profile};
-    sim::Ticks fin = 0.0;
-    if (y > s) {
-        fin += detail::cpu_levels(hpu.cpu(), alg, gpu_region, data.size(), y - 1, s, opts,
-                                  &rep.levels_cpu, val, ftc);
-    }
-    if (s > 0) {
-        fin += detail::cpu_levels(hpu.cpu(), alg, data, data.size(), s - 1, std::uint64_t{0},
-                                  opts, &rep.levels_cpu, val, ftc.shifted(fin));
-    }
-    rep.finish = fin;
-    hpu.timeline().record(sim::EventKind::kCpuLevel, phase_label(alg.name(), "finish"), sync,
-                          fin);
-    if (opts.trace != nullptr) opts.trace->close(fphase, pre + sync + fin);
-    rep.total = pre + sync + fin;
-    detail::close_run(opts, run, rep.total);
-    detail::observe_run(opts, rep, run, hpu.params(), alg, hpu.cpu().pool(), pip.chunks,
-                        rep.chunks);
-    return rep;
+    return detail::run_plan(plan, hpu.cpu(), &hpu.gpu(), hpu.params(), alg, data, opts,
+                            std::move(rep), std::nullopt, pip.chunks);
 }
 
 }  // namespace hpu::core

@@ -20,7 +20,11 @@ using trace::Unit;
 
 // ---------------------------------------------------------------------------
 // Minimal JSON value + recursive-descent parser (exactly the subset our
-// exporter emits).
+// exporter emits). The exporter nests at most 4 levels deep; the parser
+// refuses anything past kMaxDepth, so hostile input cannot exhaust the
+// stack through recursion.
+
+constexpr int kMaxDepth = 64;
 
 struct Json {
     enum class Type : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -87,8 +91,8 @@ private:
     bool value(Json& out) {
         if (p_ >= s_.size()) return fail("unexpected end of input");
         switch (s_[p_]) {
-            case '{': return object(out);
-            case '[': return array(out);
+            case '{': return nested(out, &Parser::object);
+            case '[': return nested(out, &Parser::array);
             case '"':
                 out.type = Json::Type::kString;
                 return string(out.str);
@@ -105,6 +109,14 @@ private:
                 return literal("null", 4);
             default: return number(out);
         }
+    }
+
+    bool nested(Json& out, bool (Parser::*container)(Json&)) {
+        if (depth_ == kMaxDepth) return fail("JSON nesting deeper than 64 levels");
+        ++depth_;
+        const bool ok = (this->*container)(out);
+        --depth_;
+        return ok;
     }
 
     bool object(Json& out) {
@@ -220,6 +232,7 @@ private:
 
     const std::string& s_;
     std::size_t p_ = 0;
+    int depth_ = 0;
     std::string err_;
 };
 

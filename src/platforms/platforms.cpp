@@ -19,7 +19,7 @@ sim::HpuParams make(const std::string& name, std::size_t p, std::uint64_t llc_by
     h.gpu.strided_penalty = 16.0;
     // The paper keeps λ and δ implicit but minimizes transfer count; we give
     // the link a nominal affine cost so transfer events are visible on the
-    // timeline without dominating. δ = 1: a PCIe-2-class link moves a
+    // trace without dominating. δ = 1: a PCIe-2-class link moves a
     // 4-byte word in about one normalized CPU op on these platforms.
     h.link.lambda = 1000.0;
     h.link.delta = 1.0;

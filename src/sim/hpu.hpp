@@ -1,6 +1,6 @@
 // The assembled Hybrid Processing Unit: one CpuUnit, one Device, and the
-// link between them, sharing a Timeline. This is the machine object that
-// the core schedulers (src/core) drive.
+// link between them. This is the machine object that the core schedulers
+// (src/core) drive; where the time went is recorded in hpu::trace spans.
 #pragma once
 
 #include <memory>
@@ -8,7 +8,6 @@
 #include "sim/cpu_unit.hpp"
 #include "sim/device.hpp"
 #include "sim/params.hpp"
-#include "sim/timeline.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hpu::sim {
@@ -27,24 +26,18 @@ public:
     const HpuParams& params() const noexcept { return params_; }
     CpuUnit& cpu() noexcept { return cpu_; }
     Device& gpu() noexcept { return gpu_; }
-    Timeline& timeline() noexcept { return timeline_; }
-    const Timeline& timeline() const noexcept { return timeline_; }
 
     /// Virtual time of transferring `words` words across the link.
     Ticks transfer_time(std::uint64_t words) const noexcept {
         return params_.link.transfer_time(words);
     }
 
-    void reset() {
-        timeline_.clear();
-        gpu_.reset_stats();
-    }
+    void reset() { gpu_.reset_stats(); }
 
 private:
     HpuParams params_;
     CpuUnit cpu_;
     Device gpu_;
-    Timeline timeline_;
 };
 
 }  // namespace hpu::sim

@@ -13,19 +13,16 @@
 // Event::wait, exactly how the pipelined hybrid overlaps chunk transfers
 // with wave execution.
 //
-// Every chunk is recorded on the Hpu timeline (kTransferToGpu /
-// kTransferToCpu), so link occupancy is inspectable after the run; trace
-// spans stay the executors' job (the tracer is off the critical path and
-// the Stream *is* critical-path arithmetic).
+// Every chunk stays in chunks(), so link occupancy is inspectable after
+// the run; trace spans stay the plan walker's job (the tracer is off the
+// critical path and the Stream *is* critical-path arithmetic).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/params.hpp"
-#include "sim/timeline.hpp"
 
 namespace hpu::sim {
 
@@ -59,19 +56,16 @@ struct StreamChunk {
 /// FIFO transfer queue of the link on the virtual clock.
 class Stream {
 public:
-    explicit Stream(const LinkParams& link, Timeline* timeline = nullptr)
-        : link_(link), timeline_(timeline) {}
+    explicit Stream(const LinkParams& link) : link_(link) {}
 
     /// Enqueues a host→device chunk of `words` available at tick `ready`.
-    StreamEvent push_to_device(const std::string& label, std::uint64_t words, std::size_t offset,
-                         Ticks ready) {
-        return push(EventKind::kTransferToGpu, label, words, offset, ready);
+    StreamEvent push_to_device(std::uint64_t words, std::size_t offset, Ticks ready) {
+        return push(true, words, offset, ready);
     }
 
     /// Enqueues a device→host chunk of `words` available at tick `ready`.
-    StreamEvent push_to_host(const std::string& label, std::uint64_t words, std::size_t offset,
-                       Ticks ready) {
-        return push(EventKind::kTransferToCpu, label, words, offset, ready);
+    StreamEvent push_to_host(std::uint64_t words, std::size_t offset, Ticks ready) {
+        return push(false, words, offset, ready);
     }
 
     /// Completion of everything enqueued so far.
@@ -86,10 +80,9 @@ public:
     const std::vector<StreamChunk>& chunks() const noexcept { return chunks_; }
 
 private:
-    StreamEvent push(EventKind kind, const std::string& label, std::uint64_t words,
-               std::size_t offset, Ticks ready) {
+    StreamEvent push(bool to_device, std::uint64_t words, std::size_t offset, Ticks ready) {
         StreamChunk c;
-        c.to_device = kind == EventKind::kTransferToGpu;
+        c.to_device = to_device;
         c.words = words;
         c.offset = offset;
         c.ready = ready;
@@ -97,15 +90,11 @@ private:
         c.end = c.start + link_.transfer_time(words);
         free_at_ = c.end;
         busy_ += c.end - c.start;
-        if (timeline_ != nullptr) {
-            timeline_->record(kind, label, c.start, c.end - c.start);
-        }
         chunks_.push_back(c);
         return StreamEvent{c.end};
     }
 
     LinkParams link_;
-    Timeline* timeline_ = nullptr;
     Ticks free_at_ = 0.0;
     Ticks busy_ = 0.0;
     std::vector<StreamChunk> chunks_;

@@ -1,5 +1,5 @@
-// Hierarchical span tracer of hpu::trace — the observability layer that
-// supersedes the flat sim::Timeline for "where did the time go" questions.
+// Hierarchical span tracer of hpu::trace — the one event log of a run,
+// answering "where did the time go" questions.
 //
 // A TraceSession holds a tree of spans on the virtual clock:
 //

@@ -1,48 +1,11 @@
 #include "verify/schedule.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "util/math.hpp"
 
 namespace hpu::verify {
-
-std::vector<ChunkPlan> plan_chunks(std::uint64_t region, std::uint64_t quantum,
-                                   std::uint64_t k) {
-    const std::uint64_t slots = region / quantum;
-    k = std::clamp<std::uint64_t>(k, 1, slots);
-    std::vector<ChunkPlan> plan(k);
-    std::size_t off = 0;
-    for (std::uint64_t c = 0; c < k; ++c) {
-        const std::uint64_t words = (slots / k + (c < slots % k ? 1 : 0)) * quantum;
-        plan[c] = {off, words};
-        off += words;
-    }
-    return plan;
-}
-
-SplitChoice choose_split(std::uint64_t L, std::uint64_t n, std::uint64_t a, double alpha,
-                         std::uint64_t y, std::uint64_t split_tasks, std::uint64_t p) {
-    auto tasks_at = [&](std::uint64_t level) {
-        return util::ipow(a, static_cast<std::uint32_t>(level));
-    };
-    if (split_tasks == 0) {
-        split_tasks = std::max<std::uint64_t>(4 * p, 64);
-    }
-    SplitChoice ch;
-    std::uint64_t s = 0;
-    while (s < L && tasks_at(s) < split_tasks) ++s;
-    s = std::min<std::uint64_t>(s, y);  // split cannot sit below the transfer level
-    ch.s = s;
-    ch.S = tasks_at(s);
-    ch.cpu_tasks = std::clamp<std::uint64_t>(
-        static_cast<std::uint64_t>(std::llround(alpha * static_cast<double>(ch.S))), 1,
-        ch.S - 1);
-    ch.split_elem = ch.cpu_tasks * (n / ch.S);
-    ch.alpha_effective = static_cast<double>(ch.cpu_tasks) / static_cast<double>(ch.S);
-    return ch;
-}
 
 namespace {
 

@@ -5,11 +5,8 @@
 // a device launch at most g lanes per wave), per-unit serialization,
 // transfer-before-use precedence, pipelined chunk double-buffer safety,
 // and the pipelined never-worse guard. Violations become VerifyFindings on
-// the run's certificate; invariants that hold bump checks_passed.
-//
-// This header also owns the split/chunk planning arithmetic shared by the
-// advanced and pipelined executors (choose_split, plan_chunks) so the
-// verifier provably checks the SAME plan the executor runs.
+// the run's certificate; invariants that hold bump checks_passed. The
+// plans come from core/plan.hpp, priced by the walker that runs them.
 #pragma once
 
 #include <cstdint>
@@ -20,36 +17,6 @@
 #include "verify/report.hpp"
 
 namespace hpu::verify {
-
-/// One planned transfer chunk of the GPU slice (element offset + length).
-struct ChunkPlan {
-    std::size_t offset = 0;
-    std::uint64_t words = 0;
-};
-
-/// Splits `region` elements into at most `k` chunks, each a multiple of
-/// `quantum` (the transfer-level task size, so no task ever straddles a
-/// chunk boundary at any level the chunks execute). Leading chunks take
-/// the remainder quanta.
-std::vector<ChunkPlan> plan_chunks(std::uint64_t region, std::uint64_t quantum,
-                                   std::uint64_t k);
-
-/// The advanced/pipelined split decision at explicit (alpha, y): which
-/// level the array divides at and how many of its tasks the CPU takes.
-struct SplitChoice {
-    std::uint64_t s = 0;          ///< split level
-    std::uint64_t S = 0;          ///< tasks at the split level
-    std::uint64_t cpu_tasks = 0;  ///< tasks assigned to the CPU slice
-    std::uint64_t split_elem = 0; ///< element count of the CPU slice
-    double alpha_effective = 0.0; ///< realized CPU work ratio
-};
-
-/// Mirrors the split arithmetic of run_advanced_hybrid /
-/// run_pipelined_hybrid exactly: first level with >= split_tasks tasks,
-/// clamped to the transfer level y; split_tasks == 0 selects the
-/// max(4p, 64) auto threshold.
-SplitChoice choose_split(std::uint64_t L, std::uint64_t n, std::uint64_t a, double alpha,
-                         std::uint64_t y, std::uint64_t split_tasks, std::uint64_t p);
 
 /// One planned event on one unit with its resource demand: `tasks`
 /// parallel streams of `work` total ops over [start, start+duration),

@@ -4,31 +4,25 @@
 //   1. prove_algorithm: proves every phase of a LevelAlgorithm's declared
 //      footprint pairwise disjoint for all admissible shapes (or finds a
 //      concrete counterexample the runtime detector must reproduce);
-//   2. verify_cpu_run / verify_hybrid_run: reconstruct the exact event
-//      plan an executor is about to run — using the same split/chunk/
-//      pricing arithmetic the executor uses — and check the schedule
+//   2. verify_cpu_run / verify_hybrid_run: take the Plan the executor is
+//      about to run (the same core/plan.hpp producer builds it), price it
+//      with the plan walker that runs it, and check the schedule
 //      invariants (capacity, serialization, transfer precedence, chunk
-//      safety, never-worse) on it;
-//   3. plan_pipelined: the pipelined chunk/merge-level/guard decision,
-//      moved here verbatim from the executor so scheduler and verifier
-//      provably agree bit for bit.
+//      safety, never-worse) on the priced events — so the checked schedule
+//      and the executed one are the same object.
 //
 // The resulting VerifyReport is the certificate executors attach to their
 // ExecReport; a proven phase lets the runtime validation layer skip word
 // concretization (verify/conformance.hpp).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/level_algorithm.hpp"
-#include "model/basic.hpp"
+#include "core/plan.hpp"
 #include "sim/cpu_unit.hpp"
-#include "sim/device.hpp"
 #include "sim/hpu.hpp"
-#include "util/math.hpp"
 #include "verify/conformance.hpp"
 #include "verify/footprint.hpp"
 #include "verify/prover.hpp"
@@ -36,109 +30,6 @@
 #include "verify/schedule.hpp"
 
 namespace hpu::verify {
-
-namespace detail {
-
-/// Same charge model as the executors' hook pricing: perfectly parallel
-/// device work over all g lanes.
-inline sim::Ticks hook_time(const sim::Device& dev, const sim::OpCounter& ops) {
-    return ops.gpu_ops(dev.params().strided_penalty) / dev.params().gamma /
-           static_cast<double>(dev.params().g);
-}
-
-inline std::uint64_t levels_of(std::uint64_t n, std::uint64_t b, std::uint64_t base) {
-    std::uint64_t L = 0, m = n;
-    while (m > base) {
-        m /= b;
-        ++L;
-    }
-    return L;
-}
-
-inline std::uint64_t task_size_at(std::uint64_t n, std::uint64_t a, std::uint64_t i) {
-    return n / util::ipow(a, static_cast<std::uint32_t>(i));
-}
-
-template <typename T>
-void add_cpu_leaves(SchedulePlan& plan, const core::LevelAlgorithm<T>& alg,
-                    const sim::CpuUnit& cpu, std::uint64_t region_offset,
-                    std::uint64_t region_words, double& t) {
-    const std::uint64_t count = region_words / alg.base_size();
-    if (count == 0) return;
-    const double dur = cpu.uniform_level_time(count, alg.recurrence().leaf_cost);
-    plan.events.push_back({PlanEvent::Unit::kCpu, PlanEvent::Kind::kLeaves, t, dur, count,
-                           region_offset, region_words,
-                           static_cast<double>(count) * alg.recurrence().leaf_cost,
-                           "cpu-leaves[" + std::to_string(count) + "]"});
-    t += dur;
-}
-
-template <typename T>
-void add_cpu_levels(SchedulePlan& plan, const core::LevelAlgorithm<T>& alg,
-                    const sim::CpuUnit& cpu, std::uint64_t n_total,
-                    std::uint64_t region_offset, std::uint64_t region_words,
-                    std::uint64_t from_deep, std::uint64_t to_shallow, double& t) {
-    const auto rec = alg.recurrence();
-    for (std::uint64_t i = from_deep + 1; i-- > to_shallow;) {
-        const std::uint64_t sz = task_size_at(n_total, alg.a(), i);
-        const std::uint64_t tasks = region_words / sz;
-        if (tasks == 0) continue;
-        const double ops =
-            rec.task_cost(static_cast<double>(n_total), static_cast<double>(i));
-        const double dur =
-            cpu.uniform_level_time(tasks, ops, alg.level_working_set_bytes(n_total));
-        plan.events.push_back({PlanEvent::Unit::kCpu, PlanEvent::Kind::kLevel, t, dur, tasks,
-                               region_offset, tasks * sz,
-                               static_cast<double>(tasks) * ops,
-                               "cpu-level[" + std::to_string(tasks) + "]"});
-        t += dur;
-    }
-}
-
-template <typename T>
-void add_gpu_leaves(SchedulePlan& plan, const core::LevelAlgorithm<T>& alg,
-                    const sim::Device& dev, std::uint64_t region_offset,
-                    std::uint64_t region_words, double& t) {
-    const std::uint64_t count = region_words / alg.base_size();
-    if (count == 0) return;
-    const double dur = dev.uniform_launch_time(count, alg.recurrence().leaf_cost);
-    plan.events.push_back({PlanEvent::Unit::kGpu, PlanEvent::Kind::kLeaves, t, dur, count,
-                           region_offset, region_words,
-                           static_cast<double>(count) * alg.recurrence().leaf_cost,
-                           "gpu-leaves[" + std::to_string(count) + "]"});
-    t += dur;
-}
-
-template <typename T>
-void add_gpu_levels(SchedulePlan& plan, const core::LevelAlgorithm<T>& alg,
-                    const sim::Device& dev, std::uint64_t n_total,
-                    std::uint64_t region_offset, std::uint64_t region_words,
-                    std::uint64_t from_deep, std::uint64_t to_shallow, double& t) {
-    const auto rec = alg.recurrence();
-    for (std::uint64_t i = from_deep + 1; i-- > to_shallow;) {
-        const std::uint64_t sz = task_size_at(n_total, alg.a(), i);
-        const std::uint64_t tasks = region_words / sz;
-        if (tasks == 0) continue;
-        const double ops =
-            rec.task_cost(static_cast<double>(n_total), static_cast<double>(i)) *
-            alg.device_ops_multiplier(dev.params());
-        const double dur = dev.uniform_launch_time(tasks, ops);
-        plan.events.push_back({PlanEvent::Unit::kGpu, PlanEvent::Kind::kLevel, t, dur, tasks,
-                               region_offset, tasks * sz,
-                               static_cast<double>(tasks) * ops,
-                               "gpu-level[" + std::to_string(tasks) + "]"});
-        t += dur;
-    }
-}
-
-inline void add_transfer(SchedulePlan& plan, PlanEvent::Kind kind,
-                         const sim::LinkParams& link, std::uint64_t offset,
-                         std::uint64_t words, double start, const char* label) {
-    plan.events.push_back({PlanEvent::Unit::kLink, kind, start, link.transfer_time(words), 0,
-                           offset, words, 0.0, label});
-}
-
-}  // namespace detail
 
 /// Proves (or refutes) intra-level race-freedom of every phase of `alg`,
 /// quantifying over all admissible levels and input sizes at once.
@@ -171,109 +62,21 @@ VerifyReport prove_algorithm(const core::LevelAlgorithm<T>& alg) {
     return rep;
 }
 
-/// Chunk plan, merge level d, and never-worse guard of the pipelined
-/// scheduler. This IS the executor's decision procedure (moved here, used
-/// by run_pipelined_hybrid), so the verified plan and the executed plan
-/// are the same object and the two estimates are bit-identical.
-struct PipelineChoice {
-    std::vector<ChunkPlan> plan;
-    std::uint64_t d = 0;
-    sim::Ticks est_chosen = 0.0;
-    sim::Ticks est_mono = 0.0;
-};
-
-template <typename T>
-PipelineChoice plan_pipelined(const core::LevelAlgorithm<T>& alg, const sim::Device& dev,
-                              const sim::LinkParams& link, std::uint64_t n, std::uint64_t L,
-                              std::uint64_t a, std::uint64_t W, std::uint64_t y,
-                              std::uint64_t requested_chunks) {
-    // --- Chunk plan over the transfer-level quantum, and the merge level d
-    // keeping every chunk's launches saturated.
-    const std::uint64_t quantum = detail::task_size_at(n, a, y);
-    std::vector<ChunkPlan> plan = plan_chunks(W, quantum, requested_chunks);
-    std::uint64_t d = y;
-    if (plan.size() > 1) {
-        std::uint64_t w_min = plan.front().words;
-        for (const ChunkPlan& c : plan) w_min = std::min(w_min, c.words);
-        while (d < L && w_min / detail::task_size_at(n, a, d) < dev.params().g) ++d;
-    }
-
-    // --- A-priori guard: price both schedules with the analytic arithmetic
-    // the executors themselves use, and pipeline only on a strict win.
-    const auto rec = alg.recurrence();
-    auto level_time = [&](std::uint64_t region, std::uint64_t i) -> sim::Ticks {
-        const std::uint64_t tasks = region / detail::task_size_at(n, a, i);
-        if (tasks == 0) return 0.0;
-        const double ops =
-            rec.task_cost(static_cast<double>(n), static_cast<double>(i)) *
-            alg.device_ops_multiplier(dev.params());
-        return dev.uniform_launch_time(tasks, ops);
-    };
-    auto leaves_time = [&](std::uint64_t region) -> sim::Ticks {
-        const std::uint64_t count = region / alg.base_size();
-        return count == 0 ? 0.0 : dev.uniform_launch_time(count, rec.leaf_cost);
-    };
-    auto hook_est = [&](std::uint64_t region) -> sim::Ticks {
-        return detail::hook_time(dev, alg.analytic_gpu_hook_ops(region));
-    };
-    auto span_estimate = [&](const std::vector<ChunkPlan>& p, std::uint64_t dd) -> sim::Ticks {
-        sim::Ticks in_end = 0.0, free = 0.0;
-        std::vector<sim::Ticks> ends(p.size(), 0.0);
-        for (std::size_t c = 0; c < p.size(); ++c) {
-            in_end += link.transfer_time(p[c].words);
-            sim::Ticks compute = dd < L ? hook_est(p[c].words) : 0.0;
-            compute += leaves_time(p[c].words);
-            for (std::uint64_t i = L; i-- > dd;) compute += level_time(p[c].words, i);
-            free = std::max(in_end, free) + compute;
-            ends[c] = free;
-        }
-        if (dd > y) {
-            sim::Ticks merged = dd < L ? hook_est(W) : 0.0;
-            for (std::uint64_t i = dd; i-- > y;) merged += level_time(W, i);
-            merged += hook_est(W);  // final un-interleave (y < dd <= L)
-            return std::max(free + merged, in_end) + link.transfer_time(W);
-        }
-        sim::Ticks cursor = in_end;
-        for (std::size_t c = 0; c < p.size(); ++c) {
-            cursor = std::max(ends[c], cursor) + link.transfer_time(p[c].words);
-        }
-        return cursor;
-    };
-    PipelineChoice ch;
-    if (plan.size() > 1) {
-        const std::vector<ChunkPlan> mono{{0, W}};
-        ch.est_chosen = span_estimate(plan, d);
-        ch.est_mono = span_estimate(mono, y);
-        if (!(ch.est_chosen < ch.est_mono)) {
-            plan = mono;
-            d = y;
-        }
-    }
-    ch.plan = std::move(plan);
-    ch.d = d;
-    return ch;
-}
-
-/// Certificate for a single-unit CPU run (sequential / multicore).
+/// Certificate for a single-unit CPU run (sequential / multicore): the
+/// executor's plan, priced, checked against the schedule invariants.
 template <typename T>
 VerifyReport verify_cpu_run(const core::LevelAlgorithm<T>& alg, std::uint64_t n,
                             const sim::CpuUnit& cpu, const char* executor) {
     VerifyReport rep = prove_algorithm(alg);
     rep.executor = executor;
     rep.n = n;
-    const std::uint64_t L = detail::levels_of(n, alg.b(), alg.base_size());
-    SchedulePlan plan;
-    plan.executor = executor;
-    double t = 0.0;
-    detail::add_cpu_leaves(plan, alg, cpu, 0, n, t);
-    if (L > 0) detail::add_cpu_levels(plan, alg, cpu, n, 0, n, L - 1, 0, t);
     sim::HpuParams hw;
     hw.cpu = cpu.params();
-    check_plan(plan, hw, rep);
+    check_plan(core::price_plan(core::plan_cpu(alg, n, executor), alg, hw), hw, rep);
     return rep;
 }
 
-/// Which hybrid schedule verify_hybrid_run reconstructs, plus its knobs
+/// Which hybrid schedule verify_hybrid_run checks, plus its knobs
 /// (mirroring the corresponding executor's parameters exactly).
 struct RunShape {
     enum class Kind : std::uint8_t { kGpu, kBasic, kAdvanced, kPipelined };
@@ -286,7 +89,7 @@ struct RunShape {
 };
 
 /// Certificate for a device-involving run: proves the footprints and
-/// checks the planned schedule of the chosen executor shape.
+/// checks the plan the chosen executor runs, priced by the plan walker.
 template <typename T>
 VerifyReport verify_hybrid_run(const core::LevelAlgorithm<T>& alg, std::uint64_t n,
                                sim::Hpu& hpu, const RunShape& shape) {
@@ -294,153 +97,26 @@ VerifyReport verify_hybrid_run(const core::LevelAlgorithm<T>& alg, std::uint64_t
     VerifyReport rep = prove_algorithm(alg);
     rep.executor = names[static_cast<int>(shape.kind)];
     rep.n = n;
-    const auto& hw = hpu.params();
-    const sim::Device& dev = hpu.gpu();
-    const sim::CpuUnit& cpu = hpu.cpu();
-    const std::uint64_t L = detail::levels_of(n, alg.b(), alg.base_size());
-    SchedulePlan plan;
-    plan.executor = rep.executor;
-
+    const sim::HpuParams& hw = hpu.params();
+    core::Plan plan;
     switch (shape.kind) {
-        case RunShape::Kind::kGpu: {
-            double t = 0.0;
-            if (shape.include_transfers) {
-                detail::add_transfer(plan, PlanEvent::Kind::kXferIn, hw.link, 0, n, t,
-                                     "xfer-in");
-                t += hw.link.transfer_time(n);
-            }
-            t += detail::hook_time(dev, alg.analytic_gpu_hook_ops(n));
-            detail::add_gpu_leaves(plan, alg, dev, 0, n, t);
-            if (L > 0) detail::add_gpu_levels(plan, alg, dev, n, 0, n, L - 1, 0, t);
-            if (shape.include_transfers) {
-                detail::add_transfer(plan, PlanEvent::Kind::kXferOut, hw.link, 0, n, t,
-                                     "xfer-out");
-            }
-            break;
-        }
-        case RunShape::Kind::kBasic: {
-            const auto pred =
-                model::predict_basic(hw, alg.recurrence(), static_cast<double>(n));
-            if (pred.cpu_only) {
-                // The executor falls back to run_multicore before verifying,
-                // so this shape is only reconstructed for completeness.
-                double t = 0.0;
-                detail::add_cpu_leaves(plan, alg, cpu, 0, n, t);
-                if (L > 0) detail::add_cpu_levels(plan, alg, cpu, n, 0, n, L - 1, 0, t);
-                break;
-            }
-            const std::uint64_t gpu_top = std::min<std::uint64_t>(
-                L, static_cast<std::uint64_t>(
-                       std::ceil(std::max(0.0, pred.crossover_level))));
-            double t = 0.0;
-            detail::add_transfer(plan, PlanEvent::Kind::kXferIn, hw.link, 0, n, t, "xfer-in");
-            t += hw.link.transfer_time(n);
-            if (gpu_top < L) t += detail::hook_time(dev, alg.analytic_gpu_hook_ops(n));
-            detail::add_gpu_leaves(plan, alg, dev, 0, n, t);
-            if (L > 0) {
-                detail::add_gpu_levels(plan, alg, dev, n, 0, n, L - 1, gpu_top, t);
-            }
-            detail::add_transfer(plan, PlanEvent::Kind::kXferOut, hw.link, 0, n, t,
-                                 "xfer-out");
-            t += hw.link.transfer_time(n);
-            if (gpu_top > 0) {
-                detail::add_cpu_levels(plan, alg, cpu, n, 0, n, gpu_top - 1, 0, t);
-            }
-            break;
-        }
+        case RunShape::Kind::kGpu: plan = core::plan_gpu(alg, n, shape.include_transfers); break;
+        // A basic run that falls back to the multicore executor never
+        // verifies this shape; its CPU plan is checked for completeness.
+        case RunShape::Kind::kBasic: plan = core::plan_basic(alg, n, hw); break;
         case RunShape::Kind::kAdvanced:
-        case RunShape::Kind::kPipelined: {
-            const SplitChoice split = choose_split(L, n, alg.a(), shape.alpha, shape.y,
-                                                   shape.split_tasks, hw.cpu.p);
-            const std::uint64_t off = split.split_elem;
-            const std::uint64_t W = n - off;
-
-            // GPU thread.
-            double gpu_clock = 0.0;
-            if (shape.kind == RunShape::Kind::kAdvanced) {
-                double t = 0.0;
-                detail::add_transfer(plan, PlanEvent::Kind::kXferIn, hw.link, off, W, t,
-                                     "xfer-in");
-                t += hw.link.transfer_time(W);
-                if (shape.y < L) t += detail::hook_time(dev, alg.analytic_gpu_hook_ops(W));
-                detail::add_gpu_leaves(plan, alg, dev, off, W, t);
-                if (L > 0) {
-                    detail::add_gpu_levels(plan, alg, dev, n, off, W, L - 1, shape.y, t);
-                }
-                detail::add_transfer(plan, PlanEvent::Kind::kXferOut, hw.link, off, W, t,
-                                     "xfer-out");
-                gpu_clock = t + hw.link.transfer_time(W);
-            } else {
-                const PipelineChoice pc = plan_pipelined(
-                    alg, dev, hw.link, n, L, alg.a(), W, shape.y,
-                    shape.chunks == 0 ? 4 : shape.chunks);
-                const std::uint64_t K = pc.plan.size();
-                std::vector<double> arrive(K, 0.0);
-                double in_end = 0.0;
-                for (std::uint64_t c = 0; c < K; ++c) {
-                    detail::add_transfer(plan, PlanEvent::Kind::kXferIn, hw.link,
-                                         off + pc.plan[c].offset, pc.plan[c].words, in_end,
-                                         "xfer-in-chunk");
-                    in_end += hw.link.transfer_time(pc.plan[c].words);
-                    arrive[c] = in_end;
-                }
-                double gpu_free = 0.0;
-                std::vector<double> ends(K, 0.0);
-                for (std::uint64_t c = 0; c < K; ++c) {
-                    double t = std::max(arrive[c], gpu_free);
-                    if (pc.d < L) {
-                        t += detail::hook_time(dev,
-                                               alg.analytic_gpu_hook_ops(pc.plan[c].words));
-                    }
-                    detail::add_gpu_leaves(plan, alg, dev, off + pc.plan[c].offset,
-                                           pc.plan[c].words, t);
-                    if (L > 0) {
-                        detail::add_gpu_levels(plan, alg, dev, n, off + pc.plan[c].offset,
-                                               pc.plan[c].words, L - 1, pc.d, t);
-                    }
-                    gpu_free = t;
-                    ends[c] = t;
-                }
-                if (pc.d > shape.y) {
-                    double t = gpu_free;
-                    if (pc.d < L) t += detail::hook_time(dev, alg.analytic_gpu_hook_ops(W));
-                    detail::add_gpu_levels(plan, alg, dev, n, off, W, pc.d - 1, shape.y, t);
-                    t += detail::hook_time(dev, alg.analytic_gpu_hook_ops(W));
-                    const double xs = std::max(t, in_end);
-                    detail::add_transfer(plan, PlanEvent::Kind::kXferOut, hw.link, off, W, xs,
-                                         "xfer-out");
-                    gpu_clock = xs + hw.link.transfer_time(W);
-                } else {
-                    double cursor = in_end;
-                    for (std::uint64_t c = 0; c < K; ++c) {
-                        const double xs = std::max(ends[c], cursor);
-                        detail::add_transfer(plan, PlanEvent::Kind::kXferOut, hw.link,
-                                             off + pc.plan[c].offset, pc.plan[c].words, xs,
-                                             "xfer-out-chunk");
-                        cursor = xs + hw.link.transfer_time(pc.plan[c].words);
-                    }
-                    gpu_clock = cursor;
-                }
-                check_never_worse(pc.est_chosen, pc.est_mono, K, rep);
-            }
-
-            // CPU thread (concurrent), sync, finish — the advanced hybrid's.
-            double cpu_clock = 0.0;
-            detail::add_cpu_leaves(plan, alg, cpu, 0, off, cpu_clock);
-            if (L > 0) {
-                detail::add_cpu_levels(plan, alg, cpu, n, 0, off, L - 1, split.s, cpu_clock);
-            }
-            double fin = std::max(gpu_clock, cpu_clock);
-            if (shape.y > split.s) {
-                detail::add_cpu_levels(plan, alg, cpu, n, off, W, shape.y - 1, split.s, fin);
-            }
-            if (split.s > 0) {
-                detail::add_cpu_levels(plan, alg, cpu, n, 0, n, split.s - 1, 0, fin);
-            }
+            plan = core::plan_advanced(alg, hw, n, shape.alpha, shape.y, shape.split_tasks);
             break;
-        }
+        case RunShape::Kind::kPipelined:
+            plan = core::plan_pipelined(alg, hw, n, shape.alpha, shape.y,
+                                        shape.chunks == 0 ? 4 : shape.chunks,
+                                        shape.split_tasks);
+            check_never_worse(plan.est_chosen, plan.est_mono, plan.chunks, rep);
+            break;
     }
-    check_plan(plan, hpu.params(), rep);
+    SchedulePlan priced = core::price_plan(plan, alg, hw);
+    priced.executor = rep.executor;
+    check_plan(priced, hw, rep);
     return rep;
 }
 

@@ -4,13 +4,16 @@
 // model at the model's operating point.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "algos/binary_reduce.hpp"
 #include "algos/mergesort.hpp"
 #include "core/hybrid.hpp"
 #include "model/advanced.hpp"
 #include "platforms/platforms.hpp"
+#include "trace/span.hpp"
 #include "util/rng.hpp"
 
 namespace hpu::core {
@@ -19,6 +22,14 @@ namespace {
 std::vector<std::int32_t> random_input(std::uint64_t n, std::uint64_t seed) {
     util::Rng rng(seed);
     return rng.int_vector(n, 0, static_cast<std::int64_t>(2 * n));
+}
+
+/// Transfer spans of a traced run labelled "<algorithm>/<what>".
+std::size_t transfer_spans(const trace::TraceSession& s, const std::string& what) {
+    return static_cast<std::size_t>(
+        std::count_if(s.spans().begin(), s.spans().end(), [&](const trace::Span& sp) {
+            return sp.kind == trace::SpanKind::kTransfer && sp.label.ends_with("/" + what);
+        }));
 }
 
 TEST(BasicHybrid, SortsCorrectly) {
@@ -36,9 +47,13 @@ TEST(BasicHybrid, ExactlyOneRoundTrip) {
     sim::Hpu h(platforms::hpu1());
     algos::MergesortCoalesced<std::int32_t> alg;
     auto data = random_input(1 << 12, 2);
-    run_basic_hybrid(h, alg, std::span(data));
-    EXPECT_EQ(h.timeline().count(sim::EventKind::kTransferToGpu), 1u);
-    EXPECT_EQ(h.timeline().count(sim::EventKind::kTransferToCpu), 1u);
+    trace::TraceSession session;
+    ExecOptions opts;
+    opts.trace = &session;
+    run_basic_hybrid(h, alg, std::span(data), opts);
+    EXPECT_EQ(session.count(trace::SpanKind::kTransfer), 2u);
+    EXPECT_EQ(transfer_spans(session, "xfer-in"), 1u);
+    EXPECT_EQ(transfer_spans(session, "xfer-out"), 1u);
 }
 
 TEST(BasicHybrid, BeatsMulticoreAndGpuOnly) {
@@ -107,11 +122,15 @@ TEST(AdvancedHybrid, ExactlyTwoTransfers) {
     sim::Hpu h(platforms::hpu1());
     algos::MergesortCoalesced<std::int32_t> alg;
     auto data = random_input(1 << 12, 7);
-    run_advanced_hybrid(h, alg, std::span(data), 0.2, 8);
+    trace::TraceSession session;
+    AdvancedOptions adv;
+    adv.exec.trace = &session;
+    run_advanced_hybrid(h, alg, std::span(data), 0.2, 8, adv);
     // §5.2: "we restrict the number of data transfer between cpu and gpu to
     // two points during the execution".
-    EXPECT_EQ(h.timeline().count(sim::EventKind::kTransferToGpu), 1u);
-    EXPECT_EQ(h.timeline().count(sim::EventKind::kTransferToCpu), 1u);
+    EXPECT_EQ(session.count(trace::SpanKind::kTransfer), 2u);
+    EXPECT_EQ(transfer_spans(session, "xfer-in"), 1u);
+    EXPECT_EQ(transfer_spans(session, "xfer-out"), 1u);
 }
 
 TEST(AdvancedHybrid, RejectsBadParameters) {

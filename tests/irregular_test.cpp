@@ -246,6 +246,26 @@ TEST(IrregularEngine, AllSixExecutorsAgreeBitExactly) {
     });
 }
 
+TEST(Quickhull, TiedFarthestPointsKeepOnlyHullVertices) {
+    // (2,5), (5,5) and (8,5) tie as the farthest points from the edge
+    // (0,0)→(10,0); (5,5) lies on the hull edge between the other two and
+    // must not be reported. The tie breaks toward P along P→Q.
+    const std::vector<algos::Pt> input = {{5, 5}, {0, 0}, {2, 5}, {10, 0}, {8, 5}, {5, 1}};
+    const std::vector<algos::Pt> want = {{0, 0}, {2, 5}, {8, 5}, {10, 0}};
+    sim::Hpu h(platforms::hpu1());
+    for (int executor = 0; executor < 3; ++executor) {
+        algos::Quickhull alg;
+        auto d = input;
+        switch (executor) {
+            case 0: run_sequential(h.cpu(), alg, std::span(d)); break;
+            case 1: run_multicore(h.cpu(), alg, std::span(d)); break;
+            default: run_gpu(h, alg, std::span(d)); break;
+        }
+        ASSERT_EQ(alg.hull_count(), want.size()) << "executor " << executor;
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), d.begin())) << "executor " << executor;
+    }
+}
+
 TEST(IrregularEngine, SpanTaskCountsConserveTasksSpawned) {
     // The conservation invariant, span-derived: summing the `tasks`
     // attribute of the kLevel spans under the expand phase reconstructs

@@ -572,6 +572,18 @@ TEST(TraceIo, ParseRejectsGarbage) {
     EXPECT_FALSE(obs::parse_chrome_trace(no_events).ok());
 }
 
+TEST(TraceIo, ParseRejectsDeepNestingWithoutRecursingIntoIt) {
+    // A million '[' used to recurse once per bracket and overflow the stack.
+    std::istringstream deep(std::string(1000000, '['));
+    const obs::LoadedTrace l = obs::parse_chrome_trace(deep);
+    EXPECT_FALSE(l.ok());
+    EXPECT_NE(l.error.find("nesting"), std::string::npos) << l.error;
+    // Nesting the exporter itself emits stays accepted.
+    std::istringstream shallow(
+        "{\"traceEvents\": [{\"ph\": \"M\", \"args\": {\"name\": [[1]]}}]}");
+    EXPECT_TRUE(obs::parse_chrome_trace(shallow).ok());
+}
+
 TEST(TraceIo, CopySubtreeExtractsOneRunOfMany) {
     algos::MergesortPlain<std::int32_t> alg;
     trace::TraceSession session;

@@ -1,6 +1,6 @@
 // Cross-cutting parity and invariant sweeps:
 //  * analytic vs functional virtual times agree for uniform-cost
-//    algorithms on every executor and platform;
+//    algorithms on every executor and platform, also under LLC contention;
 //  * ExecReport invariants hold across an (algorithm × platform × n) grid;
 //  * the advanced scheduler's report decomposition is internally
 //    consistent across an (α, y) grid.
@@ -10,7 +10,9 @@
 #include "algos/fft.hpp"
 #include "algos/mergesort.hpp"
 #include "core/hybrid.hpp"
+#include "core/pipeline.hpp"
 #include "platforms/platforms.hpp"
+#include "trace/span.hpp"
 #include "util/rng.hpp"
 
 namespace hpu::core {
@@ -88,6 +90,51 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::string("HPU1"), std::string("HPU2")),
                        ::testing::Values(6, 10, 12)));
 
+TEST(AnalyticParity, ContendedLlcPricesEverySliceFromTheWholeInput) {
+    // With LLC contention on, a CPU level's working set must be priced from
+    // the whole input in both modes — also for the advanced and pipelined
+    // CPU slice and finish phase, where the functional run only holds a
+    // slice of the array.
+    sim::HpuParams hw = platforms::hpu1();
+    hw.cpu.contention = 0.3;
+    hw.cpu.llc_bytes = 16 << 10;
+    algos::MergesortPlain<std::int32_t> alg;
+    const std::uint64_t n = 1 << 14;
+    util::Rng rng(12);
+    const auto input = rng.int_vector(n, 0, static_cast<std::int64_t>(2 * n));
+    std::vector<std::int32_t> ana_data(n);
+    const auto run = [&](int executor, bool functional) {
+        sim::Hpu h(hw);
+        auto d = functional ? input : ana_data;
+        ExecOptions o;
+        o.functional = functional;
+        switch (executor) {
+            case 0: return run_sequential(h.cpu(), alg, std::span(d), o);
+            case 1: return run_multicore(h.cpu(), alg, std::span(d), o);
+            case 2: return run_gpu(h, alg, std::span(d), o);
+            case 3: return run_basic_hybrid(h, alg, std::span(d), o);
+            case 4: {
+                AdvancedOptions adv;
+                adv.exec = o;
+                return run_advanced_hybrid(h, alg, std::span(d), 0.3, 8, adv);
+            }
+            default: {
+                PipelinedOptions pip;
+                pip.exec = o;
+                return run_pipelined_hybrid(h, alg, std::span(d), 0.3, 8, pip);
+            }
+        }
+    };
+    const auto tol = [](sim::Ticks t) { return std::max(1e-9, t * 1e-9); };
+    for (int executor = 0; executor < 6; ++executor) {
+        const ExecReport f = run(executor, true);
+        const ExecReport a = run(executor, false);
+        EXPECT_NEAR(f.total, a.total, tol(f.total)) << "executor " << executor;
+        EXPECT_NEAR(f.cpu_busy, a.cpu_busy, tol(f.cpu_busy)) << "executor " << executor;
+        EXPECT_NEAR(f.finish, a.finish, tol(f.finish)) << "executor " << executor;
+    }
+}
+
 class AdvancedInvariants
     : public ::testing::TestWithParam<std::tuple<double, std::uint64_t>> {};
 
@@ -145,20 +192,19 @@ TEST(Determinism, RepeatedRunsAreBitIdentical) {
     }
 }
 
-TEST(Determinism, TimelineMatchesReport) {
+TEST(Determinism, TransferSpansMatchReport) {
     sim::Hpu h(platforms::hpu1());
     algos::MergesortCoalesced<std::int32_t> alg;
     util::Rng rng(8);
     auto d = rng.int_vector(1 << 12, 0, 1 << 13);
-    const auto rep = run_advanced_hybrid(h, alg, std::span(d), 0.25, 8);
-    // The timeline's transfer totals equal the report's.
-    const auto& tl = h.timeline();
-    EXPECT_NEAR(tl.total(sim::EventKind::kTransferToGpu) +
-                    tl.total(sim::EventKind::kTransferToCpu),
-                rep.transfer, 1e-9);
-    // The last event ends at or before the report's total (the finish
-    // phase is the last recorded event).
-    EXPECT_LE(tl.span_end(), rep.total + 1e-6);
+    trace::TraceSession session;
+    AdvancedOptions adv;
+    adv.exec.trace = &session;
+    const auto rep = run_advanced_hybrid(h, alg, std::span(d), 0.25, 8, adv);
+    // The transfer spans add up to the report's link time.
+    EXPECT_NEAR(session.total(trace::SpanKind::kTransfer), rep.transfer, 1e-9);
+    // No span ends after the report's total (the run span ends exactly at it).
+    EXPECT_LE(session.span_end(), rep.total + 1e-6);
 }
 
 }  // namespace

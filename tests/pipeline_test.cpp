@@ -36,14 +36,14 @@ TEST(Stream, FifoSchedulingArithmetic) {
     link.delta = 2.0;
     sim::Stream s(link);
     // Chunk ready at 0: starts immediately, occupies [0, 120).
-    const auto e0 = s.push_to_device("a", 10, 0, 0.0);
+    const auto e0 = s.push_to_device(10, 0, 0.0);
     EXPECT_DOUBLE_EQ(e0.when, 120.0);
     // Ready at 50 but the link is busy until 120: queued 70 ticks.
-    const auto e1 = s.push_to_device("b", 5, 10, 50.0);
+    const auto e1 = s.push_to_device(5, 10, 50.0);
     EXPECT_DOUBLE_EQ(e1.when, 230.0);
     EXPECT_DOUBLE_EQ(s.chunks()[1].queue_delay(), 70.0);
     // Ready long after the link drained: the link waits on the producer.
-    const auto e2 = s.push_to_host("c", 20, 0, 500.0);
+    const auto e2 = s.push_to_host(20, 0, 500.0);
     EXPECT_DOUBLE_EQ(e2.when, 640.0);
     EXPECT_DOUBLE_EQ(s.free_at(), 640.0);
     EXPECT_DOUBLE_EQ(s.sync().when, 640.0);

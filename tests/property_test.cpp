@@ -410,7 +410,7 @@ TEST(PropertyHarness, IrregularInstancesAgreeAcrossExecutorsAndModes) {
             in.alg = std::move(qh);
             in.truth = [qh_ptr](const std::vector<algos::Pt>& input,
                                 const std::vector<algos::Pt>& out) {
-                // Strict hull vertices (monotone chain) must all appear at
+                // Exactly the strict hull vertices (monotone chain) appear at
                 // the front of the output, which finalize sorts and dedups.
                 std::vector<algos::Pt> s = input;
                 std::sort(s.begin(), s.end());
@@ -442,7 +442,7 @@ TEST(PropertyHarness, IrregularInstancesAgreeAcrossExecutorsAndModes) {
                 // called right after the sequential reference run).
                 const std::uint64_t hc = qh_ptr->hull_count();
                 ASSERT_LE(hc, out.size());
-                ASSERT_GE(hc, hull.size()) << "fewer marks than strict hull vertices";
+                ASSERT_EQ(hc, hull.size()) << "marks differ from the strict hull vertices";
                 const auto front = out.begin() + static_cast<std::ptrdiff_t>(hc);
                 for (const algos::Pt& v : hull) {
                     EXPECT_TRUE(std::binary_search(out.begin(), front, v))

@@ -9,7 +9,6 @@
 #include "sim/device.hpp"
 #include "sim/hpu.hpp"
 #include "sim/memory_model.hpp"
-#include "sim/timeline.hpp"
 #include "trace/counters.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -343,19 +342,6 @@ TEST(MemoryModel, MergesortPermutationIsCheaper) {
     EXPECT_DOUBLE_EQ(rp.expansion, 1.0);
     EXPECT_DOUBLE_EQ(rs.expansion, static_cast<double>(width));
     EXPECT_GT(effective_cost_per_word(rs), effective_cost_per_word(rp));
-}
-
-TEST(Timeline, RecordsAndAggregates) {
-    Timeline tl;
-    const Ticks e1 = tl.record(EventKind::kTransferToGpu, "in", 0.0, 10.0);
-    const Ticks e2 = tl.record(EventKind::kGpuKernel, "k", e1, 50.0);
-    tl.record(EventKind::kTransferToCpu, "out", e2, 10.0);
-    EXPECT_EQ(tl.count(EventKind::kGpuKernel), 1u);
-    EXPECT_DOUBLE_EQ(tl.total(EventKind::kTransferToGpu) + tl.total(EventKind::kTransferToCpu),
-                     20.0);
-    EXPECT_DOUBLE_EQ(tl.span_end(), 70.0);
-    tl.clear();
-    EXPECT_DOUBLE_EQ(tl.span_end(), 0.0);
 }
 
 TEST(Hpu, BundleWiring) {

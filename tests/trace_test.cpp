@@ -1,8 +1,7 @@
 // hpu::trace tests: zero-perturbation (attaching a tracer never changes an
 // ExecReport tick, swept over every algorithm × executor), span-tree shape
-// for all executors, the shared label scheme joining analysis findings /
-// timeline events / trace spans, Timeline semantics under overlapped hybrid
-// events, the counters registry, the exporters' Chrome trace-event / CSV
+// for all executors, the shared label scheme joining analysis findings and
+// trace spans, the counters registry, the exporters' Chrome trace-event / CSV
 // shapes, and the utilization + model-drift report — including the §5.2.2
 // worked example (α* ≈ 0.16, y* ≈ 10, GPU ≈ 52% of the work at n = 2²⁴ on
 // HPU1) reproduced from span data alone.
@@ -28,71 +27,6 @@ namespace {
 std::vector<std::int32_t> random_input(std::uint64_t n, std::uint64_t seed) {
     util::Rng rng(seed);
     return rng.int_vector(n, 0, static_cast<std::int64_t>(2 * n));
-}
-
-// ---------------------------------------------------------------------------
-// Timeline semantics on overlapped hybrid schedules (events are recorded
-// out of chronological order by the advanced scheduler).
-
-TEST(Timeline, CountTotalSpanEndAreOrderIndependent) {
-    sim::Timeline tl;
-    // Recorded out of order and overlapping, as the advanced hybrid does:
-    // GPU thread first, then the concurrent CPU phase back at tick 0.
-    tl.record(sim::EventKind::kTransferToGpu, "x/in", 0.0, 10.0);
-    tl.record(sim::EventKind::kGpuKernel, "x/gpu", 10.0, 100.0);
-    tl.record(sim::EventKind::kTransferToCpu, "x/out", 110.0, 10.0);
-    tl.record(sim::EventKind::kCpuLevel, "x/parallel", 0.0, 90.0);
-    tl.record(sim::EventKind::kCpuLevel, "x/finish", 120.0, 30.0);
-
-    EXPECT_EQ(tl.count(sim::EventKind::kCpuLevel), 2u);
-    EXPECT_EQ(tl.count(sim::EventKind::kGpuKernel), 1u);
-    EXPECT_EQ(tl.count(sim::EventKind::kTransferToGpu), 1u);
-    EXPECT_EQ(tl.count(sim::EventKind::kTransferToCpu), 1u);
-    EXPECT_DOUBLE_EQ(tl.total(sim::EventKind::kCpuLevel), 120.0);
-    EXPECT_DOUBLE_EQ(tl.total(sim::EventKind::kGpuKernel), 100.0);
-    EXPECT_DOUBLE_EQ(tl.span_end(), 150.0);
-}
-
-TEST(Timeline, PrintSortsByStartKeepingTiesInRecordingOrder) {
-    sim::Timeline tl;
-    tl.record(sim::EventKind::kGpuKernel, "late", 50.0, 10.0);
-    tl.record(sim::EventKind::kTransferToGpu, "first-at-zero", 0.0, 5.0);
-    tl.record(sim::EventKind::kCpuLevel, "second-at-zero", 0.0, 40.0);
-    std::ostringstream os;
-    tl.print(os);
-    const std::string out = os.str();
-    const auto first = out.find("first-at-zero");
-    const auto second = out.find("second-at-zero");
-    const auto late = out.find("late");
-    ASSERT_NE(first, std::string::npos);
-    ASSERT_NE(second, std::string::npos);
-    ASSERT_NE(late, std::string::npos);
-    EXPECT_LT(first, second);  // tie at t=0 keeps recording order
-    EXPECT_LT(second, late);   // sorted by start, not recording order
-}
-
-TEST(Timeline, AdvancedHybridEventsOverlapAndStayWithinTotal) {
-    sim::Hpu h(platforms::hpu1());
-    algos::MergesortCoalesced<std::int32_t> alg;
-    auto data = random_input(1 << 12, 11);
-    const auto rep = run_advanced_hybrid(h, alg, std::span(data), 0.2, 8);
-    const auto& ev = h.timeline().events();
-    ASSERT_GE(ev.size(), 4u);
-    // The concurrent CPU phase overlaps the GPU events in virtual time.
-    const auto cpu_it =
-        std::find_if(ev.begin(), ev.end(), [](const sim::Event& e) {
-            return e.kind == sim::EventKind::kCpuLevel && e.start == 0.0;
-        });
-    ASSERT_NE(cpu_it, ev.end());
-    const auto gpu_it = std::find_if(ev.begin(), ev.end(), [](const sim::Event& e) {
-        return e.kind == sim::EventKind::kGpuKernel;
-    });
-    ASSERT_NE(gpu_it, ev.end());
-    EXPECT_LT(cpu_it->start, gpu_it->end);
-    EXPECT_LT(gpu_it->start, cpu_it->end);
-    // span_end uses ends, not recording order; the timeline's clock omits
-    // the pre-pass, so its span can only be <= the report total.
-    EXPECT_LE(h.timeline().span_end(), rep.total + 1e-9);
 }
 
 // ---------------------------------------------------------------------------
@@ -317,8 +251,8 @@ TEST(SpanTree, SequentialAndMulticoreChainLevelsBackToBack) {
 }
 
 // ---------------------------------------------------------------------------
-// The shared label scheme: analysis findings, timeline events, and trace
-// spans produced by the same launch carry the same label.
+// The shared label scheme: analysis findings and trace spans produced by
+// the same launch carry the same label.
 
 /// Deliberately racy reduction: every task writes word 0.
 struct RacyAlg final : LevelAlgorithm<std::int32_t> {
@@ -335,7 +269,7 @@ struct RacyAlg final : LevelAlgorithm<std::int32_t> {
     }
 };
 
-TEST(Labels, AnalysisFindingsTimelineEventsAndSpansJoinOnLabels) {
+TEST(Labels, AnalysisFindingsAndPhaseSpansJoinOnLabels) {
     // helper format sanity
     EXPECT_EQ(launch_label("racy", "gpu-level", 8), "racy/gpu-level[8 tasks]");
     EXPECT_EQ(phase_label("mergesort", "cpu-parallel"), "mergesort/cpu-parallel");
@@ -357,7 +291,7 @@ TEST(Labels, AnalysisFindingsTimelineEventsAndSpansJoinOnLabels) {
         EXPECT_TRUE(matched) << "finding label '" << f.launch << "' has no matching span";
     }
 
-    // Timeline event labels of the hybrids match trace span labels.
+    // The hybrids' phase and transfer spans carry the phase_label names.
     sim::Hpu h2(platforms::hpu1());
     algos::MergesortCoalesced<std::int32_t> alg;
     auto input = random_input(1 << 12, 61);
@@ -365,11 +299,12 @@ TEST(Labels, AnalysisFindingsTimelineEventsAndSpansJoinOnLabels) {
     AdvancedOptions adv;
     adv.exec.trace = &session2;
     run_advanced_hybrid(h2, alg, std::span(input), 0.2, 8, adv);
-    for (const auto& e : h2.timeline().events()) {
+    for (const char* phase : {"gpu-phase", "cpu-parallel", "finish", "xfer-in", "xfer-out"}) {
+        const std::string label = phase_label(alg.name(), phase);
         const bool matched =
             std::any_of(session2.spans().begin(), session2.spans().end(),
-                        [&](const trace::Span& s) { return s.label == e.label; });
-        EXPECT_TRUE(matched) << "timeline label '" << e.label << "' has no matching span";
+                        [&](const trace::Span& s) { return s.label == label; });
+        EXPECT_TRUE(matched) << "no span labelled '" << label << "'";
     }
 }
 
