@@ -278,7 +278,7 @@ int main(int argc, char** argv) {
         std::cout << "\n=== regression observatory ===\n";
         orep.print(std::cout);
 
-        metrics::RegistrySnapshot snap = metrics::registry().snapshot();
+        metrics::RegistrySnapshot snap;
         metrics::publish_pool(snap, tel);
         metrics::publish_counters(snap, trace::counters().snapshot());
         obs::publish_obs(snap, orep);

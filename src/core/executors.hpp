@@ -8,11 +8,12 @@
 // the a^i independent tasks of each level on the chosen unit. They require
 // a == b so that level tasks tile the array contiguously.
 //
-// Every regular executor is the same three steps: a producer builds the
-// run's Plan (core/plan.hpp), the static verifier checks that plan priced
-// (ExecOptions::verify), and the plan walker runs it — functionally or
-// analytically — through the one launch primitive (core/launch.hpp), which
-// also records the span tree and the validation findings.
+// Every regular executor is the same two steps: a producer builds the
+// run's Plan (core/plan.hpp), and detail::run_plan runs that plan — the
+// static verifier checks it priced (ExecOptions::verify), then the plan
+// walker runs it, functionally or analytically, through the one launch
+// primitive (core/launch.hpp), which also records the span tree and the
+// validation findings.
 //
 // Host-parallel functional execution: construct the sim::Hpu (or CpuUnit)
 // with a util::ThreadPool and CPU levels / device waves run pool-parallel.
@@ -22,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 
@@ -38,21 +38,20 @@ namespace hpu::core {
 
 /// Which scheduler shape core/irregular.hpp emulates for a dynamic task
 /// tree. Each of the six public executors maps onto one of these when
-/// handed an IrregularLevelAlgorithm.
+/// handed an IrregularLevelAlgorithm (the pipelined one onto kAdvanced).
 enum class IrregularMode : std::uint8_t {
     kSequential,  ///< 1 core, no device
     kMulticore,   ///< p cores, no device
     kGpu,         ///< device only (optional boundary transfers)
     kBasic,       ///< whole-level placement, observed-cost crossover
     kAdvanced,    ///< per-level α split re-balanced from observed widths
-    kPipelined,   ///< advanced + chunked GPU input transfers
 };
 
 template <typename T>
 ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuParams& hw,
                          const IrregularLevelAlgorithm<T>& alg, std::span<T> data,
-                         IrregularMode mode, const ExecOptions& opts, std::uint64_t chunks,
-                         bool include_transfers, const char* executor_label);
+                         IrregularMode mode, const ExecOptions& opts, bool include_transfers,
+                         const char* executor_label);
 
 namespace detail {
 
@@ -80,33 +79,23 @@ void observe_run(const ExecOptions& opts, ExecReport& rep, trace::SpanId run,
     rep.obs = obs::observe(*opts.trace, run, ctx);
 }
 
-/// Runs one regular plan end to end on `cpu` (and `dev`): opens the run
-/// span, runs the host pre-pass — or, when the caller already ran it,
-/// records `pre_done` — walks the plan, closes the run and observes it.
-/// `rep` arrives with its verify certificate filled in.
+/// Runs one regular plan end to end on `cpu` (and `dev`) of machine `hw`:
+/// prepares the algorithm, binds its merge context, verifies `plan` itself
+/// (ExecOptions::verify), opens the run span, runs the host pre-pass,
+/// walks the plan, closes the run and observes it.
 template <typename T>
 ExecReport run_plan(const Plan& plan, sim::CpuUnit& cpu, sim::Device* dev,
                     const sim::HpuParams& hw, const LevelAlgorithm<T>& alg, std::span<T> data,
-                    const ExecOptions& opts, ExecReport rep,
-                    std::optional<sim::Ticks> pre_done = std::nullopt,
-                    std::size_t requested_chunks = 0) {
+                    const ExecOptions& opts, std::size_t requested_chunks = 0) {
+    alg.prepare(data.size());
+    bind_merge_exec(alg, cpu.pool(), opts);
+    ExecReport rep;
+    if (opts.verify) rep.verify = verify::verify_plan(alg, plan, hw);
     rep.trace = opts.trace;
     const ValCtx val = validation_ctx(opts, rep);
     const trace::SpanId run = open_run(opts, alg.name(), plan.executor, data.size());
     const SpanCtx rt{opts.trace, run, 0.0, trace::SpanAttrs::kNoLevel, opts.profile};
-    const std::size_t p = cpu.params().p;
-    sim::Ticks pre = pre_done.value_or(0.0);
-    if (!pre_done) {
-        pre = host_pre_pass(alg, data, p, rt);
-    } else if (opts.trace != nullptr && pre > 0.0) {
-        // The basic hybrid prices its pre-pass before it knows whether it
-        // falls back to the multicore executor; its span is recorded here.
-        trace::SpanAttrs a;
-        a.ops = pre * static_cast<double>(p);
-        a.work = a.ops;
-        opts.trace->record(trace::SpanKind::kHook, trace::Unit::kCpu,
-                           phase_label(alg.name(), "pre"), 0.0, pre, a, run);
-    }
+    const sim::Ticks pre = host_pre_pass(alg, data, cpu.params().p, rt);
     Walker<T> w{plan, alg, cpu, dev, hw.link, opts, val, data, rep};
     w.walk(pre, run);
     close_run(opts, run, rep.total);
@@ -133,15 +122,11 @@ ExecReport run_sequential(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::
     hw.cpu = one_core;
     if (const auto* irr = alg.as_irregular()) {
         return run_irregular(single, static_cast<sim::Device*>(nullptr), hw, *irr, data,
-                             IrregularMode::kSequential, opts, /*chunks=*/0,
-                             /*include_transfers=*/false, "sequential");
+                             IrregularMode::kSequential, opts, /*include_transfers=*/false,
+                             "sequential");
     }
-    const Plan plan = plan_cpu(alg, data.size(), "sequential");
-    alg.prepare(data.size());
-    detail::bind_merge_exec(alg, cpu.pool(), opts);
-    ExecReport rep;
-    if (opts.verify) rep.verify = verify::verify_cpu_run(alg, data.size(), single, "sequential");
-    return detail::run_plan(plan, single, nullptr, hw, alg, data, opts, std::move(rep));
+    return detail::run_plan(plan_cpu(alg, data.size(), "sequential"), single, nullptr, hw, alg,
+                            data, opts);
 }
 
 /// Multi-core breadth-first execution on the HPU's p CPU cores (GPU idle).
@@ -152,15 +137,11 @@ ExecReport run_multicore(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::s
     hw.cpu = cpu.params();
     if (const auto* irr = alg.as_irregular()) {
         return run_irregular(cpu, static_cast<sim::Device*>(nullptr), hw, *irr, data,
-                             IrregularMode::kMulticore, opts, /*chunks=*/0,
-                             /*include_transfers=*/false, "multicore");
+                             IrregularMode::kMulticore, opts, /*include_transfers=*/false,
+                             "multicore");
     }
-    const Plan plan = plan_cpu(alg, data.size(), "multicore");
-    alg.prepare(data.size());
-    detail::bind_merge_exec(alg, cpu.pool(), opts);
-    ExecReport rep;
-    if (opts.verify) rep.verify = verify::verify_cpu_run(alg, data.size(), cpu, "multicore");
-    return detail::run_plan(plan, cpu, nullptr, hw, alg, data, opts, std::move(rep));
+    return detail::run_plan(plan_cpu(alg, data.size(), "multicore"), cpu, nullptr, hw, alg,
+                            data, opts);
 }
 
 /// GPU-only breadth-first execution (§4.2): ship the array, run every level
@@ -171,21 +152,10 @@ ExecReport run_gpu(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std::span<T> dat
                    const ExecOptions& opts = {}, bool include_transfers = true) {
     if (const auto* irr = alg.as_irregular()) {
         return run_irregular(hpu.cpu(), &hpu.gpu(), hpu.params(), *irr, data,
-                             IrregularMode::kGpu, opts, /*chunks=*/0, include_transfers,
-                             "gpu");
+                             IrregularMode::kGpu, opts, include_transfers, "gpu");
     }
-    const Plan plan = plan_gpu(alg, data.size(), include_transfers);
-    alg.prepare(data.size());
-    detail::bind_merge_exec(alg, hpu.cpu().pool(), opts);
-    ExecReport rep;
-    if (opts.verify) {
-        verify::RunShape shape;
-        shape.kind = verify::RunShape::Kind::kGpu;
-        shape.include_transfers = include_transfers;
-        rep.verify = verify::verify_hybrid_run(alg, data.size(), hpu, shape);
-    }
-    return detail::run_plan(plan, hpu.cpu(), &hpu.gpu(), hpu.params(), alg, data, opts,
-                            std::move(rep));
+    return detail::run_plan(plan_gpu(alg, data.size(), include_transfers), hpu.cpu(),
+                            &hpu.gpu(), hpu.params(), alg, data, opts);
 }
 
 }  // namespace hpu::core

@@ -46,23 +46,12 @@ ExecReport run_basic_hybrid(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std::sp
                             const ExecOptions& opts = {}) {
     if (const auto* irr = alg.as_irregular()) {
         return run_irregular(hpu.cpu(), &hpu.gpu(), hpu.params(), *irr, data,
-                             IrregularMode::kBasic, opts, /*chunks=*/0,
-                             /*include_transfers=*/true, "basic-hybrid");
+                             IrregularMode::kBasic, opts, /*include_transfers=*/true,
+                             "basic-hybrid");
     }
-    detail::level_count(alg, data.size());
-    alg.prepare(data.size());
-    detail::bind_merge_exec(alg, hpu.cpu().pool(), opts);
-    const sim::Ticks pre = detail::host_pre_pass(alg, data, hpu.params().cpu.p);
     const Plan plan = plan_basic(alg, data.size(), hpu.params());
     if (plan.shape == PlanShape::kCpu) return run_multicore(hpu.cpu(), alg, data, opts);
-    ExecReport rep;
-    if (opts.verify) {
-        verify::RunShape shape;
-        shape.kind = verify::RunShape::Kind::kBasic;
-        rep.verify = verify::verify_hybrid_run(alg, data.size(), hpu, shape);
-    }
-    return detail::run_plan(plan, hpu.cpu(), &hpu.gpu(), hpu.params(), alg, data, opts,
-                            std::move(rep), pre);
+    return detail::run_plan(plan, hpu.cpu(), &hpu.gpu(), hpu.params(), alg, data, opts);
 }
 
 /// Advanced hybrid scheduler (§5.2) at explicit (α, transfer level y).
@@ -78,25 +67,12 @@ ExecReport run_advanced_hybrid(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std:
     // observed split actually chose).
     if (const auto* irr = alg.as_irregular()) {
         return run_irregular(hpu.cpu(), &hpu.gpu(), hpu.params(), *irr, data,
-                             IrregularMode::kAdvanced, adv.exec, /*chunks=*/0,
-                             /*include_transfers=*/true, "advanced-hybrid");
+                             IrregularMode::kAdvanced, adv.exec, /*include_transfers=*/true,
+                             "advanced-hybrid");
     }
-    const Plan plan =
-        plan_advanced(alg, hpu.params(), data.size(), alpha, y, adv.split_tasks);
-    alg.prepare(data.size());
-    const ExecOptions& opts = adv.exec;
-    detail::bind_merge_exec(alg, hpu.cpu().pool(), opts);
-    ExecReport rep;
-    if (opts.verify) {
-        verify::RunShape shape;
-        shape.kind = verify::RunShape::Kind::kAdvanced;
-        shape.alpha = alpha;
-        shape.y = y;
-        shape.split_tasks = adv.split_tasks;
-        rep.verify = verify::verify_hybrid_run(alg, data.size(), hpu, shape);
-    }
-    return detail::run_plan(plan, hpu.cpu(), &hpu.gpu(), hpu.params(), alg, data, opts,
-                            std::move(rep));
+    return detail::run_plan(
+        plan_advanced(alg, hpu.params(), data.size(), alpha, y, adv.split_tasks), hpu.cpu(),
+        &hpu.gpu(), hpu.params(), alg, data, adv.exec);
 }
 
 }  // namespace hpu::core

@@ -22,12 +22,13 @@
 // Scheduling: the closed-form (α, y) plans of §5 assume level i has a^i
 // equal tasks, which a dynamic tree does not honor. The hybrid modes
 // therefore re-derive the split PER LEVEL from the observed task list
-// (model/observed.hpp): kAdvanced/kPipelined choose the prefix k that
-// minimizes the estimated level makespan (the per-level α re-balance),
-// kBasic places whole levels on the cheaper unit including the residency
-// switch transfer. Decisions are pure functions of (hardware, per-task
-// estimates), so pooled and inline runs schedule — and therefore time —
-// identically.
+// (model/observed.hpp): kAdvanced chooses the prefix k that minimizes the
+// estimated level makespan (the per-level α re-balance), kBasic places
+// whole levels on the cheaper unit including the residency switch
+// transfer. The pipelined executor runs kAdvanced: a level's device part
+// is one launch, so there is nothing to chunk. Decisions are pure
+// functions of (hardware, per-task estimates), so pooled and inline runs
+// schedule — and therefore time — identically.
 //
 // Correctness machinery on the dynamic path:
 //  - verify: static race-freedom proofs need static footprints, which a
@@ -49,8 +50,8 @@
 // Functional execution happens in host memory (like every functional path
 // of the simulator); transfer time is charged per the mode: kGpu ships the
 // array across the boundary once each way, kBasic pays residency switches,
-// kAdvanced/kPipelined ship each level's GPU part in and out (kPipelined
-// chunks the input transfer and overlaps it with the chunk kernels).
+// kAdvanced ships each level's GPU part in before its launch and out after
+// it.
 //
 // Analytic mode prices the tree from analytic_widths(n) — task bodies do
 // not run (root_tasks/finalize included), data is untouched.
@@ -94,7 +95,7 @@ inline std::uint64_t est_words(const std::vector<model::ObservedTask>& est, std:
 
 /// How one dynamic level is scheduled: the prefix [0, k) runs on the CPU,
 /// [k, W) on the device. kBasic may pay a residency-switch transfer up
-/// front; kAdvanced/kPipelined ship the GPU part in and out every level.
+/// front; kAdvanced ships the GPU part in and out every level.
 struct LevelPlan {
     std::uint64_t k = 0;
     sim::Ticks switch_xfer = 0.0;
@@ -108,8 +109,8 @@ struct LevelPlan {
 template <typename T>
 ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuParams& hw,
                          const IrregularLevelAlgorithm<T>& alg, std::span<T> data,
-                         IrregularMode mode, const ExecOptions& opts, std::uint64_t chunks,
-                         bool include_transfers, const char* executor_label) {
+                         IrregularMode mode, const ExecOptions& opts, bool include_transfers,
+                         const char* executor_label) {
     const std::uint64_t n = data.size();
     HPU_CHECK(alg.admissible(n), "input size not admissible for this algorithm");
     const bool cpu_only =
@@ -128,10 +129,7 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
     const detail::SpanCtx rt{opts.trace, run, 0.0, trace::SpanAttrs::kNoLevel, opts.profile};
 
     const double mult = cpu_only ? 1.0 : alg.device_ops_multiplier(hw.gpu);
-    const std::uint64_t k_chunks =
-        mode == IrregularMode::kPipelined ? std::max<std::uint64_t>(chunks, 1) : 1;
-    const bool hybrid = mode == IrregularMode::kBasic || mode == IrregularMode::kAdvanced ||
-                        mode == IrregularMode::kPipelined;
+    const bool hybrid = mode == IrregularMode::kBasic || mode == IrregularMode::kAdvanced;
 
     sim::Ticks clock = 0.0;
     double cpu_est_work = 0.0, total_est_work = 0.0;
@@ -170,8 +168,7 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
                 }
                 break;
             }
-            case IrregularMode::kAdvanced:
-            case IrregularMode::kPipelined: {
+            case IrregularMode::kAdvanced: {
                 const auto sp = model::split_observed_level(hw, est, mult,
                                                             /*include_transfers=*/true);
                 plan.k = sp.cpu_tasks;
@@ -212,10 +209,7 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
             l.intra = alg.intra_task_parallel();
             l.extent_words = irr_detail::est_words(est, b, e);
             l.imbalance = imb;
-            if (!gpu) {
-                l.working_set = alg.level_working_set_bytes(l.extent_words);
-                l.order = opts.order;
-            }
+            if (!gpu) l.working_set = alg.level_working_set_bytes(l.extent_words);
             const detail::SpanCtx pt = tc.moved(at, depth);
             if constexpr (std::is_null_pointer_v<std::remove_cvref_t<decltype(body)>>) {
                 const double cost = est[b].cost;
@@ -238,41 +232,27 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
             rep.cpu_busy += cpu_time;
             ++rep.levels_cpu;
         }
-        const std::uint64_t gw = width - plan.k;
-        if (gw > 0) {
-            // Optionally k_chunks pipelined chunks, each shipped in ahead of
-            // its launch when the plan ships per level.
-            const std::uint64_t K = mode == IrregularMode::kPipelined ? std::min(k_chunks, gw) : 1;
-            sim::Ticks arrive = 0.0;   // input-transfer front, relative to level start
-            sim::Ticks gpu_end = 0.0;  // device busy front, relative to level start
-            for (std::uint64_t c = 0; c < K; ++c) {
-                const std::uint64_t cb = plan.k + (c * gw) / K;
-                const std::uint64_t ce = plan.k + ((c + 1) * gw) / K;
-                if (ce == cb) continue;
-                if (plan.per_level_xfers) {
-                    const std::uint64_t cw = irr_detail::est_words(est, cb, ce);
-                    const sim::Ticks x = hw.link.transfer_time(cw);
-                    detail::trace_transfer(tc.moved(level_start + arrive, depth), alg.name(),
-                                           "xfer-in", cw, cw * sizeof(T), x);
-                    rep.transfer += x;
-                    arrive += x;
-                }
-                const sim::Ticks start = std::max(arrive, gpu_end);
-                const sim::Ticks t = part(trace::Unit::kGpu, cb, ce, level_start + start);
-                rep.gpu_busy += t;
-                gpu_end = start + t;
-            }
-            ++rep.levels_gpu;
-            if (mode == IrregularMode::kPipelined) rep.chunks = std::max(rep.chunks, K);
+        if (plan.k < width) {
+            // One launch; a plan that ships per level brackets it with the
+            // transfers of the part's words in and back out.
+            const std::uint64_t gpu_words = irr_detail::est_words(est, plan.k, width);
+            const sim::Ticks x =
+                plan.per_level_xfers ? hw.link.transfer_time(gpu_words) : 0.0;
             if (plan.per_level_xfers) {
-                const std::uint64_t gpu_words = irr_detail::est_words(est, plan.k, width);
-                const sim::Ticks x = hw.link.transfer_time(gpu_words);
-                detail::trace_transfer(tc.moved(level_start + gpu_end, depth), alg.name(),
+                detail::trace_transfer(tc.moved(level_start, depth), alg.name(), "xfer-in",
+                                       gpu_words, gpu_words * sizeof(T), x);
+                rep.transfer += x;
+            }
+            const sim::Ticks t = part(trace::Unit::kGpu, plan.k, width, level_start + x);
+            rep.gpu_busy += t;
+            ++rep.levels_gpu;
+            gpu_path = x + t;
+            if (plan.per_level_xfers) {
+                detail::trace_transfer(tc.moved(level_start + gpu_path, depth), alg.name(),
                                        "xfer-out", gpu_words, gpu_words * sizeof(T), x);
                 rep.transfer += x;
-                gpu_end += x;
+                gpu_path += x;
             }
-            gpu_path = gpu_end;
         }
         clock = level_start + std::max(cpu_time, gpu_path);
     };
@@ -430,12 +410,6 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
     }
 
     if (hybrid && total_est_work > 0.0) rep.alpha_effective = cpu_est_work / total_est_work;
-    // A pipelined schedule that never shipped a GPU part degenerated to the
-    // advanced hybrid — chunks reports 1, not 0 (0 marks non-pipelined
-    // executors, matching the regular path's convention).
-    if (mode == IrregularMode::kPipelined) {
-        rep.chunks = std::max<std::uint64_t>(rep.chunks, 1);
-    }
     rep.total = clock;
     detail::close_run(opts, run, rep.total);
     return rep;

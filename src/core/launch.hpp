@@ -66,8 +66,6 @@ struct ExecOptions {
     /// produce the same virtual times for uniform-cost algorithms (tests
     /// enforce this).
     bool functional = true;
-    /// CPU list-scheduling order (ablation knob).
-    util::ListOrder order = util::ListOrder::kArrival;
     /// Run the hpu::analysis correctness passes on every functional level
     /// (race detection, schedule-independence re-execution, residency
     /// lint). Costly — re-executes kernels — so off unless requested here
@@ -275,7 +273,6 @@ struct Launch {
     const char* phase = "cpu-level";                 ///< label: <alg>/<phase>[<tasks> tasks]
     std::uint64_t tasks = 0;
     std::uint64_t working_set = 0;  ///< CPU: bytes the level touches (LLC contention)
-    util::ListOrder order = util::ListOrder::kArrival;  ///< CPU list-scheduling order
     bool intra = false;  ///< task bodies may split their own work across the host pool
     // Analytic pricing, used when no body runs. Analytic levels are
     // uniform: every task charges task_ops, so the critical task IS the
@@ -324,7 +321,7 @@ Launched launch(sim::CpuUnit& cpu, sim::Device* dev, const LevelAlgorithm<T>& al
                                       tc.at, out.time, a, tc.parent);
     } else if (!gpu) {
         const std::uint64_t w0 = tc.wall_start();
-        const sim::LevelResult r = cpu.run_level(l.tasks, body, l.working_set, l.order, l.intra);
+        const sim::LevelResult r = cpu.run_level(l.tasks, body, l.working_set, l.intra);
         out.time = r.time;
         if (!tc.on()) return out;
         a.ops = static_cast<double>(r.total_ops.cpu_ops());

@@ -23,7 +23,6 @@
 #include "sim/op_counter.hpp"
 #include "sim/params.hpp"
 #include "util/check.hpp"
-#include "util/math.hpp"
 #include "util/merge_path.hpp"
 #include "verify/footprint.hpp"
 
@@ -158,32 +157,11 @@ public:
         return 2 * n * sizeof(T);
     }
 
-    /// The task list of global level `level` over an input of `n`
-    /// elements. The default is the paper's regular shape — a^level equal
-    /// contiguous slices — which is exactly what the array executors
-    /// compute from offsets; they never call this hook on the regular
-    /// path, so overriding it cannot perturb a regular run (bit-identical
-    /// by construction). Irregular algorithms produce their lists
-    /// dynamically instead (IrregularLevelAlgorithm below) and the
-    /// irregular engine drives them level by level.
-    virtual TaskList level_task_list(std::uint64_t n, std::uint64_t level) const {
-        TaskList tl;
-        const std::uint64_t count = util::ipow(a(), static_cast<std::uint32_t>(level));
-        const std::uint64_t sz = count > 0 ? n / count : 0;
-        tl.tasks.reserve(count);
-        for (std::uint64_t j = 0; j < count; ++j) {
-            tl.tasks.push_back(TaskDesc{j * sz, (j + 1) * sz, 0});
-        }
-        return tl;
-    }
-
-    /// True for algorithms whose recursion tree is produced dynamically.
-    /// The executors dispatch such algorithms to the irregular engine
-    /// (core/irregular.hpp); regular algorithms never take that path.
-    virtual bool irregular() const { return false; }
-
-    /// Non-null iff irregular(): the dynamic-tree interface of this
-    /// algorithm. Virtual downcast so the dispatch needs no RTTI.
+    /// Non-null for algorithms whose recursion tree is produced
+    /// dynamically: their dynamic-tree interface. The executors dispatch
+    /// such algorithms to the irregular engine (core/irregular.hpp);
+    /// regular algorithms never take that path. Virtual downcast so the
+    /// dispatch needs no RTTI.
     virtual const IrregularLevelAlgorithm<T>* as_irregular() const { return nullptr; }
 
     /// Symbolic per-task access footprint for the queried phase, in the
@@ -224,7 +202,6 @@ public:
 template <typename T>
 class IrregularLevelAlgorithm : public LevelAlgorithm<T> {
 public:
-    bool irregular() const final { return true; }
     const IrregularLevelAlgorithm<T>* as_irregular() const final { return this; }
 
     /// Never used on the irregular path; the engine runs divide_task /

@@ -41,8 +41,9 @@ namespace hpu::core {
 
 /// Knobs of the pipelined scheduler beyond (α, y).
 struct PipelinedOptions {
-    /// Requested transfer chunks K. Clamped to the transfer-level task
-    /// count of the GPU slice; the no-win guard may reduce it to 1.
+    /// Requested transfer chunks K (>= 1). Clamped to the transfer-level
+    /// task count of the GPU slice; the no-win guard may reduce it to 1.
+    /// Dynamic trees ignore it, as they ignore (α, y).
     std::uint64_t chunks = 4;
     /// Split-level task count, as AdvancedOptions::split_tasks.
     std::uint64_t split_tasks = 0;
@@ -57,30 +58,21 @@ ExecReport run_pipelined_hybrid(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std
                                 double alpha, std::uint64_t y,
                                 const PipelinedOptions& pip = {}) {
     // As in run_advanced_hybrid, a dynamic tree ignores the caller's (α, y)
-    // plan; pip.chunks still bounds the per-level transfer chunking.
+    // plan. It runs the advanced per-level schedule, whose device part is
+    // one launch per level, so there is nothing to chunk: chunks reports 1,
+    // the schedule degenerated to the advanced hybrid.
     if (const auto* irr = alg.as_irregular()) {
         HPU_CHECK(pip.chunks >= 1, "need at least one chunk");
-        return run_irregular(hpu.cpu(), &hpu.gpu(), hpu.params(), *irr, data,
-                             IrregularMode::kPipelined, pip.exec, pip.chunks,
-                             /*include_transfers=*/true, "pipelined-hybrid");
+        ExecReport rep = run_irregular(hpu.cpu(), &hpu.gpu(), hpu.params(), *irr, data,
+                                       IrregularMode::kAdvanced, pip.exec,
+                                       /*include_transfers=*/true, "pipelined-hybrid");
+        rep.chunks = 1;
+        return rep;
     }
-    const Plan plan = plan_pipelined(alg, hpu.params(), data.size(), alpha, y, pip.chunks,
-                                     pip.split_tasks);
-    alg.prepare(data.size());
-    const ExecOptions& opts = pip.exec;
-    detail::bind_merge_exec(alg, hpu.cpu().pool(), opts);
-    ExecReport rep;
-    if (opts.verify) {
-        verify::RunShape shape;
-        shape.kind = verify::RunShape::Kind::kPipelined;
-        shape.alpha = alpha;
-        shape.y = y;
-        shape.chunks = pip.chunks;
-        shape.split_tasks = pip.split_tasks;
-        rep.verify = verify::verify_hybrid_run(alg, data.size(), hpu, shape);
-    }
-    return detail::run_plan(plan, hpu.cpu(), &hpu.gpu(), hpu.params(), alg, data, opts,
-                            std::move(rep), std::nullopt, pip.chunks);
+    return detail::run_plan(plan_pipelined(alg, hpu.params(), data.size(), alpha, y,
+                                           pip.chunks, pip.split_tasks),
+                            hpu.cpu(), &hpu.gpu(), hpu.params(), alg, data, pip.exec,
+                            pip.chunks);
 }
 
 }  // namespace hpu::core

@@ -406,12 +406,9 @@ struct Walker {
         l.phase = gpu ? "gpu-level" : "cpu-level";
         l.tasks = tasks;
         l.intra = alg.intra_task_parallel();
-        if (!gpu) {
-            // LLC contention depends on the whole input's level working
-            // set, also when this lane holds only a slice of it.
-            l.working_set = alg.level_working_set_bytes(plan.n);
-            l.order = opts.order;
-        }
+        // LLC contention depends on the whole input's level working set,
+        // also when this lane holds only a slice of it.
+        if (!gpu) l.working_set = alg.level_working_set_bytes(plan.n);
         const SpanCtx tc{opts.trace, parent, cur.now(), i, opts.profile};
         if (!opts.functional) {
             const double work = alg.recurrence().task_cost(static_cast<double>(plan.n),

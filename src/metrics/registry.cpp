@@ -1,79 +1,6 @@
 #include "metrics/registry.hpp"
 
-#include "util/check.hpp"
-
 namespace hpu::metrics {
-
-namespace {
-
-bool valid_metric_name(const std::string& name) {
-    if (name.empty()) return false;
-    auto word = [](char c) {
-        return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
-    };
-    if (!word(name.front())) return false;
-    for (char c : name) {
-        if (!word(c) && !(c >= '0' && c <= '9')) return false;
-    }
-    return true;
-}
-
-template <typename T, typename Map>
-T& get_or_register(Map& map, const std::string& name, const std::string& help) {
-    HPU_CHECK(valid_metric_name(name), "metric name must match [a-zA-Z_][a-zA-Z0-9_]*");
-    auto it = map.find(name);
-    if (it == map.end()) {
-        it = map.emplace(name, typename Map::mapped_type{help, std::make_unique<T>()}).first;
-    }
-    return *it->second.instrument;
-}
-
-}  // namespace
-
-Counter& Registry::counter(const std::string& name, const std::string& help) {
-    std::lock_guard lock(mu_);
-    return get_or_register<Counter>(counters_, name, help);
-}
-
-Gauge& Registry::gauge(const std::string& name, const std::string& help) {
-    std::lock_guard lock(mu_);
-    return get_or_register<Gauge>(gauges_, name, help);
-}
-
-Histogram& Registry::histogram(const std::string& name, const std::string& help) {
-    std::lock_guard lock(mu_);
-    return get_or_register<Histogram>(histograms_, name, help);
-}
-
-RegistrySnapshot Registry::snapshot() const {
-    std::lock_guard lock(mu_);
-    RegistrySnapshot s;
-    s.counters.reserve(counters_.size());
-    for (const auto& [name, c] : counters_) {
-        s.counters.push_back({name, c.help, c.instrument->value()});
-    }
-    s.gauges.reserve(gauges_.size());
-    for (const auto& [name, g] : gauges_) {
-        s.gauges.push_back({name, g.help, g.instrument->value()});
-    }
-    s.histograms.reserve(histograms_.size());
-    for (const auto& [name, h] : histograms_) {
-        s.histograms.push_back({name, h.help, h.instrument->snapshot()});
-    }
-    return s;
-}
-
-void Registry::clear() {
-    std::lock_guard lock(mu_);
-    counters_.clear();
-    gauges_.clear();
-    histograms_.clear();
-}
-
-Registry& registry() {
-    static Registry reg;
-    return reg;
-}
 
 void publish_pool(RegistrySnapshot& snap, const util::PoolTelemetry& pool) {
     snap.gauges.push_back({"hpu_pool_workers", "worker threads of the functional pool",

@@ -1,27 +1,15 @@
 // hpu::metrics — the wall-clock metrics layer (DESIGN.md §11).
 //
-// The registry holds named counter / gauge / histogram instruments with a
-// lock-free hot path: registration (by name, on a mutex) returns a stable
-// reference, and every subsequent increment / set / record is a relaxed
-// atomic on that reference. This complements the two existing stores:
-//
-//   trace::counters()   — fixed process-wide monotonic counters maintained
-//                         by the simulator (virtual-clock side);
-//   metrics::registry() — open-ended named instruments for the wall-clock
-//                         side (pool telemetry, profiler, benches).
-//
-// Snapshots are plain data; the exporters in metrics/export.hpp serialize
-// a snapshot as Prometheus text format or JSON. publish_* helpers mirror
-// the ThreadPool telemetry and the trace counter registry into metric
-// instruments so one scrape covers both clocks.
+// A RegistrySnapshot is plain data: named counters, gauges and histograms
+// at one instant. There is no live registry; an export is built from
+// snapshots — publish_pool adds a ThreadPool telemetry snapshot (wall-clock
+// side), publish_counters a trace::counters() snapshot (virtual-clock
+// side), obs::publish_obs the watchdog's findings — so one scrape covers
+// both clocks. The exporters in metrics/export.hpp serialize a snapshot as
+// Prometheus text format or JSON.
 #pragma once
 
-#include <atomic>
-#include <bit>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -31,35 +19,7 @@
 
 namespace hpu::metrics {
 
-/// Monotonic counter. Relaxed ordering: statistics, not synchronization.
-class Counter {
-public:
-    void inc(std::uint64_t by = 1) noexcept { v_.fetch_add(by, std::memory_order_relaxed); }
-    std::uint64_t value() const noexcept { return v_.load(std::memory_order_relaxed); }
-    void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
-
-private:
-    std::atomic<std::uint64_t> v_{0};
-};
-
-/// Last-value gauge holding a double (stored as bits in an atomic word so
-/// set/value stay lock-free).
-class Gauge {
-public:
-    void set(double v) noexcept {
-        bits_.store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
-    }
-    double value() const noexcept {
-        return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
-    }
-
-private:
-    std::atomic<std::uint64_t> bits_{std::bit_cast<std::uint64_t>(0.0)};
-};
-
-using Histogram = util::Log2Histogram;
-
-/// Plain-data copy of every instrument at one instant, ready to export.
+/// Plain-data metrics at one instant, ready to export.
 struct RegistrySnapshot {
     struct CounterValue {
         std::string name;
@@ -81,43 +41,10 @@ struct RegistrySnapshot {
     std::vector<HistogramValue> histograms;
 };
 
-/// Named-instrument registry. Instrument names must match the Prometheus
-/// charset [a-zA-Z_][a-zA-Z0-9_]* (checked at registration); re-registering
-/// a name returns the same instrument (the help string of the first
-/// registration wins). References stay valid for the registry's lifetime.
-class Registry {
-public:
-    Counter& counter(const std::string& name, const std::string& help = "");
-    Gauge& gauge(const std::string& name, const std::string& help = "");
-    Histogram& histogram(const std::string& name, const std::string& help = "");
-
-    RegistrySnapshot snapshot() const;
-
-    /// Drops every instrument (references die with them). Test helper.
-    void clear();
-
-private:
-    template <typename T>
-    struct Named {
-        std::string help;
-        std::unique_ptr<T> instrument;
-    };
-
-    mutable std::mutex mu_;
-    std::map<std::string, Named<Counter>> counters_;
-    std::map<std::string, Named<Gauge>> gauges_;
-    std::map<std::string, Named<Histogram>> histograms_;
-};
-
-/// The process-wide registry (benches and CI scrape this one; tests build
-/// their own local Registry instances).
-Registry& registry();
-
 /// Appends a ThreadPool telemetry snapshot to `snap` under the hpu_pool_*
 /// namespace: busy/idle/window counters (ns), workers / utilization /
 /// accounted-share gauges, and the claim-size and submit-to-start-latency
-/// histograms. Pool telemetry arrives as a snapshot, so it is merged into
-/// the export-side snapshot rather than into live instruments.
+/// histograms.
 void publish_pool(RegistrySnapshot& snap, const util::PoolTelemetry& pool);
 
 /// Appends the virtual-clock counter registry (a trace::counters()

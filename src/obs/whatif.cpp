@@ -6,9 +6,6 @@
 #include <ostream>
 #include <utility>
 
-#include "model/advanced.hpp"
-#include "model/basic.hpp"
-#include "model/pipeline.hpp"
 #include "util/table.hpp"
 
 namespace hpu::obs {
@@ -163,15 +160,13 @@ SpanId resolve_root(const TraceSession& session, SpanId run_root) {
     return trace::kNoSpan;
 }
 
-double configured_value(const sim::HpuParams& hw, WhatIfParam p,
-                        std::uint64_t chunks) noexcept {
+double configured_value(const sim::HpuParams& hw, WhatIfParam p) noexcept {
     switch (p) {
         case WhatIfParam::kG: return static_cast<double>(hw.gpu.g);
         case WhatIfParam::kGamma: return hw.gpu.gamma;
         case WhatIfParam::kLambda: return hw.link.lambda;
         case WhatIfParam::kDelta: return hw.link.delta;
         case WhatIfParam::kWorkers: return static_cast<double>(hw.cpu.p);
-        case WhatIfParam::kChunks: return static_cast<double>(chunks);
     }
     return 0.0;
 }
@@ -206,7 +201,6 @@ const char* to_string(WhatIfParam p) noexcept {
         case WhatIfParam::kLambda: return "lambda";
         case WhatIfParam::kDelta: return "delta";
         case WhatIfParam::kWorkers: return "workers";
-        case WhatIfParam::kChunks: return "chunks";
     }
     return "?";
 }
@@ -217,7 +211,6 @@ bool parse_param(std::string_view name, WhatIfParam& out) noexcept {
     else if (name == "lambda") out = WhatIfParam::kLambda;
     else if (name == "delta") out = WhatIfParam::kDelta;
     else if (name == "p" || name == "workers") out = WhatIfParam::kWorkers;
-    else if (name == "k" || name == "chunks") out = WhatIfParam::kChunks;
     else return false;
     return true;
 }
@@ -227,7 +220,6 @@ bool improves_up(WhatIfParam p) noexcept {
         case WhatIfParam::kG:
         case WhatIfParam::kGamma:
         case WhatIfParam::kWorkers:
-        case WhatIfParam::kChunks:
             return true;
         case WhatIfParam::kLambda:
         case WhatIfParam::kDelta:
@@ -258,8 +250,6 @@ sim::HpuParams perturb(const sim::HpuParams& hw, WhatIfParam p, double factor) {
                 1, static_cast<std::size_t>(
                        std::llround(static_cast<double>(hw.cpu.p) * factor)));
             break;
-        case WhatIfParam::kChunks:
-            break;  // not a machine parameter
     }
     return out;
 }
@@ -357,73 +347,13 @@ WhatIfReport what_if(const trace::TraceSession& session, trace::SpanId run_root,
     rep.attempted = true;
     rep.baseline = session.span(root).duration();
     for (WhatIfParam p : opts.params) {
-        if (p == WhatIfParam::kChunks) continue;  // a recorded run cannot re-chunk
         WhatIfCurve curve;
         curve.param = p;
-        curve.configured = configured_value(hw, p, 0);
+        curve.configured = configured_value(hw, p);
         for (double f : opts.factors) {
             WhatIfPoint pt;
             pt.factor = f;
             pt.predicted = reprice_run(session, root, hw, perturb(hw, p, f));
-            pt.speedup = pt.predicted > 0.0 ? rep.baseline / pt.predicted : 1.0;
-            curve.points.push_back(pt);
-        }
-        rank_curve(curve, rep.baseline);
-        rep.curves.push_back(std::move(curve));
-    }
-    return rep;
-}
-
-sim::Ticks price_model(const sim::HpuParams& hw, const ModelPoint& mp) {
-    switch (mp.kind) {
-        case ScheduleKind::kBasic: {
-            const model::BasicPrediction b =
-                model::predict_basic(hw, mp.rec, mp.n, mp.words_per_transfer);
-            return b.total_time + b.transfer_time;
-        }
-        case ScheduleKind::kAdvanced: {
-            model::AdvancedModel m(hw, mp.rec, mp.n);
-            if (mp.words_per_transfer > 0.0) m.set_words_per_transfer(mp.words_per_transfer);
-            const model::AdvancedPrediction a =
-                mp.alpha > 0.0 ? m.predict_at(mp.alpha, mp.y) : m.optimize();
-            return a.total_time;
-        }
-        case ScheduleKind::kPipelined: {
-            model::PipelinedModel m(hw, mp.rec, mp.n);
-            m.set_device_ops_multiplier(mp.device_ops_multiplier);
-            const std::uint64_t k = std::max<std::uint64_t>(1, mp.chunks);
-            return m.predict_at(mp.alpha, mp.y, k).total_time;
-        }
-    }
-    return 0.0;
-}
-
-WhatIfReport what_if_model(const sim::HpuParams& hw, const ModelPoint& mp,
-                           const WhatIfOptions& opts) {
-    WhatIfReport rep;
-    if (mp.n <= 0.0) return rep;
-    rep.attempted = true;
-    rep.baseline = price_model(hw, mp);
-    for (WhatIfParam p : opts.params) {
-        if (p == WhatIfParam::kChunks &&
-            (mp.kind != ScheduleKind::kPipelined || mp.chunks == 0)) {
-            continue;
-        }
-        WhatIfCurve curve;
-        curve.param = p;
-        curve.configured = configured_value(hw, p, mp.chunks);
-        for (double f : opts.factors) {
-            WhatIfPoint pt;
-            pt.factor = f;
-            if (p == WhatIfParam::kChunks) {
-                ModelPoint scaled = mp;
-                scaled.chunks = std::max<std::uint64_t>(
-                    1, static_cast<std::uint64_t>(
-                           std::llround(static_cast<double>(mp.chunks) * f)));
-                pt.predicted = price_model(hw, scaled);
-            } else {
-                pt.predicted = price_model(perturb(hw, p, f), mp);
-            }
             pt.speedup = pt.predicted > 0.0 ? rep.baseline / pt.predicted : 1.0;
             curve.points.push_back(pt);
         }

@@ -3,22 +3,15 @@
 //
 // A critical-path report (obs/critpath.hpp) says which resource the
 // makespan stands on; the what-if engine says what changing that resource
-// would actually buy. One platform parameter at a time (g, γ, λ, δ, the
-// worker count p, or the pipeline chunk count K) is scaled by a sweep of
-// factors and the schedule is re-priced:
-//
-//  * observed path (`what_if`): the recorded span tree is replayed under
-//    the perturbed parameters. Work spans (levels, leaves, transfers,
-//    hooks) are re-priced through the same closed forms the executors
-//    charge (ceil(tasks/p), launch waves · max_ops/γ, λ + δ·w); grouping
-//    spans (run, phases) re-place their children by the precedence the
-//    recorded schedule encodes — a child waits for every sibling that
-//    finished at or before its recorded start. Idle gaps the trace does
-//    not explain are preserved as recorded.
-//  * model path (`what_if_model`): the Basic/Advanced/Pipelined closed
-//    forms are re-evaluated at the same (α, y, K) operating point under
-//    the perturbed machine — the analytic counterpart for regular
-//    recurrences, and the only path that can vary K.
+// would actually buy. One platform parameter at a time (g, γ, λ, δ or the
+// worker count p) is scaled by a sweep of factors and the recorded span
+// tree is replayed under the perturbed parameters (`what_if`). Work spans
+// (levels, leaves, transfers, hooks) are re-priced through the same closed
+// forms the executors charge (ceil(tasks/p), launch waves · max_ops/γ,
+// λ + δ·w); grouping spans (run, phases) re-place their children by the
+// precedence the recorded schedule encodes — a child waits for every
+// sibling that finished at or before its recorded start. Idle gaps the
+// trace does not explain are preserved as recorded.
 //
 // Each curve reports predicted makespan vs scale factor; the ranked "top
 // bottleneck" is the parameter whose improvement direction (faster GPU /
@@ -33,7 +26,6 @@
 #include <string_view>
 #include <vector>
 
-#include "model/recurrence.hpp"
 #include "sim/params.hpp"
 #include "trace/span.hpp"
 
@@ -46,21 +38,20 @@ enum class WhatIfParam : std::uint8_t {
     kLambda,   ///< link latency λ
     kDelta,    ///< link per-word cost δ
     kWorkers,  ///< CPU cores p
-    kChunks,   ///< pipeline chunk count K (model path only)
 };
 
 const char* to_string(WhatIfParam p) noexcept;
 
-/// Parses "g" / "gamma" / "lambda" / "delta" / "p" / "workers" /
-/// "chunks" / "k" (case-sensitive). Returns false on anything else.
+/// Parses "g" / "gamma" / "lambda" / "delta" / "p" / "workers"
+/// (case-sensitive). Returns false on anything else.
 bool parse_param(std::string_view name, WhatIfParam& out) noexcept;
 
 /// True when improving this parameter means scaling it UP (more lanes,
-/// faster lanes, more workers, more chunks); false for the link costs.
+/// faster lanes, more workers); false for the link costs.
 bool improves_up(WhatIfParam p) noexcept;
 
 /// The machine with one parameter scaled by `factor` (g and p round to at
-/// least 1; γ clamps to 1). kChunks returns the machine unchanged.
+/// least 1; γ clamps to 1).
 sim::HpuParams perturb(const sim::HpuParams& hw, WhatIfParam p, double factor);
 
 /// One point on a sensitivity curve.
@@ -82,7 +73,7 @@ struct WhatIfCurve {
 
 struct WhatIfReport {
     bool attempted = false;
-    sim::Ticks baseline = 0.0;  ///< recorded (or modelled) makespan
+    sim::Ticks baseline = 0.0;  ///< recorded makespan
     std::vector<WhatIfCurve> curves;
 
     /// The ranked top bottleneck: the curve with the largest gain.
@@ -110,32 +101,8 @@ struct WhatIfOptions {
 sim::Ticks reprice_run(const trace::TraceSession& session, trace::SpanId run_root,
                        const sim::HpuParams& configured, const sim::HpuParams& perturbed);
 
-/// Observed-path what-if over a recorded run. kChunks entries in
-/// `opts.params` are skipped (a recorded schedule cannot change K).
+/// What-if over a recorded run: one curve per parameter in `opts.params`.
 WhatIfReport what_if(const trace::TraceSession& session, trace::SpanId run_root,
                      const sim::HpuParams& hw, const WhatIfOptions& opts = {});
-
-/// Which closed-form model prices the schedule on the model path.
-enum class ScheduleKind : std::uint8_t { kBasic, kAdvanced, kPipelined };
-
-/// The operating point the model path holds fixed while the machine moves.
-struct ModelPoint {
-    ScheduleKind kind = ScheduleKind::kAdvanced;
-    model::Recurrence rec{};
-    double n = 0.0;
-    double device_ops_multiplier = 1.0;  ///< pipelined path only
-    double words_per_transfer = 0.0;     ///< 0 = the model's own default
-    double alpha = 0.0;  ///< ≤ 0 = let AdvancedModel optimize
-    double y = 0.0;
-    std::uint64_t chunks = 0;  ///< pipelined: requested K
-};
-
-/// Predicted total time of the schedule on machine `hw`.
-sim::Ticks price_model(const sim::HpuParams& hw, const ModelPoint& mp);
-
-/// Model-path what-if. kChunks entries are honoured only for pipelined
-/// points (with chunks > 0) and sweep K instead of the machine.
-WhatIfReport what_if_model(const sim::HpuParams& hw, const ModelPoint& mp,
-                           const WhatIfOptions& opts = {});
 
 }  // namespace hpu::obs

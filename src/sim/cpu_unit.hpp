@@ -61,7 +61,6 @@ public:
     /// inline fold is bit-identical to the pooled one.
     template <typename Task>
     LevelResult run_level(std::uint64_t n_tasks, Task&& task, std::uint64_t working_set_bytes = 0,
-                          util::ListOrder order = util::ListOrder::kArrival,
                           bool tasks_use_pool = false) {
         LevelResult r;
         r.tasks = n_tasks;
@@ -97,7 +96,7 @@ public:
         }
         trace::count(trace::counters().cpu_levels);
         r.time = static_cast<Ticks>(
-            util::makespan(std::span(costs_.data(), n_tasks), params_.p, order));
+            util::makespan(std::span(costs_.data(), n_tasks), params_.p));
         r.time *= contention_factor(n_tasks, working_set_bytes);
         return r;
     }

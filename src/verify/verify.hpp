@@ -4,12 +4,13 @@
 //   1. prove_algorithm: proves every phase of a LevelAlgorithm's declared
 //      footprint pairwise disjoint for all admissible shapes (or finds a
 //      concrete counterexample the runtime detector must reproduce);
-//   2. verify_cpu_run / verify_hybrid_run: take the Plan the executor is
-//      about to run (the same core/plan.hpp producer builds it), price it
-//      with the plan walker that runs it, and check the schedule
+//   2. verify_plan: takes the Plan the executor is about to run, prices it
+//      with the plan walker that runs it, and checks the schedule
 //      invariants (capacity, serialization, transfer precedence, chunk
 //      safety, never-worse) on the priced events — so the checked schedule
-//      and the executed one are the same object.
+//      and the executed one are the same object. verify_cpu_run and
+//      verify_hybrid_run build an executor's plan from its parameters and
+//      check it the same way.
 //
 // The resulting VerifyReport is the certificate executors attach to their
 // ExecReport; a proven phase lets the runtime validation layer skip word
@@ -62,18 +63,28 @@ VerifyReport prove_algorithm(const core::LevelAlgorithm<T>& alg) {
     return rep;
 }
 
-/// Certificate for a single-unit CPU run (sequential / multicore): the
-/// executor's plan, priced, checked against the schedule invariants.
+/// Certificate for one run of `plan` on `hw`: proves the footprints,
+/// re-checks a pipelined plan's never-worse guard, and checks the plan,
+/// priced by the plan walker, against the schedule invariants.
+template <typename T>
+VerifyReport verify_plan(const core::LevelAlgorithm<T>& alg, const core::Plan& plan,
+                         const sim::HpuParams& hw) {
+    VerifyReport rep = prove_algorithm(alg);
+    rep.executor = plan.executor;
+    rep.n = plan.n;
+    // Only pipelined plans report chunks (>= 1).
+    if (plan.chunks > 0) check_never_worse(plan.est_chosen, plan.est_mono, plan.chunks, rep);
+    check_plan(core::price_plan(plan, alg, hw), hw, rep);
+    return rep;
+}
+
+/// Certificate for a single-unit CPU run (sequential / multicore).
 template <typename T>
 VerifyReport verify_cpu_run(const core::LevelAlgorithm<T>& alg, std::uint64_t n,
                             const sim::CpuUnit& cpu, const char* executor) {
-    VerifyReport rep = prove_algorithm(alg);
-    rep.executor = executor;
-    rep.n = n;
     sim::HpuParams hw;
     hw.cpu = cpu.params();
-    check_plan(core::price_plan(core::plan_cpu(alg, n, executor), alg, hw), hw, rep);
-    return rep;
+    return verify_plan(alg, core::plan_cpu(alg, n, executor), hw);
 }
 
 /// Which hybrid schedule verify_hybrid_run checks, plus its knobs
@@ -88,21 +99,18 @@ struct RunShape {
     bool include_transfers = true;  ///< gpu executor's transfer toggle
 };
 
-/// Certificate for a device-involving run: proves the footprints and
-/// checks the plan the chosen executor runs, priced by the plan walker.
+/// Certificate for a device-involving run: the plan of the executor
+/// `shape` names, built from its parameters.
 template <typename T>
 VerifyReport verify_hybrid_run(const core::LevelAlgorithm<T>& alg, std::uint64_t n,
                                sim::Hpu& hpu, const RunShape& shape) {
-    const char* names[] = {"gpu", "basic-hybrid", "advanced-hybrid", "pipelined-hybrid"};
-    VerifyReport rep = prove_algorithm(alg);
-    rep.executor = names[static_cast<int>(shape.kind)];
-    rep.n = n;
     const sim::HpuParams& hw = hpu.params();
     core::Plan plan;
     switch (shape.kind) {
         case RunShape::Kind::kGpu: plan = core::plan_gpu(alg, n, shape.include_transfers); break;
         // A basic run that falls back to the multicore executor never
-        // verifies this shape; its CPU plan is checked for completeness.
+        // verifies this shape; its CPU plan ("multicore") is checked for
+        // completeness.
         case RunShape::Kind::kBasic: plan = core::plan_basic(alg, n, hw); break;
         case RunShape::Kind::kAdvanced:
             plan = core::plan_advanced(alg, hw, n, shape.alpha, shape.y, shape.split_tasks);
@@ -111,13 +119,9 @@ VerifyReport verify_hybrid_run(const core::LevelAlgorithm<T>& alg, std::uint64_t
             plan = core::plan_pipelined(alg, hw, n, shape.alpha, shape.y,
                                         shape.chunks == 0 ? 4 : shape.chunks,
                                         shape.split_tasks);
-            check_never_worse(plan.est_chosen, plan.est_mono, plan.chunks, rep);
             break;
     }
-    SchedulePlan priced = core::price_plan(plan, alg, hw);
-    priced.executor = rep.executor;
-    check_plan(priced, hw, rep);
-    return rep;
+    return verify_plan(alg, plan, hw);
 }
 
 /// Downgrade certificate for an irregular (data-dependent) run: the task

@@ -257,7 +257,9 @@ public:
     void run_task(std::span<int> data, std::uint64_t count, std::uint64_t j,
                   sim::OpCounter& ops) const override {
         const std::uint64_t sz = data.size() / count;
-        data[0] = data[0] * 2 + data[j * sz];
+        // Unsigned arithmetic: the fold wraps around instead of overflowing.
+        data[0] = static_cast<int>(static_cast<unsigned>(data[0]) * 2u +
+                                   static_cast<unsigned>(data[j * sz]));
         ops.charge_compute(2);
         ops.charge_mem(3, sim::Pattern::kStrided);
         ops.log_read(0, 1);
@@ -309,7 +311,9 @@ public:
     void run_task(std::span<int> data, std::uint64_t count, std::uint64_t j,
                   sim::OpCounter& ops) const override {
         const std::uint64_t sz = data.size() / count;
-        data[0] = data[0] * 31 + static_cast<int>(j);
+        // Unsigned arithmetic: the fold wraps around instead of overflowing.
+        data[0] = static_cast<int>(static_cast<unsigned>(data[0]) * 31u +
+                                   static_cast<unsigned>(j));
         ops.charge_compute(2);
         ops.charge_mem(3, sim::Pattern::kStrided);
         ops.log_read(j * sz, 1);   // declared: own slice only — a lie

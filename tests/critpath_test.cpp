@@ -281,32 +281,6 @@ TEST(WhatIf, PredictionsWithinTenPercentOfPerturbedRerunsLg24) {
     expect_whatif_accurate(1ull << 24, 10);
 }
 
-TEST(WhatIf, ModelPathFactorOneMatchesBaselineAndRanks) {
-    algos::MergesortCoalesced<std::int32_t> alg;
-    const sim::HpuParams hw = platforms::hpu1();
-    obs::ModelPoint mp;
-    mp.kind = obs::ScheduleKind::kAdvanced;
-    mp.rec = alg.recurrence();
-    mp.n = static_cast<double>(1ull << 20);
-    mp.alpha = 0.25;
-    mp.y = 8.0;
-
-    const sim::Ticks baseline = obs::price_model(hw, mp);
-    ASSERT_GT(baseline, 0.0);
-    const obs::WhatIfReport w = obs::what_if_model(hw, mp);
-    ASSERT_TRUE(w.attempted);
-    EXPECT_EQ(w.baseline, baseline);
-    for (const obs::WhatIfCurve& c : w.curves) {
-        for (const obs::WhatIfPoint& p : c.points) {
-            if (p.factor == 1.0) {
-                EXPECT_EQ(p.predicted, baseline) << obs::to_string(c.param);
-            }
-        }
-    }
-    ASSERT_NE(w.top(), nullptr);
-    EXPECT_GE(w.top()->gain, 1.0);
-}
-
 // ------------------------------------------------- decorations round-trip
 
 TEST(CritPathIo, AnnotationsRoundTripBitFaithfully) {

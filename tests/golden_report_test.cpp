@@ -1,7 +1,7 @@
 // Golden pin of the executors' observable output: for every regular and
 // irregular algorithm, every executor (the split schedulers at two
 // transfer levels), both modes (functional, analytic)
-// and five platforms (the paper's two and three with odd parameters), the
+// and six platforms (the paper's two and four with odd parameters), the
 // full ExecReport (floating-point fields as
 // hexfloats), the verify/analysis/observation summaries, a hash of the
 // output array, and a hash of the complete span tree (kind, unit, label,
@@ -191,9 +191,23 @@ std::vector<Case> cases() {
 /// ODD-LLC adds LLC contention, which makes every CPU tick fractional too;
 /// it runs in analytic mode only (a functional split run prices its CPU
 /// slice's contention from the whole input since that was fixed, and the
-/// pin predates the fix).
+/// pin predates the fix). WEAK-HOST pairs one core with a fast, cheaply
+/// linked device, so the irregular algorithms' narrow levels still favor
+/// the device and their split schedulers run device parts.
 sim::HpuParams platform_params(const std::string& name) {
     if (name == "HPU1" || name == "HPU2") return platforms::by_name(name).params;
+    if (name == "WEAK-HOST") {
+        sim::HpuParams hw = platforms::hpu1();
+        hw.name = name;
+        hw.cpu.p = 1;
+        hw.gpu.g = 64;
+        hw.gpu.gamma = 0.5;
+        hw.gpu.strided_penalty = 2.0;
+        hw.gpu.launch_overhead = 0.0;
+        hw.link.lambda = 5.0;
+        hw.link.delta = 0.01;
+        return hw;
+    }
     sim::HpuParams hw = platforms::hpu2();
     hw.name = name;
     hw.cpu.p = 3;
@@ -212,7 +226,8 @@ sim::HpuParams platform_params(const std::string& name) {
 TEST(GoldenReports, EveryExecutorReportAndSpanTreeIsPinned) {
     std::ostringstream compact, full;
     for (const Case& c : cases()) {
-        for (const std::string platform : {"HPU1", "HPU2", "ODD", "ODD-SLOW", "ODD-LLC"}) {
+        for (const std::string platform : {"HPU1", "HPU2", "ODD", "ODD-SLOW", "ODD-LLC",
+                                              "WEAK-HOST"}) {
             const bool paper = platform.starts_with("HPU");
             for (const bool functional : {true, false}) {
                 if (functional && platform == "ODD-LLC") continue;

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <complex>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "algos/binary_reduce.hpp"
+#include "algos/fft.hpp"
 #include "algos/mergesort.hpp"
 #include "core/hybrid.hpp"
 #include "model/advanced.hpp"
@@ -82,6 +85,33 @@ TEST(BasicHybrid, WeakGpuFallsBackToCpu) {
     EXPECT_EQ(data, expect);
     EXPECT_EQ(rep.levels_gpu, 0u);
     EXPECT_DOUBLE_EQ(rep.transfer, 0.0);
+}
+
+TEST(BasicHybrid, FallbackRunsTheHostPrePassOnce) {
+    // Three cores and a weak device (γ·g < p): the basic hybrid falls back
+    // to the multicore executor, which must see the input untouched — the
+    // FFT's bit-reversal pre-pass applied twice is the identity again.
+    sim::HpuParams hw = platforms::hpu2();
+    hw.cpu.p = 3;
+    hw.gpu.g = 90;
+    hw.gpu.gamma = 1.0 / 37.0;
+    hw.gpu.launch_overhead = 0.7;
+    hw.link.lambda = 1234.567;
+    hw.link.delta = 0.731;
+    ASSERT_LT(hw.gpu_power(), 3.0);
+    sim::Hpu h(hw);
+    algos::DcFft alg;
+    std::vector<std::complex<double>> wave(1024);
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+        wave[i] = {static_cast<double>(i % 97) - 48.0, static_cast<double>(i * 7 % 31) - 15.0};
+    }
+    auto basic = wave;
+    auto multicore = wave;
+    const auto rb = run_basic_hybrid(h, alg, std::span(basic));
+    const auto rm = run_multicore(h.cpu(), alg, std::span(multicore));
+    EXPECT_EQ(rb.levels_gpu, 0u);
+    EXPECT_EQ(rb.total, rm.total);
+    EXPECT_TRUE(basic == multicore) << "fallback output differs from the multicore run";
 }
 
 class AdvancedHybridGrid

@@ -48,16 +48,11 @@ TEST(TaskList, DegenerateShapes) {
     EXPECT_DOUBLE_EQ(tl.imbalance(), 1.0);  // perfectly regular
 }
 
-TEST(LevelAlgorithm, DefaultTaskListIsTheRegularShape) {
-    algos::MergesortPlain<std::int32_t> alg;
-    const TaskList tl = alg.level_task_list(16, 2);
-    ASSERT_EQ(tl.width(), 4u);  // a^2
-    for (std::uint64_t j = 0; j < 4; ++j) {
-        EXPECT_EQ(tl.tasks[j].begin, j * 4);
-        EXPECT_EQ(tl.tasks[j].end, (j + 1) * 4);
-    }
-    EXPECT_FALSE(alg.irregular());
-    EXPECT_EQ(alg.as_irregular(), nullptr);
+TEST(LevelAlgorithm, OnlyIrregularAlgorithmsHaveTheDynamicTreeInterface) {
+    algos::MergesortPlain<std::int32_t> regular;
+    EXPECT_EQ(regular.as_irregular(), nullptr);
+    algos::Quickhull hull;
+    EXPECT_EQ(hull.as_irregular(), &hull);
 }
 
 // --------------------------------------------------------- extent overlaps

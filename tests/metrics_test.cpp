@@ -1,6 +1,6 @@
-// hpu::metrics: histogram primitives, the named-instrument registry, the
-// Prometheus / JSON exporters, ThreadPool telemetry, the dual-clock
-// ProfileReport — and the zero-perturbation invariant: turning
+// hpu::metrics: histogram primitives, the Prometheus / JSON exporters,
+// ThreadPool telemetry, the dual-clock ProfileReport — and the
+// zero-perturbation invariant: turning
 // ExecOptions::profile on must leave the virtual side of every executor
 // (ExecReport, span tree virtual fields, outputs) byte-identical, pooled
 // or inline.
@@ -113,51 +113,20 @@ TEST(Log2Histogram, QuantileEdgeCases) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry.
-
-TEST(Registry, GetOrRegisterReturnsStableInstruments) {
-    metrics::Registry reg;
-    metrics::Counter& c1 = reg.counter("hpu_test_total", "help one");
-    c1.inc(3);
-    metrics::Counter& c2 = reg.counter("hpu_test_total", "help two (ignored)");
-    EXPECT_EQ(&c1, &c2);
-    reg.gauge("hpu_test_gauge").set(2.5);
-    reg.histogram("hpu_test_hist").record(9);
-
-    const metrics::RegistrySnapshot s = reg.snapshot();
-    ASSERT_EQ(s.counters.size(), 1u);
-    EXPECT_EQ(s.counters[0].name, "hpu_test_total");
-    EXPECT_EQ(s.counters[0].help, "help one");
-    EXPECT_EQ(s.counters[0].value, 3u);
-    ASSERT_EQ(s.gauges.size(), 1u);
-    EXPECT_DOUBLE_EQ(s.gauges[0].value, 2.5);
-    ASSERT_EQ(s.histograms.size(), 1u);
-    EXPECT_EQ(s.histograms[0].hist.count, 1u);
-}
-
-TEST(Registry, RejectsInvalidMetricNames) {
-    metrics::Registry reg;
-    EXPECT_THROW(reg.counter(""), util::HpuError);
-    EXPECT_THROW(reg.counter("1leading_digit"), util::HpuError);
-    EXPECT_THROW(reg.counter("has-dash"), util::HpuError);
-    EXPECT_THROW(reg.counter("has space"), util::HpuError);
-    EXPECT_NO_THROW(reg.counter("_ok_Name_2"));
-}
-
-// ---------------------------------------------------------------------------
 // Exporters.
 
 TEST(Exporters, PrometheusTextFormatIsWellFormed) {
-    metrics::Registry reg;
-    reg.counter("hpu_events_total", "events seen").inc(7);
-    reg.gauge("hpu_ratio", "a ratio").set(0.5);
-    metrics::Histogram& h = reg.histogram("hpu_latency_ns", "latencies");
+    util::Log2Histogram h;
     h.record(0);
     h.record(3);
     h.record(100);
+    metrics::RegistrySnapshot snap;
+    snap.counters.push_back({"hpu_events_total", "events seen", 7});
+    snap.gauges.push_back({"hpu_ratio", "a ratio", 0.5});
+    snap.histograms.push_back({"hpu_latency_ns", "latencies", h.snapshot()});
 
     std::ostringstream os;
-    metrics::export_prometheus(reg.snapshot(), os);
+    metrics::export_prometheus(snap, os);
     const std::string text = os.str();
 
     EXPECT_NE(text.find("# TYPE hpu_events_total counter"), std::string::npos);
@@ -176,12 +145,14 @@ TEST(Exporters, PrometheusTextFormatIsWellFormed) {
 }
 
 TEST(Exporters, JsonSnapshotIsBalanced) {
-    metrics::Registry reg;
-    reg.counter("hpu_a_total").inc();
-    reg.gauge("hpu_b").set(1.25);
-    reg.histogram("hpu_c").record(5);
+    util::Log2Histogram h;
+    h.record(5);
+    metrics::RegistrySnapshot snap;
+    snap.counters.push_back({"hpu_a_total", "", 1});
+    snap.gauges.push_back({"hpu_b", "", 1.25});
+    snap.histograms.push_back({"hpu_c", "", h.snapshot()});
     std::ostringstream os;
-    metrics::export_json(reg.snapshot(), os);
+    metrics::export_json(snap, os);
     const std::string json = os.str();
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));

@@ -410,8 +410,8 @@ TEST(PoolDeterminism, CpuLevelKeepsCategorySplit) {
             for (sim::CpuUnit* cpu : {&serial, &pooled}) {
                 SCOPED_TRACE(cpu == &serial ? "inline" : "pooled");
                 pool.reset_telemetry();
-                const sim::LevelResult r = cpu->run_level(
-                    shape.tasks, task, 0, util::ListOrder::kArrival, shape.tasks_use_pool);
+                const sim::LevelResult r =
+                    cpu->run_level(shape.tasks, task, 0, shape.tasks_use_pool);
                 EXPECT_LE(pool.telemetry().batches, 1u);
 
                 EXPECT_EQ(r.time, want_time);

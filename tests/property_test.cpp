@@ -331,8 +331,15 @@ void run_irregular_instance(const IrregularInstance<T>& in, bool functional) {
             p.exec = o;
             return run_pipelined_hybrid(h, *in.alg, d, 0.5, 1, p);
         });
-    EXPECT_GE(rp.chunks, 1u);
-    EXPECT_LE(rp.chunks, in.chunks);
+    // A dynamic tree's pipelined run is the advanced per-level schedule.
+    EXPECT_EQ(rp.chunks, 1u);
+    EXPECT_EQ(rp.total, ra.total) << "pipelined vs advanced";
+    EXPECT_EQ(rp.cpu_busy, ra.cpu_busy) << "pipelined vs advanced";
+    EXPECT_EQ(rp.gpu_busy, ra.gpu_busy) << "pipelined vs advanced";
+    EXPECT_EQ(rp.transfer, ra.transfer) << "pipelined vs advanced";
+    EXPECT_EQ(rp.levels_cpu, ra.levels_cpu) << "pipelined vs advanced";
+    EXPECT_EQ(rp.levels_gpu, ra.levels_gpu) << "pipelined vs advanced";
+    EXPECT_EQ(rp.alpha_effective, ra.alpha_effective) << "pipelined vs advanced";
 }
 
 sim::HpuParams random_irregular_hw(std::mt19937_64& rng) {
