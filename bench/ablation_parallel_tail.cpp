@@ -1,10 +1,9 @@
 // §7 future-work ablation: "the recursive schedule could be stopped at a
 // certain level of the tree, after which parallel versions of the gpu
-// kernels could be executed". Sweeps the switch level of the GPU-resident
-// parallel-tail mergesort and compares against the generic-only and
-// all-parallel extremes and the advanced hybrid.
-#include "algos/parallel_tail.hpp"
-
+// kernels could be executed". Sweeps run_gpu's element-wise switch on the
+// coalesced mergesort: per-task kernels climb levels L-1..switch, Fig. 9's
+// element-wise merge runs the remaining levels switch-1..0. The run's span
+// tree splits its device time between the two.
 #include "common.hpp"
 
 int main(int argc, char** argv) {
@@ -24,14 +23,24 @@ int main(int argc, char** argv) {
     util::Table t({"switch level", "t(deep kernels)", "t(parallel tail)", "t(total)",
                    "speedup vs 1-core"},
                   3);
+    algos::MergesortCoalesced<std::int32_t> alg;
+    const std::string tail_label = core::phase_label(alg.name(), "gpu-elementwise");
     std::vector<std::int32_t> dummy(n);
     for (std::uint64_t sw : {L, std::uint64_t{16}, std::uint64_t{14}, std::uint64_t{12},
                              std::uint64_t{10}, std::uint64_t{6}, std::uint64_t{0}}) {
         if (sw > L) continue;
         sim::Hpu h(spec.params);
-        const auto rep = algos::mergesort_gpu_parallel_tail(h, std::span(dummy), sw, opts);
-        t.add_row({static_cast<std::int64_t>(sw), rep.deep_kernels, rep.tail_kernels,
-                   rep.total, seq / rep.total});
+        trace::TraceSession session;
+        core::ExecOptions o = opts;
+        o.trace = &session;
+        const core::ExecReport rep =
+            core::run_gpu(h, alg, std::span(dummy), o, /*include_transfers=*/true, sw);
+        sim::Ticks tail = 0.0;
+        for (const trace::Span& s : session.spans()) {
+            if (trace::canonical_label(s.label) == tail_label) tail += s.duration();
+        }
+        t.add_row({static_cast<std::int64_t>(sw), rep.gpu_busy - tail, tail, rep.total,
+                   seq / rep.total});
     }
     bench::emit(t, cli);
     std::cout << "\n(switch=0 is the all-generic run_gpu schedule; switch=L is Fig. 9's\n"

@@ -8,11 +8,11 @@
 #include <iostream>
 
 #include "algos/mergesort.hpp"
-#include "algos/parallel_merge.hpp"
 #include "core/hybrid.hpp"
 #include "model/advanced.hpp"
 #include "platforms/platforms.hpp"
 #include "util/cli.hpp"
+#include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -66,7 +66,8 @@ int main(int argc, char** argv) {
         return core::run_advanced_hybrid(h, coal, d, alpha, y).total;
     });
     run("gpu parallel merge (Fig. 9)", [&](sim::Hpu& h, std::span<std::int32_t> d) {
-        return algos::mergesort_gpu_parallel(h, d).total();
+        // Every level element-wise: one work-item per element.
+        return core::run_gpu(h, plain, d, {}, true, util::ilog2(n)).total;
     });
     t.print(std::cout);
     std::cout << "\nModel prediction for the advanced hybrid: " << opt.speedup << "x\n";

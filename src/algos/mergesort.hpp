@@ -13,13 +13,20 @@
 // the data buffer and a scratch buffer; a final un-interleave restores
 // row-major order before the array returns to the CPU — the optimization is
 // transparent to the CPU side, exactly as in the paper.
+//
+// Both share an element-wise form of a level, Fig. 9's binary-search merge
+// with one work-item per element, which run_gpu uses for the levels below
+// its element-wise switch (Fig. 9, and §7's parallel tail).
 #pragma once
 
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/level_algorithm.hpp"
 #include "util/check.hpp"
+#include "util/math.hpp"
 
 namespace hpu::algos {
 
@@ -51,6 +58,42 @@ public:
         // CPU ops per element: 1 compute + 2.5 mem = 3.5. On the device
         // the words pay the strided penalty.
         return (1.0 + 2.5 * dev.strided_penalty) / 3.5;
+    }
+
+    std::optional<sim::OpCounter> elementwise_item_ops(std::uint64_t task_size) const override {
+        // Fig. 9's binary-search merge: an item reads its element, probes
+        // the sibling run of r = task_size/2 elements log r + 1 times
+        // (charged as compute: the probes hit cached segments), and writes
+        // the element to its rank — adjacent items, adjacent words.
+        sim::OpCounter ops;
+        ops.charge_compute(1 + util::ilog2(task_size / 2) + 1);
+        ops.charge_mem(2, sim::Pattern::kCoalesced);
+        return ops;
+    }
+
+    void run_elementwise_level(std::span<T> data, std::uint64_t count) const override {
+        // An item lands at its rank in its own run plus its lower_bound
+        // (left run) or upper_bound (right run) in the sibling — exactly
+        // where the stable merge of the pair puts it. So the level is one
+        // merge per pair, staged through scratch: across pairs on a wide
+        // level, within each merge on a narrow one, serial without a
+        // Merge Path binding.
+        const std::uint64_t sz = data.size() / count;
+        HPU_CHECK(scratch_.size() >= data.size(), "prepare() was not called");
+        util::ThreadPool* pool = exec_.pool;
+        auto merge_pair = [&](std::uint64_t j, std::size_t parts) {
+            T* staged = scratch_.data() + j * sz;
+            std::copy_n(data.data() + j * sz, sz, staged);
+            util::merge_segments(pool, staged, sz / 2, staged + sz / 2, sz / 2,
+                                 data.data() + j * sz, std::less<T>{}, parts);
+        };
+        if (exec_.parallel_ok() && count > pool->worker_count()) {
+            pool->parallel_for(count, [&](std::size_t j) { merge_pair(j, 1); });
+        } else {
+            for (std::uint64_t j = 0; j < count; ++j) {
+                merge_pair(j, util::merge_parts(sz, pool));
+            }
+        }
     }
 
     std::optional<verify::TaskFootprint> footprint(

@@ -146,16 +146,19 @@ ExecReport run_multicore(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::s
 
 /// GPU-only breadth-first execution (§4.2): ship the array, run every level
 /// as a kernel, ship it back. `include_transfers` toggles the two link
-/// events (Fig. 9 reports both variants).
+/// events. Levels elementwise-1..0 run element-wise (plan_gpu): 0 keeps
+/// one work-item per task throughout, L or more is the Fig. 9 mergesort.
 template <typename T>
 ExecReport run_gpu(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std::span<T> data,
-                   const ExecOptions& opts = {}, bool include_transfers = true) {
+                   const ExecOptions& opts = {}, bool include_transfers = true,
+                   std::uint64_t elementwise = 0) {
     if (const auto* irr = alg.as_irregular()) {
+        HPU_CHECK(elementwise == 0, alg.name() + " has no element-wise form");
         return run_irregular(hpu.cpu(), &hpu.gpu(), hpu.params(), *irr, data,
                              IrregularMode::kGpu, opts, include_transfers, "gpu");
     }
-    return detail::run_plan(plan_gpu(alg, data.size(), include_transfers), hpu.cpu(),
-                            &hpu.gpu(), hpu.params(), alg, data, opts);
+    return detail::run_plan(plan_gpu(alg, data.size(), include_transfers, elementwise),
+                            hpu.cpu(), &hpu.gpu(), hpu.params(), alg, data, opts);
 }
 
 }  // namespace hpu::core

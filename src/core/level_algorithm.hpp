@@ -136,6 +136,22 @@ public:
         return {};
     }
 
+    /// Element-wise form of a level (DESIGN.md §3.1), run as one device
+    /// work-item per element instead of one per task: the closed-form
+    /// charge of each item of a level whose tasks span `task_size`
+    /// elements. std::nullopt (the default) = no element-wise form.
+    virtual std::optional<sim::OpCounter> elementwise_item_ops(
+        std::uint64_t /*task_size*/) const {
+        return std::nullopt;
+    }
+
+    /// The data movement of one element-wise level of `count` tasks over
+    /// row-major `data`, done host-side: it must leave exactly the bytes
+    /// the per-item kernel would.
+    virtual void run_elementwise_level(std::span<T> /*data*/, std::uint64_t /*count*/) const {
+        HPU_CHECK(false, name() + " has no element-wise form");
+    }
+
     /// Memory pattern of run_task's charges when executed as one work-item
     /// among many on the device. Plain algorithms walk their slice
     /// sequentially — strided across the wave; §6.3-optimized variants

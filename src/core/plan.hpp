@@ -8,7 +8,8 @@
 // post-join finish lane — and four producers build one per scheduler shape:
 //
 //   plan_cpu        sequential / multicore: one CPU climb over the tree
-//   plan_gpu        device only, bracketed by the two bulk transfers
+//   plan_gpu        device only, bracketed by the two bulk transfers; its
+//                   top levels may run element-wise (Fig. 9, §7)
 //   plan_basic      §5.1: the device climbs to the crossover i*, the CPU
 //                   finishes the top (falls back to plan_cpu)
 //   plan_pipelined  §5.2 split at α, the device slice shipped in K chunks
@@ -66,6 +67,10 @@ struct Climb {
     bool merge = false;
     /// Device, analytic mode: charge the algorithm's hook estimate first.
     bool priced_hooks = false;
+    /// Device: levels elementwise-1..to run element-wise, one work-item
+    /// per element instead of one per task (0 = none). The hooks belong to
+    /// the per-task levels; a climb without one runs none.
+    std::uint64_t elementwise = 0;
 };
 
 /// A regular run of one executor.
@@ -319,21 +324,25 @@ struct Walker {
         return end;
     }
 
-    /// One device climb: pre-hook, leaves, levels (each followed by its
-    /// hook), post-hook. `count` adds its levels to ExecReport::levels_gpu
-    /// (the chunks after the first repeat the first one's levels).
+    /// One device climb: pre-hook, leaves, per-task levels (each followed
+    /// by its hook), post-hook, then the element-wise levels. `count` adds
+    /// its levels to ExecReport::levels_gpu (the chunks after the first
+    /// repeat the first one's levels).
     void device_climb(const Climb& c, std::span<T> dspan, Cursor& cur, trace::SpanId parent,
                       bool count) {
-        if (opts.functional) {
+        // Per-task levels from-1..cut, element-wise levels cut-1..to.
+        const std::uint64_t cut = std::clamp(c.elementwise, c.to, c.from);
+        const bool hooks = c.elementwise < c.from;
+        if (hooks && opts.functional) {
             hook(c.merge ? "gpu-merge-hook" : "gpu-pre-hook", cur, parent,
                  [&](sim::OpCounter& ops) {
                      alg.before_gpu_levels(dspan, c.words / plan.task_size(c.from - 1), ops);
                  });
-        } else if (c.priced_hooks) {
+        } else if (hooks && c.priced_hooks) {
             priced_hook(c.merge ? "gpu-merge-hook" : "gpu-hooks", c.words, cur, parent);
         }
         if (c.leaves) cur.advance(leaves(trace::Unit::kGpu, c, dspan, cur, parent));
-        for (std::uint64_t i = c.from; i-- > c.to;) {
+        for (std::uint64_t i = c.from; i-- > cut;) {
             const std::uint64_t tasks = c.words / plan.task_size(i);
             if (tasks == 0) continue;
             cur.advance(level(trace::Unit::kGpu, c, dspan, tasks, i, cur, parent));
@@ -344,12 +353,16 @@ struct Walker {
             }
             if (count) ++rep.levels_gpu;
         }
-        if (opts.functional) {
+        if (hooks && opts.functional) {
             hook("gpu-post-hook", cur, parent, [&](sim::OpCounter& ops) {
-                alg.after_gpu_levels(dspan, c.words / plan.task_size(c.to), ops);
+                alg.after_gpu_levels(dspan, c.words / plan.task_size(cut), ops);
             });
-        } else if (c.merge) {
+        } else if (hooks && c.merge) {
             priced_hook("gpu-post-hook", c.words, cur, parent);
+        }
+        for (std::uint64_t i = cut; i-- > c.to;) {
+            cur.advance(elementwise_level(c, dspan, i, cur, parent));
+            if (count) ++rep.levels_gpu;
         }
     }
 
@@ -444,6 +457,33 @@ struct Walker {
             /*seed=*/tasks, launch_label(alg.name(), l.phase, tasks));
         if (finding) val.report->add(std::move(*finding));
         return t;
+    }
+
+    /// Element-wise level `i` of a device climb: one work-item per element,
+    /// each charging the algorithm's closed-form item price. A functional
+    /// run moves the level's data host-side, then launches the charges
+    /// alone, so validation has no item body to race-check or re-execute.
+    sim::Ticks elementwise_level(const Climb& c, std::span<T> region, std::uint64_t i,
+                                 const Cursor& cur, trace::SpanId parent) {
+        const std::uint64_t size = plan.task_size(i);
+        const sim::OpCounter item = alg.elementwise_item_ops(size).value();
+        Launch l;
+        l.unit = trace::Unit::kGpu;
+        l.phase = "gpu-elementwise";
+        l.tasks = c.words;
+        const SpanCtx tc{opts.trace, parent, cur.now(), i, opts.profile};
+        if (!opts.functional) {
+            l.task_ops = item.gpu_ops(dev->params().strided_penalty);
+            l.work = static_cast<double>(c.words) * static_cast<double>(item.cpu_ops());
+            l.ops = static_cast<double>(c.words) * l.task_ops;
+            return priced(l, tc, c.offset, c.words);
+        }
+        const std::uint64_t w0 = tc.wall_start();
+        alg.run_elementwise_level(region, c.words / size);
+        const Launched out =
+            launch(cpu, dev, alg, l, tc, [&](std::uint64_t, sim::OpCounter& ops) { ops += item; });
+        annotate_wall(tc, out.span, w0);  // the host pass is the level's data work
+        return out.time;
     }
 
     /// One functional launch; under validation every task's accesses are
@@ -551,18 +591,26 @@ Plan plan_cpu(const LevelAlgorithm<T>& alg, std::uint64_t n, const char* executo
 }
 
 /// GPU only (§4.2): ship the array, climb every level on the device, ship
-/// it back (`include_transfers` toggles the two link events; Fig. 9
-/// reports both variants).
+/// it back (`include_transfers` toggles the two link events). Levels
+/// elementwise-1..0 run element-wise, clamped to all L: 0 is the per-task
+/// climb, L the Fig. 9 mergesort, and a level between is §7's parallel
+/// tail, which cuts the per-task climb there.
 template <typename T>
-Plan plan_gpu(const LevelAlgorithm<T>& alg, std::uint64_t n, bool include_transfers) {
+Plan plan_gpu(const LevelAlgorithm<T>& alg, std::uint64_t n, bool include_transfers,
+              std::uint64_t elementwise = 0) {
     const std::uint64_t L = detail::level_count(alg, n);
+    const std::uint64_t s = std::min(elementwise, L);
+    HPU_CHECK(s == 0 || alg.elementwise_item_ops(n).has_value(),
+              alg.name() + " has no element-wise form");
     Plan p;
     p.shape = PlanShape::kGpu;
     p.executor = "gpu";
     p.n = n;
     p.a = alg.a();
     p.ship = include_transfers;
-    p.gpu.push_back({0, n, true, L, 0, false, true});
+    // With no per-task level left, the leaf sweep runs only when the
+    // leaves carry real work.
+    p.gpu.push_back({0, n, s < L || alg.has_leaf_work(), L, 0, false, true, s});
     return p;
 }
 

@@ -137,11 +137,4 @@ bool write_prometheus_file(const RegistrySnapshot& snap, const std::string& path
     return static_cast<bool>(f);
 }
 
-bool write_json_file(const RegistrySnapshot& snap, const std::string& path) {
-    std::ofstream f(path);
-    if (!f) return false;
-    export_json(snap, f);
-    return static_cast<bool>(f);
-}
-
 }  // namespace hpu::metrics

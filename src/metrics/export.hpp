@@ -24,6 +24,5 @@ void export_prometheus(const RegistrySnapshot& snap, std::ostream& os);
 void export_json(const RegistrySnapshot& snap, std::ostream& os);
 
 bool write_prometheus_file(const RegistrySnapshot& snap, const std::string& path);
-bool write_json_file(const RegistrySnapshot& snap, const std::string& path);
 
 }  // namespace hpu::metrics

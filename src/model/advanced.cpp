@@ -52,16 +52,6 @@ double AdvancedModel::cpu_parallel_time(double alpha) const {
     return alpha / p * work;
 }
 
-double AdvancedModel::gpu_saturated_time(double alpha) const {
-    HPU_CHECK(alpha >= 0.0 && alpha < 1.0, "alpha must be in [0, 1)");
-    const double g = static_cast<double>(hw_.gpu.g);
-    const double beta = 1.0 - alpha;
-    if (beta * leaves_ < g) return 0.0;  // case (i): never saturated
-    const double isat = std::clamp(util::logb(g / beta, rec_.a), 0.0, levels_);
-    const double work = leaves_ * rec_.leaf_cost + level_sum(isat, /*gpu_times=*/false, alpha);
-    return beta / (hw_.gpu.gamma * g) * work;
-}
-
 double AdvancedModel::gpu_time(double alpha, double y) const {
     HPU_CHECK(alpha >= 0.0 && alpha < 1.0, "alpha must be in [0, 1)");
     return gpu_time_for_share(1.0 - alpha, y);
@@ -127,8 +117,7 @@ AdvancedPrediction AdvancedModel::predict_at(double alpha, double y) const {
     out.gpu_work = gpu_work_at(alpha, y);
     out.gpu_work_share = out.gpu_work / out.seq_time;
     out.finish_time = finish_time(alpha, y);
-    const double words =
-        words_per_transfer_ > 0.0 ? words_per_transfer_ : (1.0 - alpha) * n_;
+    const double words = (1.0 - alpha) * n_;
     out.transfer_time =
         2.0 * hw_.link.transfer_time(static_cast<std::uint64_t>(std::llround(words)));
     out.total_time = out.cpu_parallel_time + out.finish_time + out.transfer_time;

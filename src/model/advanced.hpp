@@ -47,9 +47,6 @@ public:
     /// log_a(p/α) with its α-share, all p cores busy (§5.2.1).
     double cpu_parallel_time(double alpha) const;
 
-    /// T_g^max(α): the longest the GPU can run fully saturated (§5.2.1).
-    double gpu_saturated_time(double alpha) const;
-
     /// T_g(α, y): GPU time from the leaves up to (continuous) level y,
     /// covering all three saturation cases via a per-level max.
     double gpu_time(double alpha, double y) const;
@@ -86,10 +83,6 @@ public:
     /// tasks (§5.2.1 considers α ≥ p/n).
     double alpha_min() const;
 
-    /// Words shipped per transfer (settable; defaults to (1−α)·n at
-    /// predict time when left at 0).
-    void set_words_per_transfer(double words) { words_per_transfer_ = words; }
-
 private:
     /// Work of all levels in [y, levels) with linear interpolation at the
     /// fractional boundary, plus nothing for leaves (handled separately).
@@ -103,7 +96,6 @@ private:
     double n_;
     double levels_;
     double leaves_;
-    double words_per_transfer_ = 0.0;
 };
 
 }  // namespace hpu::model

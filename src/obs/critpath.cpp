@@ -12,28 +12,13 @@
 namespace hpu::obs {
 namespace {
 
+using trace::canonical_label;
+using trace::child_index;
+using trace::is_work;
 using trace::Span;
 using trace::SpanId;
 using trace::SpanKind;
 using trace::TraceSession;
-
-/// Work spans are the schedulable leaves of the precedence DAG. Waves are
-/// excluded (they duplicate their level span on the same clock), run/phase
-/// spans are grouping only.
-bool is_work(const Span& s) noexcept {
-    switch (s.kind) {
-        case SpanKind::kLevel:
-        case SpanKind::kLeaves:
-        case SpanKind::kTransfer:
-        case SpanKind::kHook:
-            return true;
-        case SpanKind::kRun:
-        case SpanKind::kPhase:
-        case SpanKind::kWave:
-            return false;
-    }
-    return false;
-}
 
 CritResource resource_of(const Span& s) noexcept {
     switch (s.kind) {
@@ -42,19 +27,6 @@ CritResource resource_of(const Span& s) noexcept {
         default:
             return s.unit == trace::Unit::kGpu ? CritResource::kGpu : CritResource::kCpu;
     }
-}
-
-/// Same label canonicalization as obs::diff: strip the per-instance
-/// bracket suffix ("xfer-in-chunk[3]" -> "xfer-in-chunk").
-std::string canonical(const std::string& label) {
-    const std::size_t at = label.find('[');
-    return at == std::string::npos ? label : label.substr(0, at);
-}
-
-std::vector<std::vector<SpanId>> child_index(const TraceSession& s) {
-    std::vector<std::vector<SpanId>> ch(s.spans().size() + 1);
-    for (const Span& sp : s.spans()) ch[sp.parent].push_back(sp.id);
-    return ch;
 }
 
 /// All span ids in the subtree under `root`, root excluded.
@@ -347,7 +319,7 @@ CritPathReport extract_critical_path(const trace::TraceSession& session,
             if (a.parent == run_root && a.kind == SpanKind::kPhase) phase = at;
             at = a.parent;
         }
-        const Key key{s.unit, s.attrs.level, canonical(s.label)};
+        const Key key{s.unit, s.attrs.level, canonical_label(s.label)};
         auto [it, inserted] = rows.try_emplace(key);
         LevelSlack& row = it->second;
         if (inserted) {

@@ -11,18 +11,13 @@
 namespace hpu::obs {
 namespace {
 
+using trace::canonical_label;
+using trace::child_index;
 using trace::Span;
 using trace::SpanId;
 using trace::SpanKind;
 using trace::TraceSession;
 using trace::Unit;
-
-/// Label with the "[N tasks]" suffix stripped, so a level keeps matching
-/// its counterpart when only the task count changed.
-std::string canonical(const std::string& label) {
-    const auto bracket = label.find('[');
-    return bracket == std::string::npos ? label : label.substr(0, bracket);
-}
 
 /// Structural alignment key of a sibling group.
 struct Key {
@@ -36,13 +31,6 @@ struct Key {
                std::tie(o.kind, o.unit, o.level, o.label);
     }
 };
-
-/// Direct children of every span, one vector per parent (index 0 = roots).
-std::vector<std::vector<SpanId>> child_index(const TraceSession& s) {
-    std::vector<std::vector<SpanId>> ch(s.spans().size() + 1);
-    for (const Span& sp : s.spans()) ch[sp.parent].push_back(sp.id);
-    return ch;
-}
 
 struct DiffBuilder {
     const TraceSession& base;
@@ -122,7 +110,7 @@ struct DiffBuilder {
         auto add = [&](const TraceSession& s, SpanId id, bool is_base) {
             const Span& sp = s.span(id);
             if (sp.kind == SpanKind::kWave && !opts.include_waves) return;
-            Key k{sp.kind, sp.unit, sp.attrs.level, canonical(sp.label)};
+            Key k{sp.kind, sp.unit, sp.attrs.level, canonical_label(sp.label)};
             auto [it, fresh] = groups.try_emplace(std::move(k));
             if (fresh) order.push_back(&it->first);
             (is_base ? it->second.first : it->second.second).push_back(id);
@@ -183,7 +171,7 @@ struct DiffBuilder {
             out.cand_wall_total += cr.wall_ns;
             // Roots pair positionally: a basic-vs-advanced diff aligns run
             // 1 with run 1 even though the labels differ.
-            const std::string cb = canonical(br.label), cc = canonical(cr.label);
+            const std::string cb = canonical_label(br.label), cc = canonical_label(cr.label);
             DiffEntry e;
             e.label = cb == cc ? cb : cb + "→" + cc;
             e.path = e.label;
@@ -216,14 +204,14 @@ struct DiffBuilder {
             const Span& br = base.span(base_roots[i]);
             out.base_total += br.duration();
             out.base_wall_total += br.wall_ns;
-            Key k{br.kind, br.unit, br.attrs.level, canonical(br.label)};
+            Key k{br.kind, br.unit, br.attrs.level, canonical_label(br.label)};
             emit_structural(base, {base_roots[i]}, k, k.label, 0, DiffSide::kBaseOnly);
         }
         for (std::size_t i = paired; i < cand_roots.size(); ++i) {
             const Span& cr = cand.span(cand_roots[i]);
             out.cand_total += cr.duration();
             out.cand_wall_total += cr.wall_ns;
-            Key k{cr.kind, cr.unit, cr.attrs.level, canonical(cr.label)};
+            Key k{cr.kind, cr.unit, cr.attrs.level, canonical_label(cr.label)};
             emit_structural(cand, {cand_roots[i]}, k, k.label, 0, DiffSide::kCandOnly);
         }
         return std::move(out);

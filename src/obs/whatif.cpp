@@ -11,6 +11,8 @@
 namespace hpu::obs {
 namespace {
 
+using trace::child_index;
+using trace::is_work;
 using trace::Span;
 using trace::SpanId;
 using trace::SpanKind;
@@ -27,21 +29,6 @@ bool priced_equal(const sim::HpuParams& a, const sim::HpuParams& b) noexcept {
     return a.cpu.p == b.cpu.p && a.gpu.g == b.gpu.g && a.gpu.gamma == b.gpu.gamma &&
            a.link.lambda == b.link.lambda && a.link.delta == b.link.delta &&
            a.gpu.launch_overhead == b.gpu.launch_overhead;
-}
-
-bool is_work(const Span& s) noexcept {
-    switch (s.kind) {
-        case SpanKind::kLevel:
-        case SpanKind::kLeaves:
-        case SpanKind::kTransfer:
-        case SpanKind::kHook:
-            return true;
-        case SpanKind::kRun:
-        case SpanKind::kPhase:
-        case SpanKind::kWave:
-            return false;
-    }
-    return false;
 }
 
 /// duration(perturbed) / duration(configured) for one work span, through
@@ -143,12 +130,6 @@ struct Repricer {
         return max_new_end + tail;
     }
 };
-
-std::vector<std::vector<SpanId>> child_index(const TraceSession& s) {
-    std::vector<std::vector<SpanId>> ch(s.spans().size() + 1);
-    for (const Span& sp : s.spans()) ch[sp.parent].push_back(sp.id);
-    return ch;
-}
 
 SpanId resolve_root(const TraceSession& session, SpanId run_root) {
     if (session.spans().empty()) return trace::kNoSpan;

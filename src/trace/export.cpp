@@ -181,11 +181,4 @@ bool write_chrome_file(const TraceSession& session, const std::string& path,
     return static_cast<bool>(f);
 }
 
-bool write_csv_file(const TraceSession& session, const std::string& path) {
-    std::ofstream f(path);
-    if (!f) return false;
-    export_csv(session, f);
-    return static_cast<bool>(f);
-}
-
 }  // namespace hpu::trace

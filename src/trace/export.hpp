@@ -57,7 +57,4 @@ bool write_chrome_file(const TraceSession& session, const std::string& path);
 bool write_chrome_file(const TraceSession& session, const std::string& path,
                        const ChromeExtras& extras);
 
-/// Convenience: export_csv into a file.
-bool write_csv_file(const TraceSession& session, const std::string& path);
-
 }  // namespace hpu::trace

@@ -104,4 +104,15 @@ std::vector<SpanId> TraceSession::children(SpanId id) const {
     return out;
 }
 
+std::string canonical_label(const std::string& label) {
+    const std::size_t at = label.find('[');
+    return at == std::string::npos ? label : label.substr(0, at);
+}
+
+std::vector<std::vector<SpanId>> child_index(const TraceSession& session) {
+    std::vector<std::vector<SpanId>> ch(session.spans().size() + 1);
+    for (const Span& s : session.spans()) ch[s.parent].push_back(s.id);
+    return ch;
+}
+
 }  // namespace hpu::trace

@@ -141,4 +141,21 @@ private:
     std::vector<Span> spans_;
 };
 
+/// Work spans occupy a unit for their duration: levels, leaf sweeps, hooks
+/// and transfers. Run and phase spans group them; a wave span repeats part
+/// of its level span on the same clock.
+inline bool is_work(const Span& s) noexcept {
+    return s.kind == SpanKind::kLevel || s.kind == SpanKind::kLeaves ||
+           s.kind == SpanKind::kHook || s.kind == SpanKind::kTransfer;
+}
+
+/// `label` without its per-instance bracket suffix ("xfer-in-chunk[3]" ->
+/// "xfer-in-chunk"), so a span keeps matching its counterpart in another
+/// run when only a task count or chunk index changed.
+std::string canonical_label(const std::string& label);
+
+/// Direct children of every span of `session`, one list per parent id
+/// (index 0 = the roots), in recording order.
+std::vector<std::vector<SpanId>> child_index(const TraceSession& session);
+
 }  // namespace hpu::trace

@@ -10,17 +10,6 @@
 #include "util/table.hpp"
 
 namespace hpu::trace {
-namespace {
-
-/// Work spans are the ones that occupy a unit for their duration: levels,
-/// leaf sweeps, hooks, and transfers. Run/phase spans group them; wave
-/// spans are contained in their level span.
-bool is_work_span(const Span& s) noexcept {
-    return s.kind == SpanKind::kLevel || s.kind == SpanKind::kLeaves ||
-           s.kind == SpanKind::kHook || s.kind == SpanKind::kTransfer;
-}
-
-}  // namespace
 
 UtilizationReport derive_utilization(const TraceSession& session, const sim::HpuParams& hw,
                                      const model::Recurrence& rec,
@@ -54,7 +43,7 @@ UtilizationReport derive_utilization(const TraceSession& session, const sim::Hpu
                               static_cast<double>(hw.gpu.g);
             continue;
         }
-        if (!is_work_span(s)) continue;
+        if (!is_work(s)) continue;
         UnitUtilization* u = nullptr;
         switch (s.unit) {
             case Unit::kCpu: u = &cpu; break;

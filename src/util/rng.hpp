@@ -34,14 +34,6 @@ public:
         return v;
     }
 
-    /// Vector of n doubles uniform in [lo, hi).
-    std::vector<double> real_vector(std::size_t n, double lo, double hi) {
-        std::vector<double> v(n);
-        std::uniform_real_distribution<double> d(lo, hi);
-        for (auto& x : v) x = d(eng_);
-        return v;
-    }
-
     std::mt19937_64& engine() noexcept { return eng_; }
 
 private:

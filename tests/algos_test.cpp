@@ -1,6 +1,7 @@
 // Algorithm-level tests: the mergesort variants' charge accounting, the
-// §6.3 coalescing win, the parallel-merge GPU sort (Fig. 9 comparator),
-// and property sweeps of every sorting path against std::sort.
+// §6.3 coalescing win, the parallel-merge GPU sort (Fig. 9 comparator:
+// run_gpu with every level element-wise), and property sweeps of every
+// sorting path against std::sort.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -9,7 +10,6 @@
 #include "algos/closest_pair.hpp"
 #include "algos/karatsuba.hpp"
 #include "algos/mergesort.hpp"
-#include "algos/parallel_merge.hpp"
 #include "algos/quickhull.hpp"
 #include "core/hybrid.hpp"
 #include "platforms/platforms.hpp"
@@ -117,7 +117,7 @@ TEST_P(SortEquivalence, EveryPathSortsEveryInput) {
     EXPECT_EQ(d, expect) << "advanced";
 
     d = base;
-    mergesort_gpu_parallel(h, std::span(d));
+    core::run_gpu(h, plain, std::span(d), {}, true, static_cast<std::uint64_t>(lg));
     EXPECT_EQ(d, expect) << "parallel-gpu";
 }
 
@@ -158,42 +158,45 @@ TEST(SortEquivalence, AlreadySortedAndReversed) {
 
 TEST(ParallelGpu, TimesScaleWithLogSquared) {
     sim::Hpu h(platforms::hpu1());
+    MergesortPlain<std::int32_t> plain;
     core::ExecOptions an;
     an.functional = false;
-    std::vector<std::int32_t> dummy;
     std::vector<std::int32_t> d1(1 << 10), d2(1 << 20);
-    const auto s = mergesort_gpu_parallel(h, std::span(d1), an);
-    const auto l = mergesort_gpu_parallel(h, std::span(d2), an);
-    EXPECT_GT(l.sort_time, s.sort_time);
+    const auto s = core::run_gpu(h, plain, std::span(d1), an, true, 10);
+    const auto l = core::run_gpu(h, plain, std::span(d2), an, true, 20);
+    EXPECT_GT(l.gpu_busy, s.gpu_busy);
     // Large inputs saturate the device: time per element per level stops
     // shrinking once n >> g.
-    EXPECT_GT(l.sort_time / s.sort_time, 100.0);
+    EXPECT_GT(l.gpu_busy / s.gpu_busy, 100.0);
 }
 
 TEST(ParallelGpu, TransferShareShrinksRelativeCost) {
     sim::Hpu h(platforms::hpu1());
+    MergesortPlain<std::int32_t> plain;
     core::ExecOptions an;
     an.functional = false;
     std::vector<std::int32_t> d(1 << 20);
-    const auto r = mergesort_gpu_parallel(h, std::span(d), an);
+    const auto r = core::run_gpu(h, plain, std::span(d), an, true, 20);
     // Fig. 9: transfers shave the speedup but don't dominate at large n.
-    EXPECT_LT(r.transfer_time, r.sort_time);
-    EXPECT_GT(r.transfer_time, 0.0);
+    EXPECT_LT(r.transfer, r.gpu_busy);
+    EXPECT_GT(r.transfer, 0.0);
 }
 
 TEST(ParallelGpu, RejectsNonPowerOfTwo) {
     sim::Hpu h(platforms::hpu1());
+    MergesortPlain<std::int32_t> plain;
     std::vector<std::int32_t> odd(1000);
-    EXPECT_THROW(mergesort_gpu_parallel(h, std::span(odd)), util::HpuError);
+    EXPECT_THROW(core::run_gpu(h, plain, std::span(odd), {}, true, 10), util::HpuError);
 }
 
 TEST(ParallelGpu, StableForDuplicates) {
     sim::Hpu h(platforms::hpu1());
+    MergesortPlain<std::int32_t> plain;
     auto d = random_input(1 << 12, 3);
     for (auto& x : d) x &= 0xF;  // heavy duplication
     auto expect = d;
     std::sort(expect.begin(), expect.end());
-    mergesort_gpu_parallel(h, std::span(d));
+    core::run_gpu(h, plain, std::span(d), {}, true, 12);
     EXPECT_EQ(d, expect);
 }
 

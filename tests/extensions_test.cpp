@@ -1,14 +1,14 @@
 // Tests for the §7 future-work extensions and the extra workloads: blocked
 // mergesort (sequential base cases), FFT as a LevelAlgorithm (bit-reversal
-// pre-pass + butterfly levels), the parallel-tail GPU schedule, and the
-// Karatsuba / Strassen generic algorithms.
+// pre-pass + butterfly levels), the parallel-tail GPU schedule (run_gpu's
+// element-wise switch), and the Karatsuba / Strassen generic algorithms.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "algos/fft.hpp"
+#include "algos/mergesort.hpp"
 #include "algos/mergesort_blocked.hpp"
-#include "algos/parallel_tail.hpp"
 #include "algos/dc_problems.hpp"
 #include "core/generic.hpp"
 #include "core/hybrid.hpp"
@@ -188,33 +188,28 @@ TEST_P(ParallelTail, SortsAtEverySwitchLevel) {
     auto expect = d;
     std::sort(expect.begin(), expect.end());
     sim::Hpu h(platforms::hpu1());
-    const auto rep = mergesort_gpu_parallel_tail(h, std::span(d), sw);
+    MergesortCoalesced<std::int32_t> alg;
+    const auto rep = core::run_gpu(h, alg, std::span(d), {}, true, sw);
     EXPECT_EQ(d, expect) << "switch=" << sw;
     EXPECT_GT(rep.total, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(SwitchLevels, ParallelTail, ::testing::Values(0, 1, 3, 5, 8, 10));
 
-TEST(ParallelTail, AutoSwitchPicksLogG) {
-    sim::Hpu h(platforms::hpu1());  // g = 4096 → switch at level 12
-    std::vector<std::int32_t> d(1 << 14);
-    core::ExecOptions an;
-    an.functional = false;
-    const auto rep = mergesort_gpu_parallel_tail(h, std::span(d), ~0ull, an);
-    EXPECT_EQ(rep.switch_level, 12u);
-}
-
 TEST(ParallelTail, BeatsAllGenericAboveSaturation) {
     // The point of the §7 extension: once levels have fewer tasks than g,
     // element-parallel kernels beat task-parallel ones.
     const std::uint64_t n = 1 << 16;
     sim::Hpu h(platforms::hpu1());
+    MergesortCoalesced<std::int32_t> alg;
     core::ExecOptions an;
     an.functional = false;
     std::vector<std::int32_t> dummy(n);
-    const auto all_generic = mergesort_gpu_parallel_tail(h, std::span(dummy), 0, an);
-    const auto all_parallel = mergesort_gpu_parallel_tail(h, std::span(dummy), 16, an);
-    const auto mixed = mergesort_gpu_parallel_tail(h, std::span(dummy), ~0ull, an);
+    // Switch where a level's task count drops below g: ceil(log2 g).
+    const std::uint64_t at_g = util::ceil_log2(h.params().gpu.g);
+    const auto all_generic = core::run_gpu(h, alg, std::span(dummy), an, true, 0);
+    const auto all_parallel = core::run_gpu(h, alg, std::span(dummy), an, true, 16);
+    const auto mixed = core::run_gpu(h, alg, std::span(dummy), an, true, at_g);
     EXPECT_LT(mixed.total, all_generic.total);
     EXPECT_LT(mixed.total, all_parallel.total);
 }

@@ -28,7 +28,6 @@
 #include "algos/geometry.hpp"
 #include "algos/mergesort.hpp"
 #include "algos/mergesort_blocked.hpp"
-#include "algos/parallel_merge.hpp"
 #include "core/hybrid.hpp"
 #include "core/pipeline.hpp"
 #include "platforms/platforms.hpp"
@@ -370,13 +369,14 @@ TEST(MergePathParity, ParallelMergeGpuKernelOnOff) {
     sim::Hpu h(parity_hw(), &pool);
     core::ExecOptions opts;
     opts.functional = true;
+    algos::MergesortPlain<std::int32_t> alg;
     std::vector<std::int32_t> off_data(input), on_data(input);
     opts.merge_path = false;
-    const auto off = algos::mergesort_gpu_parallel(h, std::span(off_data), opts);
+    const auto off = core::run_gpu(h, alg, std::span(off_data), opts, true, 17);
     opts.merge_path = true;
-    const auto on = algos::mergesort_gpu_parallel(h, std::span(on_data), opts);
-    EXPECT_EQ(off.sort_time, on.sort_time);
-    EXPECT_EQ(off.transfer_time, on.transfer_time);
+    const auto on = core::run_gpu(h, alg, std::span(on_data), opts, true, 17);
+    EXPECT_EQ(off.gpu_busy, on.gpu_busy);
+    EXPECT_EQ(off.transfer, on.transfer);
     EXPECT_EQ(off_data, on_data);
     std::vector<std::int32_t> want(input);
     std::sort(want.begin(), want.end());

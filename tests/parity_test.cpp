@@ -67,6 +67,18 @@ TEST_P(AnalyticParity, FunctionalAndAnalyticTimesAgree) {
         const auto a = run_gpu(h, alg, std::span(ana_data), ana);
         EXPECT_NEAR(f.total, a.total, tol(f.total)) << "gpu";
     }
+    if (which != Alg::kSum) {
+        // Element-wise levels (the mergesorts' Fig. 9 merge): the §7
+        // parallel tail at switch ceil(L/2), and Fig. 9 at switch L.
+        const auto L = static_cast<std::uint64_t>(lg);
+        for (const std::uint64_t sw : {(L + 1) / 2, L}) {
+            auto d = fun_data;
+            const auto f = run_gpu(h, alg, std::span(d), fun, true, sw);
+            const auto a = run_gpu(h, alg, std::span(ana_data), ana, true, sw);
+            EXPECT_NEAR(f.total, a.total, tol(f.total)) << "gpu, element-wise from " << sw;
+            EXPECT_NEAR(f.gpu_busy, a.gpu_busy, tol(f.gpu_busy)) << "element-wise from " << sw;
+        }
+    }
     {
         auto d = fun_data;
         const auto f = run_basic_hybrid(h, alg, std::span(d), fun);

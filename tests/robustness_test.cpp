@@ -3,7 +3,12 @@
 // bodies without corrupting its own state.
 #include <gtest/gtest.h>
 
+#include <complex>
+
+#include "algos/binary_reduce.hpp"
+#include "algos/fft.hpp"
 #include "algos/mergesort.hpp"
+#include "algos/quickhull.hpp"
 #include "core/hybrid.hpp"
 #include "model/advanced.hpp"
 #include "platforms/platforms.hpp"
@@ -101,6 +106,41 @@ TEST(Robustness, HpuSurvivesFailedRun) {
     std::sort(expect.begin(), expect.end());
     run_basic_hybrid(h, good, std::span(e));
     EXPECT_EQ(e, expect);
+}
+
+TEST(Robustness, ElementwiseSwitchNeedsAnElementwiseForm) {
+    // Only the mergesorts have an element-wise level; run_gpu must refuse a
+    // switch above 0 on any other algorithm, regular or dynamic.
+    sim::Hpu h(platforms::hpu1());
+    const auto sum = algos::make_sum<std::int32_t>();
+    std::vector<std::int32_t> ints(64, 1);
+    EXPECT_THROW(run_gpu(h, sum, std::span(ints), {}, true, 1), util::HpuError);
+    algos::DcFft fft;
+    std::vector<std::complex<double>> signal(64, {1.0, 0.0});
+    EXPECT_THROW(run_gpu(h, fft, std::span(signal), {}, true, 6), util::HpuError);
+    algos::Quickhull qh;
+    std::vector<algos::Pt> pts = {{0, 0}, {4, 0}, {4, 4}, {0, 4}, {2, 1}, {1, 3}};
+    EXPECT_THROW(run_gpu(h, qh, std::span(pts), {}, true, 1), util::HpuError);
+    // Switch 0 is the per-task schedule every algorithm has.
+    EXPECT_NO_THROW(run_gpu(h, sum, std::span(ints), {}, true, 0));
+}
+
+TEST(Robustness, ElementwiseSwitchAboveLClampsToFig9) {
+    sim::Hpu h(platforms::hpu1());
+    algos::MergesortCoalesced<std::int32_t> alg;
+    util::Rng rng(4);
+    const auto base = rng.int_vector(1 << 10, 0, 2048);
+    auto expect = base;
+    std::sort(expect.begin(), expect.end());
+    auto at_l = base;
+    auto above = base;
+    const ExecReport fig9 = run_gpu(h, alg, std::span(at_l), {}, true, 10);
+    const ExecReport huge = run_gpu(h, alg, std::span(above), {}, true, ~std::uint64_t{0});
+    EXPECT_EQ(above, expect);
+    EXPECT_EQ(at_l, expect);
+    EXPECT_EQ(huge.total, fig9.total);
+    EXPECT_EQ(huge.gpu_busy, fig9.gpu_busy);
+    EXPECT_EQ(huge.levels_gpu, fig9.levels_gpu);
 }
 
 TEST(Robustness, ModelRejectsDegenerateInputs) {

@@ -331,6 +331,30 @@ TEST(Certificate, VerifiedRunIsByteIdenticalAndCertified) {
     EXPECT_GT(rep_on.verify.checks_passed, 0u);
 }
 
+TEST(Certificate, ParallelTailRunIsCleanAndCertified) {
+    // The §7 parallel tail at switch ceil(L/2): the per-task levels are
+    // race-checked as usual, the element-wise ones have no item body to
+    // check, and the priced plan with its element-wise events certifies.
+    const std::uint64_t n = 1 << 12;
+    sim::Hpu h(platforms::hpu1());
+    algos::MergesortCoalesced<std::int32_t> alg;
+    util::Rng rng(12);
+    auto data = rng.int_vector(n, 0, 2 * n);
+    auto expect = data;
+    std::sort(expect.begin(), expect.end());
+    core::ExecOptions opts;
+    opts.validate = true;
+    opts.verify = true;
+    const auto rep = core::run_gpu(h, alg, std::span(data), opts, true, 6);
+    EXPECT_EQ(data, expect);
+    EXPECT_TRUE(rep.analysis.findings.empty()) << rep.analysis.summary();
+    EXPECT_GT(rep.analysis.launches_checked, 0u);
+    ASSERT_TRUE(rep.verify.attempted);
+    EXPECT_TRUE(rep.verify.findings.empty()) << rep.verify.summary();
+    EXPECT_TRUE(rep.verify.certified()) << rep.verify.summary();
+    EXPECT_EQ(rep.levels_gpu, 12u);
+}
+
 TEST(Certificate, PipelinedRunAttachesJsonCertificate) {
     const std::uint64_t n = 4096;
     sim::Hpu h(platforms::hpu1());
