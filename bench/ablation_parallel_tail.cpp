@@ -18,13 +18,13 @@ int main(int argc, char** argv) {
         bench::sequential_mergesort_time(spec.params, n, opts, bench::input_seed(cli, n));
 
     std::cout << "Parallel-tail ablation (" << spec.name << "), mergesort, n=" << n
-              << " (L=" << L << ", auto switch at ceil(log2 g)="
-              << util::ceil_log2(spec.params.gpu.g) << ")\n";
+              << " (L=" << L << ", ceil(log2 g)=" << util::ceil_log2(spec.params.gpu.g)
+              << ")\n";
     util::Table t({"switch level", "t(deep kernels)", "t(parallel tail)", "t(total)",
                    "speedup vs 1-core"},
                   3);
     algos::MergesortCoalesced<std::int32_t> alg;
-    const std::string tail_label = core::phase_label(alg.name(), "gpu-elementwise");
+    const std::string tail_label = core::phase_label(alg.name(), core::kElementwisePhase);
     std::vector<std::int32_t> dummy(n);
     for (std::uint64_t sw : {L, std::uint64_t{16}, std::uint64_t{14}, std::uint64_t{12},
                              std::uint64_t{10}, std::uint64_t{6}, std::uint64_t{0}}) {

@@ -95,7 +95,7 @@ ExecReport run_plan(const Plan& plan, sim::CpuUnit& cpu, sim::Device* dev,
     const ValCtx val = validation_ctx(opts, rep);
     const trace::SpanId run = open_run(opts, alg.name(), plan.executor, data.size());
     const SpanCtx rt{opts.trace, run, 0.0, trace::SpanAttrs::kNoLevel, opts.profile};
-    const sim::Ticks pre = host_pre_pass(alg, data, cpu.params().p, rt);
+    const sim::Ticks pre = host_pre_pass(alg, data, cpu.params(), rt);
     Walker<T> w{plan, alg, cpu, dev, hw.link, opts, val, data, rep};
     w.walk(pre, run);
     close_run(opts, run, rep.total);

@@ -31,11 +31,6 @@ namespace hpu::core {
 
 /// Knobs of the advanced scheduler beyond (α, y).
 struct AdvancedOptions {
-    /// Task count of the split level (the paper's Alg. 8 `threshold`): the
-    /// array is divided between the units where the tree has this many
-    /// subproblems. Larger values give finer α resolution but a later
-    /// split. 0 = auto: max(4·p, 64) clamped to the tree.
-    std::uint64_t split_tasks = 0;
     ExecOptions exec;
 };
 
@@ -70,9 +65,8 @@ ExecReport run_advanced_hybrid(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std:
                              IrregularMode::kAdvanced, adv.exec, /*include_transfers=*/true,
                              "advanced-hybrid");
     }
-    return detail::run_plan(
-        plan_advanced(alg, hpu.params(), data.size(), alpha, y, adv.split_tasks), hpu.cpu(),
-        &hpu.gpu(), hpu.params(), alg, data, adv.exec);
+    return detail::run_plan(plan_advanced(alg, hpu.params(), data.size(), alpha, y), hpu.cpu(),
+                            &hpu.gpu(), hpu.params(), alg, data, adv.exec);
 }
 
 }  // namespace hpu::core

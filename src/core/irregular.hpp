@@ -304,7 +304,7 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
         sim::OpCounter pre;
         TaskList root = alg.root_tasks(data, pre);
         const sim::Ticks t =
-            detail::host_pass(pre, cpu.params().p, alg.name(), "pre", rt.moved(clock), w0);
+            detail::host_pass(pre, cpu.params(), alg.name(), "pre", rt.moved(clock), w0);
         rep.cpu_busy += t;
         clock += t;
         levels.push_back({std::move(root), {}});
@@ -403,7 +403,7 @@ ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuPara
         const std::uint64_t w0 = rt.wall_start();
         sim::OpCounter fin;
         alg.finalize(data, fin);
-        const sim::Ticks t = detail::host_pass(fin, cpu.params().p, alg.name(), "finalize",
+        const sim::Ticks t = detail::host_pass(fin, cpu.params(), alg.name(), "finalize",
                                                rt.moved(clock), w0);
         rep.cpu_busy += t;
         clock += t;

@@ -28,4 +28,13 @@ inline std::string phase_label(const std::string& name, const char* phase) {
     return name + '/' + phase;
 }
 
+/// Launch phase of an element-wise device level (one work-item per
+/// element, DESIGN.md §3.1).
+inline constexpr const char* kElementwisePhase = "gpu-elementwise";
+
+/// True when `label` is a launch_label of `phase`.
+inline bool is_launch_of(const std::string& label, const char* phase) {
+    return label.find('/' + std::string(phase) + '[') != std::string::npos;
+}
+
 }  // namespace hpu::core

@@ -307,8 +307,15 @@ Launched launch(sim::CpuUnit& cpu, sim::Device* dev, const LevelAlgorithm<T>& al
     a.extent_words = l.extent_words;
     a.imbalance = l.imbalance;
     if constexpr (std::is_null_pointer_v<std::remove_cvref_t<Body>>) {
-        out.time = gpu ? dev->uniform_launch_time(l.tasks, l.task_ops)
-                       : cpu.uniform_level_time(l.tasks, l.task_ops, l.working_set);
+        if (gpu) {
+            const sim::DeviceParams& dp = dev->params();
+            out.time = dp.launch_time(static_cast<double>(util::ceil_div(l.tasks, dp.g)),
+                                      l.task_ops);
+        } else {
+            const sim::CpuParams& cp = cpu.params();
+            out.time = cp.level_time(static_cast<double>(util::ceil_div(l.tasks, cp.p)),
+                                     l.task_ops, cp.contention_factor(l.tasks, l.working_set));
+        }
         if (!tc.on()) return out;
         a.work = l.work;
         a.ops = l.ops;
@@ -370,23 +377,17 @@ Launched launch(sim::CpuUnit& cpu, sim::Device* dev, const LevelAlgorithm<T>& al
     return out;
 }
 
-/// Virtual time of a device-side hook (permutation, ping-pong flip):
-/// charged as perfectly parallel device work spread over all g lanes.
-inline sim::Ticks hook_time(const sim::Device& dev, const sim::OpCounter& ops) {
-    return ops.gpu_ops(dev.params().strided_penalty) / dev.params().gamma /
-           static_cast<double>(dev.params().g);
-}
-
-/// hook_time plus an optional kHook span (skipped when the hook charged
-/// nothing — most algorithms have empty hooks). `wall0` is a wall_start()
-/// token taken before the hook body executed; 0 = not profiled.
+/// A device-side hook's time plus an optional kHook span (skipped when the
+/// hook charged nothing — most algorithms have empty hooks). `wall0` is a
+/// wall_start() token taken before the hook body executed; 0 = not profiled.
 inline sim::Ticks traced_hook(const sim::Device& dev, const sim::OpCounter& ops,
                               const std::string& name, const char* what, const SpanCtx& tc,
                               std::uint64_t wall0 = 0) {
-    const sim::Ticks t = hook_time(dev, ops);
+    const double gpu_ops = ops.gpu_ops(dev.params().strided_penalty);
+    const sim::Ticks t = dev.params().hook_time(gpu_ops);
     if (tc.on() && t > 0.0) {
         trace::SpanAttrs a;
-        a.ops = ops.gpu_ops(dev.params().strided_penalty);
+        a.ops = gpu_ops;
         a.work = static_cast<double>(ops.cpu_ops());
         const trace::SpanId id =
             tc.session->record(trace::SpanKind::kHook, trace::Unit::kGpu,
@@ -396,12 +397,12 @@ inline sim::Ticks traced_hook(const sim::Device& dev, const sim::OpCounter& ops,
     return t;
 }
 
-/// A host-side pass (pre-pass, finalize) priced as p-way parallel CPU work,
-/// with its kHook span when it charged anything. `w0` is a wall_start()
-/// token taken before the pass ran.
-inline sim::Ticks host_pass(const sim::OpCounter& ops, std::size_t p, const std::string& name,
-                            const char* what, const SpanCtx& tc, std::uint64_t w0) {
-    const sim::Ticks t = static_cast<sim::Ticks>(ops.cpu_ops()) / static_cast<double>(p);
+/// A host-side pass (pre-pass, finalize), with its kHook span when it
+/// charged anything. `w0` is a wall_start() token taken before the pass ran.
+inline sim::Ticks host_pass(const sim::OpCounter& ops, const sim::CpuParams& cpu,
+                            const std::string& name, const char* what, const SpanCtx& tc,
+                            std::uint64_t w0) {
+    const sim::Ticks t = cpu.host_pass_time(static_cast<double>(ops.cpu_ops()));
     if (tc.on() && t > 0.0) {
         trace::SpanAttrs a;
         a.ops = static_cast<double>(ops.cpu_ops());
@@ -414,14 +415,14 @@ inline sim::Ticks host_pass(const sim::OpCounter& ops, std::size_t p, const std:
     return t;
 }
 
-/// Host pre-pass (e.g. FFT bit-reversal), priced as p-way parallel CPU work.
+/// Host pre-pass (e.g. FFT bit-reversal).
 template <typename T>
-sim::Ticks host_pre_pass(const LevelAlgorithm<T>& alg, std::span<T> data, std::size_t p,
-                         const SpanCtx& tc = {}) {
+sim::Ticks host_pre_pass(const LevelAlgorithm<T>& alg, std::span<T> data,
+                         const sim::CpuParams& cpu, const SpanCtx& tc = {}) {
     const std::uint64_t w0 = tc.wall_start();
     sim::OpCounter pre;
     alg.before_run(data, pre);
-    return host_pass(pre, p, alg.name(), "pre", tc, w0);
+    return host_pass(pre, cpu, alg.name(), "pre", tc, w0);
 }
 
 /// Records a link-transfer span. `wall0` is a wall_start() token taken

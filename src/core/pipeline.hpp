@@ -45,8 +45,6 @@ struct PipelinedOptions {
     /// task count of the GPU slice; the no-win guard may reduce it to 1.
     /// Dynamic trees ignore it, as they ignore (α, y).
     std::uint64_t chunks = 4;
-    /// Split-level task count, as AdvancedOptions::split_tasks.
-    std::uint64_t split_tasks = 0;
     ExecOptions exec;
 };
 
@@ -69,8 +67,7 @@ ExecReport run_pipelined_hybrid(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std
         rep.chunks = 1;
         return rep;
     }
-    return detail::run_plan(plan_pipelined(alg, hpu.params(), data.size(), alpha, y,
-                                           pip.chunks, pip.split_tasks),
+    return detail::run_plan(plan_pipelined(alg, hpu.params(), data.size(), alpha, y, pip.chunks),
                             hpu.cpu(), &hpu.gpu(), hpu.params(), alg, data, pip.exec,
                             pip.chunks);
 }

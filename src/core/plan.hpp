@@ -469,7 +469,7 @@ struct Walker {
         const sim::OpCounter item = alg.elementwise_item_ops(size).value();
         Launch l;
         l.unit = trace::Unit::kGpu;
-        l.phase = "gpu-elementwise";
+        l.phase = kElementwisePhase;
         l.tasks = c.words;
         const SpanCtx tc{opts.trace, parent, cur.now(), i, opts.profile};
         if (!opts.functional) {
@@ -639,9 +639,9 @@ Plan plan_basic(const LevelAlgorithm<T>& alg, std::uint64_t n, const sim::HpuPar
 
 /// Pipelined hybrid (§5.2 + DESIGN.md §9) at (α, transfer level y, K
 /// requested chunks). The array splits at level s, the first level with at
-/// least `split_tasks` tasks (0 = auto: max(4p, 64)) clamped to y; the CPU
-/// takes round(α·S) of its S tasks (at least one, at most S − 1). The CPU
-/// climbs its slice to s; the device slice
+/// least max(4p, 64) tasks (the paper's Alg. 8 `threshold`) clamped to y;
+/// the CPU takes round(α·S) of its S tasks (at least one, at most S − 1).
+/// The CPU climbs its slice to s; the device slice
 /// ships in K chunks aligned to the level-y task size, each chunk climbs to
 /// the merge level d — the shallowest level at which the smallest chunk
 /// still fills the device (≥ g tasks) — and the whole slice climbs d-1..y;
@@ -651,8 +651,7 @@ Plan plan_basic(const LevelAlgorithm<T>& alg, std::uint64_t n, const sim::HpuPar
 /// win, so the pipelined makespan is never worse than the advanced one.
 template <typename T>
 Plan plan_pipelined(const LevelAlgorithm<T>& alg, const sim::HpuParams& hw, std::uint64_t n,
-                    double alpha, std::uint64_t y, std::uint64_t chunks,
-                    std::uint64_t split_tasks) {
+                    double alpha, std::uint64_t y, std::uint64_t chunks) {
     HPU_CHECK(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
     HPU_CHECK(chunks >= 1, "need at least one chunk");
     const std::uint64_t L = detail::level_count(alg, n);
@@ -667,9 +666,9 @@ Plan plan_pipelined(const LevelAlgorithm<T>& alg, const sim::HpuParams& hw, std:
     auto tasks_at = [&](std::uint64_t level) {
         return util::ipow(p.a, static_cast<std::uint32_t>(level));
     };
-    if (split_tasks == 0) split_tasks = std::max<std::uint64_t>(4 * hw.cpu.p, 64);
+    const std::uint64_t threshold = std::max<std::uint64_t>(4 * hw.cpu.p, 64);
     std::uint64_t s = 0;
-    while (s < L && tasks_at(s) < split_tasks) ++s;
+    while (s < L && tasks_at(s) < threshold) ++s;
     s = std::min(s, y);  // the split cannot sit below the transfer level
     const std::uint64_t S = tasks_at(s);
     const std::uint64_t cpu_tasks = std::clamp<std::uint64_t>(
@@ -706,8 +705,8 @@ Plan plan_pipelined(const LevelAlgorithm<T>& alg, const sim::HpuParams& hw, std:
 /// exactly two bulk transfers of the device slice.
 template <typename T>
 Plan plan_advanced(const LevelAlgorithm<T>& alg, const sim::HpuParams& hw, std::uint64_t n,
-                   double alpha, std::uint64_t y, std::uint64_t split_tasks) {
-    Plan p = plan_pipelined(alg, hw, n, alpha, y, 1, split_tasks);
+                   double alpha, std::uint64_t y) {
+    Plan p = plan_pipelined(alg, hw, n, alpha, y, 1);
     p.executor = "advanced-hybrid";
     p.streamed = false;
     p.chunks = 0;

@@ -31,7 +31,7 @@ double AdvancedModel::level_sum(double y, bool gpu_times, double beta) const {
     auto term = [&](double i) {
         if (!gpu_times) return rec_.level_work(n_, i);
         const double tasks = beta * std::pow(rec_.a, i);
-        return std::max(tasks / g, 1.0) * rec_.task_cost(n_, i) / hw_.gpu.gamma;
+        return hw_.gpu.launch_time(std::max(tasks / g, 1.0), rec_.task_cost(n_, i));
     };
     double sum = 0.0;
     const double start = std::ceil(y);
@@ -61,7 +61,7 @@ double AdvancedModel::gpu_time_for_share(double beta, double y) const {
     HPU_CHECK(beta > 0.0 && beta <= 1.0, "device share must be in (0, 1]");
     const double g = static_cast<double>(hw_.gpu.g);
     const double leaves_time =
-        std::max(beta * leaves_ / g, 1.0) * rec_.leaf_cost / hw_.gpu.gamma;
+        hw_.gpu.launch_time(std::max(beta * leaves_ / g, 1.0), rec_.leaf_cost);
     return leaves_time + level_sum(y, /*gpu_times=*/true, beta);
 }
 
@@ -101,7 +101,7 @@ double AdvancedModel::finish_time(double alpha, double y) const {
             alpha * clamp01(i1 - i) + (1.0 - alpha) * clamp01(y - i);
         if (rem <= 0.0) continue;
         const double tasks = rem * std::pow(rec_.a, i);
-        total += std::max(tasks / p, 1.0) * rec_.task_cost(n_, i);
+        total += hw_.cpu.level_time(std::max(tasks / p, 1.0), rec_.task_cost(n_, i));
     }
     return total;
 }

@@ -7,14 +7,14 @@ namespace hpu::model {
 
 double basic_cpu_level_time(const sim::HpuParams& hw, const Recurrence& rec, double n, double i) {
     const double tasks = std::pow(rec.a, i);
-    const double rounds = std::max(tasks / static_cast<double>(hw.cpu.p), 1.0);
-    return rounds * rec.task_cost(n, i);
+    return hw.cpu.level_time(std::max(tasks / static_cast<double>(hw.cpu.p), 1.0),
+                             rec.task_cost(n, i));
 }
 
 double basic_gpu_level_time(const sim::HpuParams& hw, const Recurrence& rec, double n, double i) {
     const double tasks = std::pow(rec.a, i);
-    const double rounds = std::max(tasks / static_cast<double>(hw.gpu.g), 1.0);
-    return rounds * rec.task_cost(n, i) / hw.gpu.gamma;
+    return hw.gpu.launch_time(std::max(tasks / static_cast<double>(hw.gpu.g), 1.0),
+                              rec.task_cost(n, i));
 }
 
 BasicPrediction predict_basic(const sim::HpuParams& hw, const Recurrence& rec, double n,
@@ -39,10 +39,11 @@ BasicPrediction predict_basic(const sim::HpuParams& hw, const Recurrence& rec, d
     // it is active at all).
     const double leaf_tasks = rec.leaves(n);
     if (out.cpu_only) {
-        total += std::max(leaf_tasks / static_cast<double>(hw.cpu.p), 1.0) * rec.leaf_cost;
+        total += hw.cpu.level_time(std::max(leaf_tasks / static_cast<double>(hw.cpu.p), 1.0),
+                                   rec.leaf_cost);
     } else {
-        total += std::max(leaf_tasks / static_cast<double>(hw.gpu.g), 1.0) * rec.leaf_cost /
-                 hw.gpu.gamma;
+        total += hw.gpu.launch_time(std::max(leaf_tasks / static_cast<double>(hw.gpu.g), 1.0),
+                                    rec.leaf_cost);
     }
     out.total_time = total;
     out.transfer_time =

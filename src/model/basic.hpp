@@ -30,11 +30,11 @@ struct BasicPrediction {
     std::vector<BasicLevel> levels;
 };
 
-/// Time of level i on the CPU: max(a^i / p, 1) · f(n/b^i) — fewer than p
-/// tasks leave cores idle but the level still costs one task.
+/// Time of level i on the CPU: max(a^i / p, 1) rounds of f(n/b^i) — fewer
+/// than p tasks leave cores idle but the level still costs one task.
 double basic_cpu_level_time(const sim::HpuParams& hw, const Recurrence& rec, double n, double i);
 
-/// Time of level i on the GPU: max(a^i / g, 1) · f(n/b^i) / γ.
+/// Time of level i on the GPU: max(a^i / g, 1) waves of f(n/b^i).
 double basic_gpu_level_time(const sim::HpuParams& hw, const Recurrence& rec, double n, double i);
 
 /// Full basic-schedule prediction for input size n (elements of

@@ -1,19 +1,38 @@
 #include "model/observed.hpp"
 
 #include <algorithm>
+#include <deque>
 
 namespace hpu::model {
 namespace {
 
-double cpu_makespan(double total, double max_cost, std::size_t p) {
-    return std::max(total / static_cast<double>(p), max_cost);
+double cpu_makespan(const sim::CpuParams& cpu, double total, double max_cost) {
+    return std::max(cpu.host_pass_time(total), max_cost);
 }
 
-double gpu_makespan(const sim::HpuParams& hw, double total, double max_cost, double mult) {
-    const double gamma = hw.gpu.gamma;
-    const double lanes = static_cast<double>(hw.gpu.g);
-    return hw.gpu.launch_overhead +
-           std::max(total * mult / (gamma * lanes), max_cost * mult / gamma);
+/// gpu[k] for every split k ∈ [0, W]: the device part [k, W) priced as
+/// sim::Device::launch charges it — the launch overhead plus, per wave of
+/// g tasks from k on, the wave time of its slowest task — and, with
+/// `transfers`, both link transfers of its words. gpu[W] = 0. O(W): a
+/// sliding-window maximum of width g (monotonic deque), then the wave sums
+/// S[k] = M[k] + S[k + g] from the right.
+std::vector<double> device_prices(const sim::HpuParams& hw, const std::vector<ObservedTask>& tasks,
+                                  double mult, bool transfers) {
+    const std::size_t w = tasks.size();
+    const std::size_t g = std::min<std::uint64_t>(hw.gpu.g, w + 1);
+    std::vector<double> waves(w + g, 0.0), gpu(w + 1, 0.0);
+    std::deque<std::size_t> window;  // task indices, costs decreasing front to back
+    std::uint64_t words = 0;
+    for (std::size_t k = w; k-- > 0;) {
+        while (!window.empty() && tasks[window.back()].cost <= tasks[k].cost) window.pop_back();
+        window.push_back(k);
+        if (window.front() >= k + g) window.pop_front();
+        waves[k] = hw.gpu.wave_time(tasks[window.front()].cost * mult) + waves[k + g];
+        words += tasks[k].words;
+        gpu[k] = hw.gpu.launch_overhead + waves[k];
+        if (transfers) gpu[k] += 2.0 * hw.link.transfer_time(words);
+    }
+    return gpu;
 }
 
 }  // namespace
@@ -21,43 +40,22 @@ double gpu_makespan(const sim::HpuParams& hw, double total, double max_cost, dou
 ObservedSplit split_observed_level(const sim::HpuParams& hw,
                                    const std::vector<ObservedTask>& tasks,
                                    double device_multiplier, bool include_transfers) {
-    const std::size_t w = tasks.size();
-    // Prefix cost sums / maxima and suffix cost sums / maxima / words, so
-    // every candidate split is priced in O(1).
-    std::vector<double> pre_sum(w + 1, 0.0), pre_max(w + 1, 0.0);
-    std::vector<double> suf_sum(w + 1, 0.0), suf_max(w + 1, 0.0);
-    std::vector<std::uint64_t> suf_words(w + 1, 0);
-    for (std::size_t j = 0; j < w; ++j) {
-        pre_sum[j + 1] = pre_sum[j] + tasks[j].cost;
-        pre_max[j + 1] = std::max(pre_max[j], tasks[j].cost);
-    }
-    for (std::size_t j = w; j-- > 0;) {
-        suf_sum[j] = suf_sum[j + 1] + tasks[j].cost;
-        suf_max[j] = std::max(suf_max[j + 1], tasks[j].cost);
-        suf_words[j] = suf_words[j + 1] + tasks[j].words;
-    }
-
+    const std::vector<double> gpu = device_prices(hw, tasks, device_multiplier, include_transfers);
     ObservedSplit best;
-    bool have = false;
-    for (std::size_t k = 0; k <= w; ++k) {
-        const double cpu = k > 0 ? cpu_makespan(pre_sum[k], pre_max[k], hw.cpu.p) : 0.0;
-        double gpu = 0.0;
-        if (k < w) {
-            gpu = gpu_makespan(hw, suf_sum[k], suf_max[k], device_multiplier);
-            if (include_transfers) {
-                gpu += 2.0 * hw.link.lambda +
-                       2.0 * hw.link.delta * static_cast<double>(suf_words[k]);
-            }
-        }
-        const double makespan = std::max(cpu, gpu);
-        if (!have || makespan < std::max(best.cpu_est, best.gpu_est)) {
+    best.gpu_est = gpu[0];
+    double sum = 0.0, max_cost = 0.0, best_sum = 0.0;
+    for (std::size_t k = 1; k <= tasks.size(); ++k) {
+        sum += tasks[k - 1].cost;
+        max_cost = std::max(max_cost, tasks[k - 1].cost);
+        const double cpu = cpu_makespan(hw.cpu, sum, max_cost);
+        if (std::max(cpu, gpu[k]) < std::max(best.cpu_est, best.gpu_est)) {
             best.cpu_tasks = k;
             best.cpu_est = cpu;
-            best.gpu_est = gpu;
-            have = true;
+            best.gpu_est = gpu[k];
+            best_sum = sum;
         }
     }
-    best.alpha = pre_sum[w] > 0.0 ? pre_sum[best.cpu_tasks] / pre_sum[w] : 0.0;
+    best.alpha = sum > 0.0 ? best_sum / sum : 0.0;
     return best;
 }
 
@@ -71,8 +69,8 @@ ObservedPlacement place_observed_level(const sim::HpuParams& hw,
         max_cost = std::max(max_cost, t.cost);
     }
     ObservedPlacement pl;
-    pl.cpu_est = cpu_makespan(total, max_cost, hw.cpu.p) + cpu_extra;
-    pl.gpu_est = gpu_makespan(hw, total, max_cost, device_multiplier) + gpu_extra;
+    pl.cpu_est = cpu_makespan(hw.cpu, total, max_cost) + cpu_extra;
+    pl.gpu_est = device_prices(hw, tasks, device_multiplier, false).front() + gpu_extra;
     pl.unit = pl.cpu_est <= pl.gpu_est ? LevelPlacement::kCpu : LevelPlacement::kGpu;
     return pl;
 }

@@ -6,8 +6,9 @@
 // the width and the per-task extents of level i are only known once level
 // i-1 executed. These helpers re-derive the same decisions per level from
 // the *observed* task list — width, per-task cost estimates, extent words
-// — using the same machine model (p cores; g lanes at γ ops/tick; λ + δ·w
-// link; strided multiplier) the analytic predictions price with.
+// — through the unit prices of sim/params.hpp (p cores; g lanes at γ
+// ops/tick; λ + δ·w link), the ones the simulator charges and the analytic
+// predictions price with.
 //
 // Decisions are deterministic pure functions of (hardware, estimates), so
 // pooled and inline irregular runs schedule identically (the
@@ -40,11 +41,15 @@ struct ObservedSplit {
 };
 
 /// Chooses the prefix split k ∈ [0, width] minimizing the estimated level
-/// makespan max(cpu(k), gpu(k)):
-///   cpu(k) = max(Σ_{j<k} cost_j / p, max_{j<k} cost_j)
+/// makespan max(cpu(k), gpu(k)), through the unit prices of sim/params.hpp:
+///   cpu(k) = max(host_pass_time(Σ_{j<k} cost_j), max_{j<k} cost_j)
 ///   gpu(k) = launch_overhead
-///            + max(Σ_{j≥k} cost_j · mult / (γ·g), max_{j≥k} cost_j · mult / γ)
-///            + [include_transfers] 2λ + 2δ·Σ_{j≥k} words_j
+///            + Σ over the waves of g tasks from k on: wave_time(max cost · mult)
+///            + [include_transfers] 2 · transfer_time(Σ_{j≥k} words_j)
+/// The device part is priced wave by wave, exactly as sim::Device::launch
+/// charges those per-task ops. The CPU part keeps the list-scheduling
+/// lower bound: a list-scheduled estimate would be a second
+/// list-scheduling implementation and moves no benchmark number.
 /// Ties keep the smallest k (prefer the CPU for equal estimates, matching
 /// the paper's preference for keeping shallow work host-side).
 ObservedSplit split_observed_level(const sim::HpuParams& hw,
@@ -52,9 +57,10 @@ ObservedSplit split_observed_level(const sim::HpuParams& hw,
                                    double device_multiplier, bool include_transfers);
 
 /// Whole-level placement for the basic-style irregular schedule: the level
-/// runs entirely on one unit. `cpu_extra` / `gpu_extra` are the residency
-/// switch costs (ticks) the engine would pay to place the level on that
-/// unit given where the frontier currently lives.
+/// runs entirely on one unit, priced as split_observed_level prices k = 0
+/// (device) and k = width (CPU). `cpu_extra` / `gpu_extra` are the
+/// residency switch costs (ticks) the engine would pay to place the level
+/// on that unit given where the frontier currently lives.
 enum class LevelPlacement { kCpu, kGpu };
 
 struct ObservedPlacement {

@@ -21,16 +21,18 @@
 //        the residual is attributed to λ and both are flagged
 //        non-identifiable.
 //
-// The file also hosts the shared drift primitives (price_level_span,
-// drift_ratio) that trace/utilization.cpp and metrics/profile.cpp price
-// their drift columns with. They are header-only inline functions so the
-// lower-layer libraries can use them without linking hpu_obs.
+// The file also hosts the shared span primitives (price_span,
+// model_item_ops, drift_ratio) that trace/utilization.cpp prices its drift
+// column with and obs/whatif.cpp re-prices a run with. They are header-only
+// inline functions so the lower-layer libraries can use them without
+// linking hpu_obs.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 
+#include "core/labels.hpp"
 #include "model/recurrence.hpp"
 #include "sim/params.hpp"
 #include "trace/span.hpp"
@@ -39,30 +41,44 @@
 namespace hpu::obs {
 
 // ---------------------------------------------------------------------------
-// Shared drift primitives.
+// Shared span primitives.
 
-/// hpu::model price of one level/leaves span on its unit (pure §5 model: no
-/// contention, no imbalance — that is exactly what drift exposes). `n` is
-/// the run's total input size, `rec`/`dev_mult` the algorithm's recurrence
-/// and device op multiplier.
-inline sim::Ticks price_level_span(const trace::Span& s, double n, const sim::HpuParams& hw,
-                                   const model::Recurrence& rec, double dev_mult) {
-    const double tasks = static_cast<double>(s.attrs.tasks);
-    if (tasks <= 0.0) return 0.0;
-    const double task_cost = s.kind == trace::SpanKind::kLeaves
-                                 ? rec.leaf_cost
-                                 : rec.task_cost(n, static_cast<double>(s.attrs.level));
-    if (s.unit != trace::Unit::kGpu) {
-        const auto rounds = static_cast<double>(
-            util::ceil_div(s.attrs.tasks, static_cast<std::uint64_t>(hw.cpu.p)));
-        return rounds * task_cost;
+/// Price of one recorded work span on `hw` through the unit prices: a
+/// level or leaf sweep of `item_ops`-op tasks, a hook of its recorded ops,
+/// a transfer of its recorded words. Cache contention is not priced.
+inline sim::Ticks price_span(const trace::Span& s, const sim::HpuParams& hw, double item_ops) {
+    const bool gpu = s.unit == trace::Unit::kGpu;
+    switch (s.kind) {
+        case trace::SpanKind::kLevel:
+        case trace::SpanKind::kLeaves:
+            if (s.attrs.tasks == 0) return 0.0;
+            if (gpu) {
+                return hw.gpu.launch_time(
+                    static_cast<double>(util::ceil_div(s.attrs.tasks, hw.gpu.g)), item_ops);
+            }
+            return hw.cpu.level_time(
+                static_cast<double>(util::ceil_div(s.attrs.tasks, hw.cpu.p)), item_ops);
+        case trace::SpanKind::kHook:
+            return gpu ? hw.gpu.hook_time(s.attrs.ops) : hw.cpu.host_pass_time(s.attrs.ops);
+        case trace::SpanKind::kTransfer:
+            return hw.link.transfer_time(s.attrs.items);
+        default:
+            return 0.0;
     }
-    const auto waves = static_cast<double>(util::ceil_div(s.attrs.tasks, hw.gpu.g));
-    // Leaf sweeps charge plain compute (no memory walk), so the device op
-    // multiplier applies only to internal levels — mirroring the analytic
-    // executor paths.
-    const double mult = s.kind == trace::SpanKind::kLeaves ? 1.0 : dev_mult;
-    return hw.gpu.launch_overhead + waves * task_cost * mult / hw.gpu.gamma;
+}
+
+/// The pure §5 model's per-task ops of a level/leaves span (no contention,
+/// no imbalance — that is exactly what drift exposes). `n` is the run's
+/// input size, `rec`/`dev_mult` the algorithm's recurrence and device op
+/// multiplier, which leaf sweeps (plain compute) do not pay. An
+/// element-wise level (DESIGN.md §3.1) charges its closed-form item price,
+/// recorded as the span's max_ops.
+inline double model_item_ops(const trace::Span& s, double n, const model::Recurrence& rec,
+                             double dev_mult) {
+    if (s.kind == trace::SpanKind::kLeaves) return rec.leaf_cost;
+    if (core::is_launch_of(s.label, core::kElementwisePhase)) return s.attrs.max_ops;
+    const double cost = rec.task_cost(n, static_cast<double>(s.attrs.level));
+    return s.unit == trace::Unit::kGpu ? cost * dev_mult : cost;
 }
 
 /// Observed / predicted (or wall / virtual): the one drift ratio every

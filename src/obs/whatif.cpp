@@ -6,6 +6,7 @@
 #include <ostream>
 #include <utility>
 
+#include "obs/estimate.hpp"
 #include "util/table.hpp"
 
 namespace hpu::obs {
@@ -18,10 +19,6 @@ using trace::SpanId;
 using trace::SpanKind;
 using trace::TraceSession;
 
-double ceil_div(double num, double den) {
-    return den <= 0.0 ? num : std::ceil(num / den);
-}
-
 /// Every field the replay prices. Bitwise equality here lets a factor-1.0
 /// replay short-circuit to the recorded makespan instead of re-deriving it
 /// through non-associative float sums.
@@ -31,52 +28,12 @@ bool priced_equal(const sim::HpuParams& a, const sim::HpuParams& b) noexcept {
            a.gpu.launch_overhead == b.gpu.launch_overhead;
 }
 
-/// duration(perturbed) / duration(configured) for one work span, through
-/// the same closed forms the executors charge. Parameters a span does not
-/// touch scale it by exactly 1.0.
+/// duration(perturbed) / duration(configured) for one work span: both
+/// priced by price_span from the span's recorded per-item ops. Parameters
+/// a span does not touch scale it by exactly 1.0.
 double scale_of(const Span& s, const sim::HpuParams& base, const sim::HpuParams& pert) {
-    switch (s.kind) {
-        case SpanKind::kTransfer: {
-            const sim::Ticks b = base.link.transfer_time(s.attrs.items);
-            const sim::Ticks p = pert.link.transfer_time(s.attrs.items);
-            return b > 0.0 ? p / b : 1.0;
-        }
-        case SpanKind::kHook:
-            if (s.unit == trace::Unit::kGpu) {
-                // Device hook bodies are priced ops / (γ·g).
-                return (base.gpu.gamma * static_cast<double>(base.gpu.g)) /
-                       (pert.gpu.gamma * static_cast<double>(pert.gpu.g));
-            }
-            // Host pre-passes are priced ops / p.
-            return static_cast<double>(base.cpu.p) / static_cast<double>(pert.cpu.p);
-        case SpanKind::kLevel:
-        case SpanKind::kLeaves: {
-            const double tasks =
-                static_cast<double>(std::max<std::uint64_t>(s.attrs.tasks, 1));
-            if (s.unit == trace::Unit::kGpu) {
-                // overhead + waves · max_ops / γ, waves = ceil(tasks / g).
-                // The device-ops multiplier on max_ops cancels in the ratio.
-                const double waves_b = ceil_div(tasks, static_cast<double>(base.gpu.g));
-                const double waves_p = ceil_div(tasks, static_cast<double>(pert.gpu.g));
-                if (s.attrs.max_ops > 0.0) {
-                    const double tb = base.gpu.launch_overhead +
-                                      waves_b * s.attrs.max_ops / base.gpu.gamma;
-                    const double tp = pert.gpu.launch_overhead +
-                                      waves_p * s.attrs.max_ops / pert.gpu.gamma;
-                    return tb > 0.0 ? tp / tb : 1.0;
-                }
-                return (base.gpu.gamma / pert.gpu.gamma) *
-                       (waves_b > 0.0 ? waves_p / waves_b : 1.0);
-            }
-            // CPU levels: ceil(tasks / p) rounds of one task cost each; the
-            // task cost cancels. (Cache contention is not re-priced — it is
-            // 0 on the stock platforms.)
-            return ceil_div(tasks, static_cast<double>(pert.cpu.p)) /
-                   ceil_div(tasks, static_cast<double>(base.cpu.p));
-        }
-        default:
-            return 1.0;
-    }
+    const sim::Ticks b = price_span(s, base, s.attrs.max_ops);
+    return b > 0.0 ? price_span(s, pert, s.attrs.max_ops) / b : 1.0;
 }
 
 /// Precedence-preserving replay: re-prices work leaves and re-places every

@@ -97,27 +97,8 @@ public:
         trace::count(trace::counters().cpu_levels);
         r.time = static_cast<Ticks>(
             util::makespan(std::span(costs_.data(), n_tasks), params_.p));
-        r.time *= contention_factor(n_tasks, working_set_bytes);
+        r.time *= params_.contention_factor(n_tasks, working_set_bytes);
         return r;
-    }
-
-    /// Pure cost query: makespan of n uniform tasks of `ops_each` ops:
-    /// ceil(n / p) · ops_each, times the contention factor.
-    Ticks uniform_level_time(std::uint64_t n_tasks, double ops_each,
-                             std::uint64_t working_set_bytes = 0) const noexcept {
-        const auto rounds = static_cast<double>(util::ceil_div(n_tasks, params_.p));
-        return rounds * ops_each * contention_factor(n_tasks, working_set_bytes);
-    }
-
-    /// Multiplier modeling LLC competition between cores (Fig. 8 gap):
-    /// 1 + contention · log2(ws / llc) when more than one core is active
-    /// and the working set exceeds the cache. 1 otherwise.
-    double contention_factor(std::uint64_t n_tasks, std::uint64_t working_set_bytes) const noexcept {
-        if (params_.contention <= 0.0 || n_tasks <= 1 || params_.p <= 1) return 1.0;
-        if (working_set_bytes <= params_.llc_bytes) return 1.0;
-        const double ratio = static_cast<double>(working_set_bytes) /
-                             static_cast<double>(params_.llc_bytes);
-        return 1.0 + params_.contention * std::log2(ratio);
     }
 
 private:

@@ -161,14 +161,14 @@ public:
                 wave.max_cost = std::max(wave.max_cost, blocks_[b].max_cost);
                 wave.ops += blocks_[b].ops;
             }
-            total += wave.max_cost / params_.gamma;
+            const Ticks wave_time = params_.wave_time(wave.max_cost);
+            total += wave_time;
             r.max_item_ops = std::max(r.max_item_ops, wave.max_cost);
             r.total_ops += wave.ops;
             if (wave_trace_ != nullptr) {
                 const std::uint64_t first = w * params_.g;
-                wave_trace_->push_back({first, std::min(params_.g, n_items - first),
-                                        wave.max_cost / params_.gamma, wave.max_cost,
-                                        wave.ops});
+                wave_trace_->push_back({first, std::min(params_.g, n_items - first), wave_time,
+                                        wave.max_cost, wave.ops});
             }
         }
         r.time = total;
@@ -184,14 +184,6 @@ public:
                      util::ceil_div(r.total_ops.mem_coalesced, params_.coalesce_width));
         trace::count(ctr.strided_transactions, r.total_ops.mem_strided);
         return r;
-    }
-
-    /// Pure cost query (no execution): time for `n_items` uniform items of
-    /// `ops_each` GPU ops. Used by the analytical fast path and the model
-    /// tests: ceil(n/g) · ops_each / γ (+ launch overhead).
-    Ticks uniform_launch_time(std::uint64_t n_items, double ops_each) const noexcept {
-        const auto waves = static_cast<double>(util::ceil_div(n_items, params_.g));
-        return params_.launch_overhead + waves * ops_each / params_.gamma;
     }
 
 private:

@@ -27,11 +27,6 @@ public:
     CpuUnit& cpu() noexcept { return cpu_; }
     Device& gpu() noexcept { return gpu_; }
 
-    /// Virtual time of transferring `words` words across the link.
-    Ticks transfer_time(std::uint64_t words) const noexcept {
-        return params_.link.transfer_time(words);
-    }
-
     void reset() { gpu_.reset_stats(); }
 
 private:

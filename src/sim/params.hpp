@@ -14,8 +14,11 @@
 //     memory transactions and makes the §6.3 permutation optimization
 //     measurable. The CPU charges every word 1 op (sequential access in a
 //     task is cache-friendly).
+// Each price has one home, below: the simulator's charges, the §5 models,
+// the dynamic-tree split and the obs re-pricers all call it.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -49,6 +52,18 @@ struct DeviceParams {
         HPU_CHECK(strided_penalty >= 1.0, "strided penalty must be >= 1");
         HPU_CHECK(launch_overhead >= 0.0, "launch overhead must be >= 0");
     }
+
+    /// One wave: its slowest item's ops at γ ops per tick.
+    Ticks wave_time(double max_item_ops) const noexcept { return max_item_ops / gamma; }
+
+    /// `waves` waves of `max_item_ops`-op items. Discrete callers pass
+    /// ceil(items / g); the §5 models their continuous max(aⁱ/g, 1).
+    Ticks launch_time(double waves, double max_item_ops) const noexcept {
+        return launch_overhead + waves * max_item_ops / gamma;
+    }
+
+    /// A hook (layout permutation, ping-pong flip): `ops` over all g lanes.
+    Ticks hook_time(double ops) const noexcept { return ops / gamma / static_cast<double>(g); }
 };
 
 /// Multi-core CPU parameters.
@@ -70,6 +85,27 @@ struct CpuParams {
         HPU_CHECK(llc_bytes >= 1, "LLC capacity must be positive");
         HPU_CHECK(contention >= 0.0, "contention must be >= 0");
     }
+
+    /// Multiplier modeling LLC competition between cores (Fig. 8 gap):
+    /// 1 + contention · log2(ws / llc) when more than one core is active
+    /// and the working set exceeds the cache. 1 otherwise.
+    double contention_factor(std::uint64_t tasks, std::uint64_t working_set_bytes) const noexcept {
+        if (contention <= 0.0 || tasks <= 1 || p <= 1) return 1.0;
+        if (working_set_bytes <= llc_bytes) return 1.0;
+        const double ratio =
+            static_cast<double>(working_set_bytes) / static_cast<double>(llc_bytes);
+        return 1.0 + contention * std::log2(ratio);
+    }
+
+    /// `rounds` rounds of `ops_each`-op tasks, times a contention factor.
+    /// Discrete callers pass ceil(tasks / p); the §5 models their
+    /// continuous max(aⁱ/p, 1).
+    Ticks level_time(double rounds, double ops_each, double factor = 1.0) const noexcept {
+        return rounds * ops_each * factor;
+    }
+
+    /// A host pass (pre-pass, finalize): `ops` over the p cores.
+    Ticks host_pass_time(double ops) const noexcept { return ops / static_cast<double>(p); }
 };
 
 /// CPU↔GPU link: transferring w words takes λ + δ·w ticks (§3.2).

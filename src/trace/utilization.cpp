@@ -72,7 +72,8 @@ UtilizationReport derive_utilization(const TraceSession& session, const sim::Hpu
             (s.unit == Unit::kGpu ? d.on_gpu : d.on_cpu) = true;
             d.tasks += s.attrs.tasks;
             d.observed += s.duration();
-            d.predicted += obs::price_level_span(s, n, hw, rec, device_ops_multiplier);
+            d.predicted +=
+                obs::price_span(s, hw, obs::model_item_ops(s, n, rec, device_ops_multiplier));
         }
     }
 

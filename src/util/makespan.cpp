@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <queue>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/math.hpp"
@@ -25,30 +26,6 @@ std::vector<std::size_t> ordered_indices(std::span<const std::uint64_t> costs, L
 }
 
 }  // namespace
-
-std::vector<std::size_t> list_assignment(std::span<const std::uint64_t> costs, std::size_t cores,
-                                         ListOrder order) {
-    HPU_CHECK(cores >= 1, "need at least one core");
-    std::vector<std::size_t> assign(costs.size());
-    // Uniform-cost fast path: with identical costs the heap pops cores in
-    // index order every round (ties break on the core index), and kLpt's
-    // stable sort leaves the arrival order untouched — so the assignment
-    // is exactly round-robin for both orders (equivalence pinned by test).
-    if (!costs.empty() && std::all_of(costs.begin(), costs.end(),
-                                      [&](std::uint64_t c) { return c == costs.front(); })) {
-        for (std::size_t i = 0; i < assign.size(); ++i) assign[i] = i % cores;
-        return assign;
-    }
-    std::priority_queue<Slot, std::vector<Slot>, std::greater<>> heap;
-    for (std::size_t c = 0; c < cores; ++c) heap.emplace(0, c);
-    for (std::size_t i : ordered_indices(costs, order)) {
-        auto [load, core] = heap.top();
-        heap.pop();
-        assign[i] = core;
-        heap.emplace(load + costs[i], core);
-    }
-    return assign;
-}
 
 std::uint64_t makespan(std::span<const std::uint64_t> costs, std::size_t cores, ListOrder order) {
     HPU_CHECK(cores >= 1, "need at least one core");

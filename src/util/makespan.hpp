@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace hpu::util {
 
@@ -25,11 +24,5 @@ std::uint64_t makespan(std::span<const std::uint64_t> costs, std::size_t cores,
 /// Convenience: m tasks of identical cost c on `cores` machines:
 /// ceil(m / cores) * c.
 std::uint64_t uniform_makespan(std::uint64_t tasks, std::uint64_t cost_each, std::size_t cores);
-
-/// Per-core assignment produced by the list schedule; entry i gives the core
-/// index for task i (in the *original* order). Used by the functional CPU
-/// executor so virtual accounting and functional placement agree.
-std::vector<std::size_t> list_assignment(std::span<const std::uint64_t> costs, std::size_t cores,
-                                         ListOrder order = ListOrder::kArrival);
 
 }  // namespace hpu::util

@@ -95,7 +95,6 @@ struct RunShape {
     double alpha = 0.5;             ///< advanced/pipelined CPU fraction
     std::uint64_t y = 1;            ///< transfer level
     std::uint64_t chunks = 0;       ///< requested K (pipelined)
-    std::uint64_t split_tasks = 0;  ///< split-level threshold (0 = auto)
     bool include_transfers = true;  ///< gpu executor's transfer toggle
 };
 
@@ -113,12 +112,11 @@ VerifyReport verify_hybrid_run(const core::LevelAlgorithm<T>& alg, std::uint64_t
         // completeness.
         case RunShape::Kind::kBasic: plan = core::plan_basic(alg, n, hw); break;
         case RunShape::Kind::kAdvanced:
-            plan = core::plan_advanced(alg, hw, n, shape.alpha, shape.y, shape.split_tasks);
+            plan = core::plan_advanced(alg, hw, n, shape.alpha, shape.y);
             break;
         case RunShape::Kind::kPipelined:
             plan = core::plan_pipelined(alg, hw, n, shape.alpha, shape.y,
-                                        shape.chunks == 0 ? 4 : shape.chunks,
-                                        shape.split_tasks);
+                                        shape.chunks == 0 ? 4 : shape.chunks);
             break;
     }
     return verify_plan(alg, plan, hw);

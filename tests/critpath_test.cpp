@@ -212,7 +212,6 @@ ExecReport record_advanced(trace::TraceSession& ts, const sim::HpuParams& hw,
     opts.trace = &ts;
     AdvancedOptions adv;
     adv.exec = opts;
-    adv.split_tasks = 64;
     std::span<std::int32_t> d(dummy.data(), n);
     return run_advanced_hybrid(h, alg, d, alpha, y, adv);
 }

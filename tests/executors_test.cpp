@@ -120,7 +120,7 @@ TEST(Gpu, TransferTogglesCost) {
     const auto with = run_gpu(h, alg, std::span(d1), {}, /*include_transfers=*/true);
     const auto without = run_gpu(h, alg, std::span(d2), {}, /*include_transfers=*/false);
     EXPECT_DOUBLE_EQ(without.transfer, 0.0);
-    EXPECT_NEAR(with.total - without.total, 2.0 * h.transfer_time(n), 1e-9);
+    EXPECT_NEAR(with.total - without.total, 2.0 * h.params().link.transfer_time(n), 1e-9);
 }
 
 TEST(Executors, RejectBadInputSizes) {

@@ -230,20 +230,6 @@ TEST(AdvancedHybrid, OffOptimalParametersAreSlower) {
     EXPECT_LT(best.total, bad.total);
 }
 
-TEST(AdvancedHybrid, SplitTasksKnobControlsGranularity) {
-    sim::Hpu h(platforms::hpu1());
-    algos::MergesortCoalesced<std::int32_t> alg;
-    auto data = random_input(1 << 12, 9);
-    auto expect = data;
-    std::sort(expect.begin(), expect.end());
-    AdvancedOptions adv;
-    adv.split_tasks = 256;
-    const auto rep = run_advanced_hybrid(h, alg, std::span(data), 0.17, 9, adv);
-    EXPECT_EQ(data, expect);
-    // 256-way split quantizes α to 1/256.
-    EXPECT_NEAR(rep.alpha_effective, 0.17, 1.0 / 256.0 + 1e-12);
-}
-
 TEST(AdvancedHybrid, WorksOnReductions) {
     const std::uint64_t n = 1 << 14;
     util::Rng rng(10);

@@ -20,6 +20,7 @@
 #include "core/pipeline.hpp"
 #include "model/observed.hpp"
 #include "platforms/platforms.hpp"
+#include "sim/device.hpp"
 #include "trace/span.hpp"
 
 namespace hpu::core {
@@ -112,19 +113,23 @@ TEST(ObservedSplit, PrefixMinimizesEstimatedMakespan) {
         }
         const double cpu =
             k > 0 ? std::max(csum / static_cast<double>(hw.cpu.p), cmax) : 0.0;
-        double gsum = 0.0, gmax = 0.0;
-        std::uint64_t words = 0;
-        for (std::uint64_t j = k; j < est.size(); ++j) {
-            gsum += est[j].cost;
-            gmax = std::max(gmax, est[j].cost);
-            words += est[j].words;
-        }
+        // Device part [k, W): the launch overhead plus, per wave of g tasks
+        // from k on, its slowest task at γ ops per tick; then both link
+        // transfers of its words.
         double gpu = 0.0;
         if (k < est.size()) {
-            gpu = hw.gpu.launch_overhead +
-                  std::max(gsum / (hw.gpu.gamma * static_cast<double>(hw.gpu.g)),
-                           gmax / hw.gpu.gamma) +
-                  2.0 * hw.link.lambda + 2.0 * hw.link.delta * static_cast<double>(words);
+            gpu = hw.gpu.launch_overhead;
+            std::uint64_t words = 0;
+            for (std::uint64_t w0 = k; w0 < est.size(); w0 += hw.gpu.g) {
+                double wmax = 0.0;
+                for (std::uint64_t j = w0; j < std::min<std::uint64_t>(w0 + hw.gpu.g, est.size());
+                     ++j) {
+                    wmax = std::max(wmax, est[j].cost);
+                    words += est[j].words;
+                }
+                gpu += wmax / hw.gpu.gamma;
+            }
+            gpu += 2.0 * (hw.link.lambda + hw.link.delta * static_cast<double>(words));
         }
         return std::max(cpu, gpu);
     };
@@ -133,6 +138,36 @@ TEST(ObservedSplit, PrefixMinimizesEstimatedMakespan) {
     for (std::uint64_t k = 0; k <= est.size(); ++k) {
         EXPECT_LE(chosen, makespan(k) + 1e-9) << "k=" << k;
     }
+}
+
+TEST(ObservedSplit, DeviceEstimateEqualsTheLaunchCharge) {
+    // The split prices a device part as sim::Device::launch charges the same
+    // per-task ops: wave by wave, each wave at its slowest task. Integer
+    // costs and γ = 1/64 keep every sum exact, so the two must be equal.
+    sim::HpuParams hw = gpu_friendly();
+    hw.cpu.p = 2;
+    hw.gpu.g = 256;
+    hw.gpu.gamma = 1.0 / 64.0;
+    hw.gpu.launch_overhead = 100.0;
+    std::mt19937_64 rng(7);
+    std::vector<model::ObservedTask> est(1000);  // four waves, the last one partial
+    for (auto& t : est) t = {static_cast<double>(1 + rng() % 100), 4};
+
+    auto charge = [&](std::uint64_t k) {
+        sim::Device dev(hw.gpu);
+        return dev
+            .launch(est.size() - k,
+                    [&](sim::WorkItem& wi) {
+                        wi.charge_compute(static_cast<std::uint64_t>(est[k + wi.global_id()].cost));
+                    })
+            .time;
+    };
+    const auto pl = model::place_observed_level(hw, est, 1.0, 0.0, 0.0);
+    EXPECT_EQ(pl.gpu_est, charge(0));
+    const auto sp = model::split_observed_level(hw, est, 1.0, /*include_transfers=*/false);
+    ASSERT_GT(sp.cpu_tasks, 0u);
+    ASSERT_LT(sp.cpu_tasks, est.size());
+    EXPECT_EQ(sp.gpu_est, charge(sp.cpu_tasks));
 }
 
 TEST(ObservedSplit, SkewedCostsShiftTheSplit) {

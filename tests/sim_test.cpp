@@ -11,6 +11,7 @@
 #include "sim/memory_model.hpp"
 #include "trace/counters.hpp"
 #include "util/check.hpp"
+#include "util/math.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hpu::sim {
@@ -108,7 +109,8 @@ TEST(Device, LaunchOverheadAdds) {
 TEST(Device, UniformLaunchTimeMatchesExecution) {
     Device dev(small_device(8, 0.125));
     const auto r = dev.launch(20, [](WorkItem& wi) { wi.charge_compute(5); });
-    EXPECT_DOUBLE_EQ(r.time, dev.uniform_launch_time(20, 5.0));
+    EXPECT_DOUBLE_EQ(r.time, dev.params().launch_time(
+                                 static_cast<double>(util::ceil_div(20, dev.params().g)), 5.0));
 }
 
 TEST(Device, StatsAccumulateAndReset) {
@@ -261,9 +263,18 @@ TEST(Buffer, EventTraceRecordsOpsAndPriorState) {
     EXPECT_TRUE(log[4].host_valid_before);
 }
 
+/// CpuParams::level_time of `tasks` uniform tasks of `ops_each` ops with a
+/// working set of `ws` bytes: ceil(tasks / p) rounds, times the contention
+/// factor.
+double cpu_level_price(const CpuParams& p, std::uint64_t tasks, double ops_each,
+                       std::uint64_t ws = 0) {
+    return p.level_time(static_cast<double>(util::ceil_div(tasks, p.p)), ops_each,
+                        p.contention_factor(tasks, ws));
+}
+
 TEST(CpuUnit, UniformLevelMatchesClosedForm) {
     CpuUnit cpu(CpuParams{.p = 4});
-    EXPECT_DOUBLE_EQ(cpu.uniform_level_time(10, 5.0), 15.0);  // ceil(10/4)*5
+    EXPECT_DOUBLE_EQ(cpu_level_price(cpu.params(), 10, 5.0), 15.0);  // ceil(10/4)*5
 }
 
 TEST(CpuUnit, RunLevelMeasuresMakespan) {
@@ -281,17 +292,17 @@ TEST(CpuUnit, RunLevelMeasuresMakespan) {
 TEST(CpuUnit, ContentionInflatesLargeWorkingSets) {
     CpuParams p{.p = 4, .llc_bytes = 1 << 20, .contention = 0.1};
     CpuUnit cpu(p);
-    const double base = cpu.uniform_level_time(8, 100.0, 1 << 20);
-    const double hot = cpu.uniform_level_time(8, 100.0, 4u << 20);  // 4x LLC
+    const double base = cpu_level_price(cpu.params(), 8, 100.0, 1 << 20);
+    const double hot = cpu_level_price(cpu.params(), 8, 100.0, 4u << 20);  // 4x LLC
     EXPECT_DOUBLE_EQ(base, 200.0);
     EXPECT_DOUBLE_EQ(hot, 200.0 * (1.0 + 0.1 * 2.0));  // log2(4) = 2
     // Single task → no contention regardless of working set.
-    EXPECT_DOUBLE_EQ(cpu.uniform_level_time(1, 100.0, 64u << 20), 100.0);
+    EXPECT_DOUBLE_EQ(cpu_level_price(cpu.params(), 1, 100.0, 64u << 20), 100.0);
 }
 
 TEST(CpuUnit, ContentionDisabledByDefaultPlatforms) {
     CpuUnit cpu(CpuParams{});
-    EXPECT_DOUBLE_EQ(cpu.contention_factor(100, 1ull << 40), 1.0);
+    EXPECT_DOUBLE_EQ(cpu.params().contention_factor(100, 1ull << 40), 1.0);
 }
 
 TEST(MemoryModel, FullyCoalescedWave) {
@@ -352,7 +363,7 @@ TEST(Hpu, BundleWiring) {
     hp.link.lambda = 5;
     hp.link.delta = 1;
     Hpu h(hp);
-    EXPECT_DOUBLE_EQ(h.transfer_time(10), 15.0);
+    EXPECT_DOUBLE_EQ(h.params().link.transfer_time(10), 15.0);
     EXPECT_DOUBLE_EQ(h.params().gpu_power(), 8.0);
     h.gpu().launch(1, [](WorkItem& wi) { wi.charge_compute(1); });
     EXPECT_EQ(h.gpu().stats().launches, 1u);

@@ -413,6 +413,19 @@ TEST(Exporters, CsvHasHeaderAndOneRowPerSpan) {
 // ---------------------------------------------------------------------------
 // Utilization and model drift.
 
+/// Every drift row of `session` reads 1 ± 1e-9; returns the report.
+trace::UtilizationReport expect_unit_drift(const trace::TraceSession& session,
+                                           const sim::HpuParams& hw,
+                                           const LevelAlgorithm<std::int32_t>& alg) {
+    const auto u = trace::derive_utilization(session, hw, alg.recurrence(),
+                                             alg.device_ops_multiplier(hw.gpu));
+    EXPECT_FALSE(u.levels.empty());
+    for (const auto& d : u.levels) {
+        EXPECT_NEAR(d.drift, 1.0, 1e-9) << "level " << d.level;
+    }
+    return u;
+}
+
 TEST(Utilization, PureModelRunsHaveUnitDrift) {
     // No contention, analytic execution: observed level times ARE the model
     // prices, so every drift row must be exactly 1.
@@ -425,15 +438,37 @@ TEST(Utilization, PureModelRunsHaveUnitDrift) {
     adv.exec.functional = false;
     adv.exec.trace = &session;
     run_advanced_hybrid(h, alg, std::span(dummy), 0.2, 9, adv);
-    const auto u = trace::derive_utilization(session, h.params(), alg.recurrence(),
-                                             alg.device_ops_multiplier(h.params().gpu));
-    ASSERT_FALSE(u.levels.empty());
-    for (const auto& d : u.levels) {
-        EXPECT_NEAR(d.drift, 1.0, 1e-9) << "level " << d.level;
-    }
+    const auto u = expect_unit_drift(session, h.params(), alg);
     EXPECT_EQ(u.transfers, 2u);
     EXPECT_GT(u.gpu_lane_occupancy, 0.0);
     EXPECT_LE(u.gpu_lane_occupancy, 1.0 + 1e-9);
+
+    // The parallel tail (DESIGN.md §3.1): per-task levels down to
+    // ceil(L/2), element-wise levels below, each priced from its own
+    // closed-form item charge.
+    const std::uint64_t L = 16;
+    trace::TraceSession tail;
+    ExecOptions opts;
+    opts.functional = false;
+    opts.trace = &tail;
+    run_gpu(h, alg, std::span(dummy), opts, true, (L + 1) / 2);
+    expect_unit_drift(tail, h.params(), alg);
+}
+
+TEST(Utilization, ElementwiseLevelsHaveUnitDrift) {
+    // A functional parallel tail at switch 8 of n = 2^16: the element-wise
+    // levels 7..0 read drift 1 like the per-task levels above them.
+    sim::Hpu h(platforms::hpu1());
+    algos::MergesortCoalesced<std::int32_t> alg;
+    auto data = random_input(1 << 16, 23);
+    trace::TraceSession session;
+    ExecOptions opts;
+    opts.trace = &session;
+    run_gpu(h, alg, std::span(data), opts, true, 8);
+    const auto u = expect_unit_drift(session, h.params(), alg);
+    std::uint64_t elementwise = 0;
+    for (const auto& d : u.levels) elementwise += d.level < 8 ? 1 : 0;
+    EXPECT_EQ(elementwise, 8u);
 }
 
 TEST(Utilization, ContentionShowsUpAsCpuDriftAboveOne) {
