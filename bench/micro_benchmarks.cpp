@@ -1,13 +1,15 @@
 // Google-benchmark microbenchmarks of the simulator substrate itself: how
-// fast the host executes simulated kernels, CPU levels, and merges. These
-// measure the *reproduction harness*, not the paper's system — wall-clock
-// throughput of the simulation determines how large an n the figure benches
-// can sweep.
+// fast the host executes simulated kernels, CPU levels, merges, and the
+// quickhull partition. These measure the *reproduction harness*, not the
+// paper's system — wall-clock throughput of the simulation determines how
+// large an n the figure benches can sweep.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <thread>
 
 #include "algos/mergesort.hpp"
+#include "algos/quickhull.hpp"
 #include "core/hybrid.hpp"
 #include "platforms/platforms.hpp"
 #include "sim/device.hpp"
@@ -66,6 +68,48 @@ BENCHMARK(BM_CpuLevel)
     ->Args({1 << 14, 0})
     ->Args({1 << 18, 0})
     ->Args({1 << 21, pooled_workers()})
+    ->UseRealTime();
+
+// Quickhull's divide, the host data work of the irregular workload: the
+// two level-0 divides over n points on a circle (every point stays a
+// candidate, so each extent holds about n/2). Arguments: points, pool
+// workers. With workers the pool is bound as the executors bind it, so an
+// extent of 2^15 points or more runs its passes in blocks across the pool;
+// with 0 workers the divide runs serially.
+void BM_QuickhullDivide(benchmark::State& state) {
+    const auto n = static_cast<std::uint64_t>(state.range(0));
+    util::ThreadPool pool(static_cast<std::size_t>(state.range(1)));
+    util::Rng rng(3);
+    std::vector<algos::Pt> input(n);
+    for (auto& p : input) {
+        const double th = rng.uniform_real(0.0, 2.0 * 3.14159265358979323846);
+        p = {std::llround(1e9 * std::cos(th)), std::llround(1e9 * std::sin(th))};
+    }
+    algos::Quickhull qh;
+    qh.prepare(n);
+    qh.bind_exec(util::MergeExec{&pool, true});
+    std::vector<algos::Pt> data(n);
+    std::vector<core::TaskDesc> children;
+    for (auto _ : state) {
+        state.PauseTiming();
+        data = input;
+        sim::OpCounter ops;
+        const core::TaskList roots = qh.root_tasks(std::span(data), ops);
+        children.clear();
+        state.ResumeTiming();
+        for (const core::TaskDesc& t : roots.tasks) {
+            qh.divide_task(std::span(data), t, 0, children, ops);
+        }
+        benchmark::DoNotOptimize(children.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_QuickhullDivide)
+    ->Args({1 << 16, 0})
+    ->Args({1 << 16, pooled_workers()})
+    ->Args({1 << 20, 0})
+    ->Args({1 << 20, pooled_workers()})
     ->UseRealTime();
 
 void BM_MakespanSkewed(benchmark::State& state) {

@@ -21,14 +21,19 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algos/geometry.hpp"
 #include "core/level_algorithm.hpp"
 #include "util/check.hpp"
+#include "util/merge_path.hpp"
+#include "util/partition.hpp"
 #include "verify/footprint.hpp"
 
 namespace hpu::algos {
@@ -68,7 +73,7 @@ public:
         HPU_CHECK(n_ == n, "prepare() was not called with this input size");
         // One global x-sort; every divide below reads its split point from
         // the still-x-sorted prefix of the tree.
-        std::sort(data.begin(), data.end());
+        sort_blocks(data.data(), n, util::pass_blocks(n, exec_));
         const std::uint64_t logn = n < 2 ? 1 : 64 - static_cast<std::uint64_t>(
                                                      __builtin_clzll(n - 1));
         ops.charge_compute(n * logn);
@@ -213,10 +218,34 @@ public:
     std::uint64_t best_dist2() const { return dist_[0]; }
 
 protected:
+    /// Sorts data[0, n) as `parts` blocks across the pool, then merges
+    /// neighbouring runs pairwise through the merge kernel, ping-ponging
+    /// through scratch_; one block is a plain std::sort. Points that
+    /// compare equal are equal bytes, so any block count gives std::sort's
+    /// result.
+    void sort_blocks(Pt* data, std::uint64_t n, std::size_t parts) const {
+        util::for_blocks(exec_.pool, n, parts, [&](std::size_t, std::size_t lo, std::size_t hi) {
+            std::sort(data + lo, data + hi);
+        });
+        Pt* src = data;
+        Pt* dst = scratch_.data();
+        for (std::size_t width = 1; width < parts; width *= 2) {
+            for (std::size_t k = 0; k < parts; k += 2 * width) {
+                const std::size_t lo = n * k / parts;
+                const std::size_t mid = n * std::min(k + width, parts) / parts;
+                const std::size_t hi = n * std::min(k + 2 * width, parts) / parts;
+                util::merge_segments(exec_.pool, src + lo, mid - lo, src + mid, hi - mid, dst + lo,
+                                     std::less<Pt>{}, util::merge_parts(hi - lo, exec_.pool));
+            }
+            std::swap(src, dst);
+        }
+        if (src != data) std::copy(src, src + n, data);
+    }
+
     mutable std::uint64_t n_ = 0;
     mutable std::vector<std::uint64_t> dist_;    ///< best d², keyed by extent begin
     mutable std::vector<std::int64_t> splitx_;   ///< split x, keyed by split index
-    mutable std::vector<Pt> scratch_;            ///< y-merge staging
+    mutable std::vector<Pt> scratch_;            ///< x-sort and y-merge staging
     mutable util::MergeExec exec_;               ///< Merge Path binding (wall-side)
 };
 

@@ -6,15 +6,15 @@
 // padded with 0). Coefficients multiply without carries, so any test inputs
 // with modest magnitudes stay exact in int64.
 //
-// The whole computation lives in a per-run arena: prepare() builds the task
-// tree once (bump allocation, breadth-first), giving node i an arena region
-// [off, off + 4m) = [A(m) | B(m) | R(2m)]. A task's extent IS its arena
-// region and its tag is the node id, so sibling extents are disjoint by
-// construction, every access is logged at kScratchRegionBase + arena offset,
-// and the dynamic race check sees the true footprint. divide copies child
-// operands (including the A0+A1 / B0+B1 sums for the middle child); combine
-// assembles R = z0 + (z1 - z0 - z2)·X^h + z2·X^{2h}. Nodes with m <= 4 go
-// schoolbook and end the branch early.
+// The whole computation lives in an arena: prepare() builds the task tree
+// once per operand length (bump allocation, breadth-first), giving node i
+// an arena region [off, off + 4m) = [A(m) | B(m) | R(2m)]. A task's extent
+// IS its arena region and its tag is the node id, so sibling extents are
+// disjoint by construction, every access is logged at kScratchRegionBase +
+// arena offset, and the dynamic race check sees the true footprint. divide
+// copies child operands (including the A0+A1 / B0+B1 sums for the middle
+// child); combine assembles R = z0 + (z1 - z0 - z2)·X^h + z2·X^{2h}. Nodes
+// with m <= 4 go schoolbook and end the branch early.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +52,12 @@ public:
     void prepare(std::uint64_t sz) const override {
         HPU_CHECK(admissible(sz), "karatsuba: size must be even and >= 2");
         const std::uint64_t n = sz / 2;
+        // The tree and the arena layout depend on n alone: build them once
+        // per size. The arena is not cleared between runs — every word a
+        // run reads it writes first (root_tasks the root's operands, each
+        // divide its children's, leaves and combines zero R before they
+        // accumulate).
+        if (!nodes_.empty() && nodes_[0].m == n) return;
         nodes_.clear();
         nodes_.push_back(Node{n, 0, {0, 0, 0}});
         std::uint64_t cursor = 4 * n;
@@ -66,7 +72,7 @@ public:
                 cursor += 4 * sizes[c];
             }
         }
-        arena_.assign(cursor, 0);
+        arena_.resize(cursor);
     }
 
     core::TaskList root_tasks(std::span<std::int64_t> data, sim::OpCounter& ops) const override {

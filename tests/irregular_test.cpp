@@ -2,10 +2,13 @@
 // shape statistics, the extent-overlap detector, the observed-width
 // scheduler, and the engine itself — dispatch from all six executors,
 // span-derived task conservation, per-level α re-balance, the verify
-// downgrade certificate, and the width/imbalance trace attributes.
+// downgrade certificate, and the width/imbalance trace attributes — plus
+// the state the algorithms keep across runs, which prepare() no longer
+// clears and every run must write before it reads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -22,6 +25,7 @@
 #include "platforms/platforms.hpp"
 #include "sim/device.hpp"
 #include "trace/span.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hpu::core {
 namespace {
@@ -452,6 +456,104 @@ TEST(IrregularEngine, NonPowerOfTwoSizesRunEverywhere) {
         const auto r = run_basic_hybrid(h, alg, std::span(d), ExecOptions{});
         EXPECT_EQ(d, ref);
         EXPECT_GT(r.tasks_spawned, 0u);
+    }
+}
+
+// ----------------------------------------------------------- prepare reuse
+
+/// Karatsuba whose arena holds garbage right after every prepare(): a run
+/// that reads a word before writing it shows in the product.
+class PoisonedKaratsuba final : public algos::KaratsubaArray {
+public:
+    void prepare(std::uint64_t sz) const override {
+        algos::KaratsubaArray::prepare(sz);
+        std::fill(arena_.begin(), arena_.end(), std::int64_t{0x5a5a5a5a5a5a5a5});
+    }
+};
+
+/// Quickhull whose edge table and partition staging hold garbage right
+/// after every prepare() (the hull marks are cleared there and stay so).
+class PoisonedQuickhull final : public algos::Quickhull {
+public:
+    void prepare(std::uint64_t n) const override {
+        algos::Quickhull::prepare(n);
+        std::fill(edge_from_.begin(), edge_from_.end(), algos::Pt{-777777777, 888888888});
+        std::fill(edge_to_.begin(), edge_to_.end(), algos::Pt{999999999, -666666666});
+        std::fill(scratch_.begin(), scratch_.end(), algos::Pt{123456789, -987654321});
+        std::fill(codes_.begin(), codes_.end(), std::uint8_t{kLost});
+    }
+};
+
+/// Runs `alg` on `input` through executor e (pooled, merge kernel on).
+template <typename T>
+std::vector<T> run_executor(int e, util::ThreadPool& pool, const LevelAlgorithm<T>& alg,
+                            const std::vector<T>& input) {
+    sim::Hpu h(gpu_friendly(), &pool);
+    ExecOptions opts;
+    opts.merge_path = true;
+    std::vector<T> d = input;
+    switch (e) {
+        case 0: run_sequential(h.cpu(), alg, std::span(d), opts); break;
+        case 1: run_multicore(h.cpu(), alg, std::span(d), opts); break;
+        case 2: run_gpu(h, alg, std::span(d), opts); break;
+        case 3: run_basic_hybrid(h, alg, std::span(d), opts); break;
+        case 4: {
+            AdvancedOptions a;
+            a.exec = opts;
+            run_advanced_hybrid(h, alg, std::span(d), 0.5, 1, a);
+            break;
+        }
+        default: {
+            PipelinedOptions p;
+            p.exec = opts;
+            p.chunks = 4;
+            run_pipelined_hybrid(h, alg, std::span(d), 0.5, 1, p);
+            break;
+        }
+    }
+    return d;
+}
+
+TEST(PrepareReuse, KaratsubaReadsNoArenaWordBeforeWritingIt) {
+    // Sizes n1, n2, n1 on one object: the tree is rebuilt on each change,
+    // and every run starts from a poisoned arena.
+    util::ThreadPool pool(3);
+    PoisonedKaratsuba alg;
+    std::mt19937_64 rng(31);
+    for (const std::uint64_t m : {std::uint64_t{700}, std::uint64_t{333}, std::uint64_t{700}}) {
+        std::vector<std::int64_t> in(2 * m);
+        for (auto& c : in) c = static_cast<std::int64_t>(rng() % 201) - 100;
+        std::vector<std::int64_t> want(2 * m, 0);
+        for (std::uint64_t i = 0; i < m; ++i) {
+            for (std::uint64_t j = 0; j < m; ++j) want[i + j] += in[i] * in[m + j];
+        }
+        for (int e = 0; e < 6; ++e) {
+            EXPECT_EQ(run_executor(e, pool, alg, in), want) << "m=" << m << " executor " << e;
+        }
+    }
+}
+
+TEST(PrepareReuse, QuickhullReadsNoEdgeBeforeItsParentWritesIt) {
+    // n1 is wide enough that the root pass and the level-0 divides run in
+    // blocks across the pool; n2 is small. The reference is a fresh,
+    // unpoisoned object run once per input.
+    util::ThreadPool pool(3);
+    PoisonedQuickhull alg;
+    std::mt19937_64 rng(37);
+    for (const std::uint64_t n : {(std::uint64_t{1} << 17) + 5, std::uint64_t{3001},
+                                  (std::uint64_t{1} << 17) + 5}) {
+        std::vector<algos::Pt> in(n);
+        for (auto& p : in) {
+            const double th = static_cast<double>(rng() % 1000003) * 6.283185307179586e-6;
+            p = {std::llround(1e6 * std::cos(th)), std::llround(1e6 * std::sin(th))};
+        }
+        algos::Quickhull fresh;
+        const std::vector<algos::Pt> want = run_executor(0, pool, fresh, in);
+        ASSERT_GT(fresh.hull_count(), 100u);
+        for (int e = 0; e < 6; ++e) {
+            EXPECT_EQ(run_executor(e, pool, alg, in), want) << "n=" << n << " executor " << e;
+            EXPECT_EQ(alg.hull_count(), fresh.hull_count()) << "n=" << n << " executor " << e;
+        }
     }
 }
 

@@ -13,9 +13,14 @@
 // findings across all six executors × functional/analytic. Combined with
 // the pooled-vs-inline determinism sweep (kernel-off pooled == inline),
 // this pins the whole on/off/pooled/inline square to one behavior.
+// Quickhull's blocked partition passes and Karatsuba run that square
+// directly (kernel off/on × 0/3 workers), quickhull above the 2^15 gate on
+// adversarial geometry: farthest-point ties and duplicates spread across
+// blocks, collinear and identical point sets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <random>
@@ -26,8 +31,10 @@
 
 #include "algos/closest_pair.hpp"
 #include "algos/geometry.hpp"
+#include "algos/karatsuba.hpp"
 #include "algos/mergesort.hpp"
 #include "algos/mergesort_blocked.hpp"
+#include "algos/quickhull.hpp"
 #include "core/hybrid.hpp"
 #include "core/pipeline.hpp"
 #include "platforms/platforms.hpp"
@@ -216,19 +223,20 @@ sim::HpuParams parity_hw() {
     return hw;
 }
 
+template <typename T>
 struct Artifacts {
     core::ExecReport rep;
     std::vector<trace::Span> spans;
-    std::vector<std::int32_t> out;
+    std::vector<T> out;
     std::vector<std::string> findings;
 };
 
 constexpr const char* kExecutors[] = {"sequential", "multicore", "gpu",
                                       "basic",      "advanced",  "pipelined"};
 
-Artifacts run_one(util::ThreadPool* pool, int executor,
-                  const core::LevelAlgorithm<std::int32_t>& alg,
-                  const std::vector<std::int32_t>& input, bool functional, bool merge_path) {
+template <typename T>
+Artifacts<T> run_one(util::ThreadPool* pool, int executor, const core::LevelAlgorithm<T>& alg,
+                     const std::vector<T>& input, bool functional, bool merge_path) {
     sim::Hpu h(parity_hw(), pool);
     trace::TraceSession ts;
     core::ExecOptions opts;
@@ -237,9 +245,9 @@ Artifacts run_one(util::ThreadPool* pool, int executor,
     opts.trace = &ts;
     opts.merge_path = merge_path;
 
-    Artifacts art;
+    Artifacts<T> art;
     art.out = input;
-    std::span<std::int32_t> data(art.out);
+    std::span<T> data(art.out);
     switch (executor) {
         case 0: art.rep = core::run_sequential(h.cpu(), alg, data, opts); break;
         case 1: art.rep = core::run_multicore(h.cpu(), alg, data, opts); break;
@@ -264,7 +272,8 @@ Artifacts run_one(util::ThreadPool* pool, int executor,
     return art;
 }
 
-void expect_identical(const Artifacts& a, const Artifacts& b) {
+template <typename T>
+void expect_identical(const Artifacts<T>& a, const Artifacts<T>& b) {
     EXPECT_EQ(a.rep.total, b.rep.total);
     EXPECT_EQ(a.rep.cpu_busy, b.rep.cpu_busy);
     EXPECT_EQ(a.rep.gpu_busy, b.rep.gpu_busy);
@@ -275,20 +284,37 @@ void expect_identical(const Artifacts& a, const Artifacts& b) {
     EXPECT_EQ(a.rep.alpha_effective, b.rep.alpha_effective);
     EXPECT_EQ(a.rep.chunks, b.rep.chunks);
     EXPECT_EQ(a.rep.tasks_spawned, b.rep.tasks_spawned);
-    EXPECT_EQ(a.out, b.out);
+    EXPECT_TRUE(a.out.size() == b.out.size() &&
+                std::memcmp(a.out.data(), b.out.data(), a.out.size() * sizeof(T)) == 0)
+        << "output bytes differ";
     EXPECT_EQ(a.findings, b.findings);
+    EXPECT_EQ(a.rep.analysis.launches_checked, b.rep.analysis.launches_checked);
+    EXPECT_EQ(a.rep.analysis.launches_skipped, b.rep.analysis.launches_skipped);
+    EXPECT_EQ(a.rep.analysis.findings_suppressed, b.rep.analysis.findings_suppressed);
     ASSERT_EQ(a.spans.size(), b.spans.size());
     for (std::size_t i = 0; i < a.spans.size(); ++i) {
         const trace::Span& sa = a.spans[i];
         const trace::Span& sb = b.spans[i];
         SCOPED_TRACE(::testing::Message() << "span " << i << " label=" << sa.label);
+        EXPECT_EQ(sa.id, sb.id);
+        EXPECT_EQ(sa.parent, sb.parent);
+        EXPECT_EQ(sa.kind, sb.kind);
+        EXPECT_EQ(sa.unit, sb.unit);
         EXPECT_EQ(sa.label, sb.label);
         EXPECT_EQ(sa.start, sb.start);
         EXPECT_EQ(sa.end, sb.end);
+        EXPECT_EQ(sa.attrs.level, sb.attrs.level);
         EXPECT_EQ(sa.attrs.tasks, sb.attrs.tasks);
+        EXPECT_EQ(sa.attrs.items, sb.attrs.items);
+        EXPECT_EQ(sa.attrs.waves, sb.attrs.waves);
         EXPECT_EQ(sa.attrs.ops, sb.attrs.ops);
         EXPECT_EQ(sa.attrs.max_ops, sb.attrs.max_ops);
         EXPECT_EQ(sa.attrs.work, sb.attrs.work);
+        EXPECT_EQ(sa.attrs.bytes, sb.attrs.bytes);
+        EXPECT_EQ(sa.attrs.coalesced_transactions, sb.attrs.coalesced_transactions);
+        EXPECT_EQ(sa.attrs.strided_transactions, sb.attrs.strided_transactions);
+        EXPECT_EQ(sa.attrs.extent_words, sb.attrs.extent_words);
+        EXPECT_EQ(sa.attrs.imbalance, sb.attrs.imbalance);
     }
 }
 
@@ -357,6 +383,139 @@ TEST(MergePathParity, ClosestPairKernelOnOff) {
             EXPECT_TRUE(std::memcmp(off_data.data(), on_data.data(),
                                     n * sizeof(algos::Pt)) == 0);
         }
+    }
+}
+
+/// The on/off × pooled/inline square for one irregular algorithm: every
+/// executor, functional, with the kernel off and on at 0 and 3 workers —
+/// each run against the kernel-off inline one. Returns that reference
+/// run's outputs per executor.
+template <typename T>
+std::vector<std::vector<T>> sweep_on_off(const core::LevelAlgorithm<T>& alg,
+                                         const std::vector<T>& input) {
+    util::ThreadPool inline_pool(0);
+    util::ThreadPool pool(3);
+    std::vector<std::vector<T>> outs;
+    for (int e = 0; e < 6; ++e) {
+        SCOPED_TRACE(::testing::Message() << "executor=" << kExecutors[e]);
+        const auto ref = run_one(&inline_pool, e, alg, input, true, false);
+        expect_identical(ref, run_one(&inline_pool, e, alg, input, true, true));
+        expect_identical(ref, run_one(&pool, e, alg, input, true, false));
+        expect_identical(ref, run_one(&pool, e, alg, input, true, true));
+        outs.push_back(ref.out);
+    }
+    return outs;
+}
+
+/// Strict hull vertices (collinear boundary points excluded), sorted:
+/// Andrew's monotone chain.
+std::vector<algos::Pt> reference_hull(std::vector<algos::Pt> pts) {
+    std::sort(pts.begin(), pts.end());
+    pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
+    if (pts.size() < 3) return pts;
+    std::vector<algos::Pt> h(2 * pts.size());
+    std::size_t k = 0;
+    for (const algos::Pt& p : pts) {
+        while (k >= 2 && algos::cross(h[k - 2], h[k - 1], p) <= 0) --k;
+        h[k++] = p;
+    }
+    for (std::size_t i = pts.size() - 1, t = k + 1; i-- > 0;) {
+        while (k >= t && algos::cross(h[k - 2], h[k - 1], pts[i]) <= 0) --k;
+        h[k++] = pts[i];
+    }
+    h.resize(k - 1);
+    std::sort(h.begin(), h.end());
+    return h;
+}
+
+TEST(MergePathParity, QuickhullKernelOnOff) {
+    // The first four inputs are large enough that the root pass and the
+    // level-0 divides (about n/2 points each) clear the 2^15 gate and run
+    // in blocks in the pooled kernel-on runs; on the degenerate ones only
+    // the root pass is wide.
+    constexpr std::uint64_t n = (std::uint64_t{1} << 17) + 11;
+    constexpr std::uint64_t n_flat = (std::uint64_t{1} << 16) + 11;
+    std::mt19937_64 rng(23);
+    const auto coord = [&](std::int64_t r) {
+        return static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(2 * r + 1)) - r;
+    };
+    struct Input {
+        const char* name;
+        std::vector<algos::Pt> pts;
+    };
+    std::vector<Input> inputs;
+    {
+        std::vector<algos::Pt> pts(n);
+        for (auto& p : pts) p = {coord(1000000), coord(1000000)};
+        inputs.push_back({"uniform square", std::move(pts)});
+    }
+    {
+        std::vector<algos::Pt> pts(n);
+        for (auto& p : pts) {
+            const double th = static_cast<double>(rng() % 1000000) * 6.283185307179586e-6;
+            p = {std::llround(1e9 * std::cos(th)), std::llround(1e9 * std::sin(th))};
+        }
+        inputs.push_back({"circle", std::move(pts)});
+    }
+    {
+        // Anchors (-2e6, 0) and (2e6, 0); 512 distinct points on y = 10^6
+        // tie at the farthest distance from the upper root edge, at random
+        // indices, so every block holds some of them.
+        std::vector<algos::Pt> pts(n);
+        for (auto& p : pts) p = {coord(1000000), coord(999999)};
+        pts[0] = {-2000000, 0};
+        pts[1] = {2000000, 0};
+        for (int k = 0; k < 512; ++k) pts[2 + rng() % (n - 2)] = {coord(1000000), 1000000};
+        inputs.push_back({"tied band", std::move(pts)});
+    }
+    {
+        // The farthest point, duplicated into every block with interior
+        // points between the copies: which copy is re-inserted shows in
+        // the dropped middle.
+        std::vector<algos::Pt> pts(n);
+        for (auto& p : pts) p = {coord(1000000), coord(1000000)};
+        for (std::uint64_t k = 0; k < 64; ++k) pts[k * (n / 64) + rng() % (n / 64)] = {0, 3000000};
+        inputs.push_back({"duplicated farthest", std::move(pts)});
+    }
+    {
+        std::vector<algos::Pt> pts(n_flat);
+        for (auto& p : pts) {
+            const std::int64_t x = coord(1000000);
+            p = {x, 3 * x - 7};
+        }
+        inputs.push_back({"collinear", std::move(pts)});
+    }
+    inputs.push_back({"identical", std::vector<algos::Pt>(n_flat, algos::Pt{5, -5})});
+    inputs.push_back({"n = 2", {{3, 4}, {-1, 2}}});
+    inputs.push_back({"n = 3", {{0, 0}, {4, 0}, {2, 3}}});
+
+    algos::Quickhull qh;
+    for (const Input& in : inputs) {
+        SCOPED_TRACE(::testing::Message() << "input=" << in.name);
+        const auto outs = sweep_on_off(qh, in.pts);
+        const std::vector<algos::Pt> want = reference_hull(in.pts);
+        ASSERT_EQ(qh.hull_count(), want.size());
+        for (const auto& out : outs) {
+            EXPECT_TRUE(std::equal(want.begin(), want.end(), out.begin()));
+        }
+    }
+}
+
+TEST(MergePathParity, KaratsubaKernelOnOff) {
+    // Two uneven operands (odd splits at several depths).
+    std::vector<std::int64_t> coeffs(2 * 1203);
+    std::mt19937_64 rng(29);
+    for (auto& c : coeffs) c = static_cast<std::int64_t>(rng() % 2001) - 1000;
+    algos::KaratsubaArray ka;
+    const auto outs = sweep_on_off(ka, coeffs);
+    // Spot-check the product against the schoolbook sum at a few degrees.
+    const std::size_t m = coeffs.size() / 2;
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, m - 1, m, 2 * m - 2}) {
+        std::int64_t want = 0;
+        for (std::size_t i = 0; i < m; ++i) {
+            if (k >= i && k - i < m) want += coeffs[i] * coeffs[m + k - i];
+        }
+        for (const auto& out : outs) EXPECT_EQ(out[k], want) << "degree " << k;
     }
 }
 
