@@ -152,6 +152,18 @@ int main(int argc, char** argv) {
     const std::string out = bench::out_path(cli, cli.get("out", "BENCH_wallclock.json"));
     const std::uint64_t chunks = std::max<std::uint64_t>(1, bench::pipeline_chunks(cli));
 
+    // The JSON rows carry only size/executor/workers, so the quickhull rows
+    // are told from the mergesort rows by their size alone.
+    const std::uint64_t hull_n =
+        static_cast<std::uint64_t>(cli.get_int("hull-n", 1 << 16));
+    for (int lg = lg_min; lg <= lg_max; lg += step) {
+        if (hull_n == (1ull << lg)) {
+            std::cerr << "--hull-n=" << hull_n << " equals a sweep size (2^" << lg
+                      << "); pick a point count outside the sweep\n";
+            return 2;
+        }
+    }
+
     const platforms::PlatformSpec spec =
         platforms::by_name(cli.get("platform", "HPU1"));
     algos::MergesortCoalesced<std::int32_t> alg;
@@ -189,14 +201,12 @@ int main(int argc, char** argv) {
     }
 
     // Irregular rows: quickhull at its own size, distinct from the sweep
-    // sizes so the per-size sequential-inline normalizer in
-    // tools/bench_history.py stays unambiguous. Same six executors, same
+    // sizes (checked above) so the per-size sequential-inline normalizer
+    // of tools/bench_diff.py stays unambiguous. Same six executors, same
     // inline-vs-pooled comparison, same JSON artifact — bench_history and
     // the baseline gate pick the rows up with no schema change (the
     // baseline simply has no quickhull keys yet; bench_diff ignores
     // current-only entries).
-    const std::uint64_t hull_n =
-        static_cast<std::uint64_t>(cli.get_int("hull-n", 1 << 16));
     if (hull_n >= 2) {
         util::Rng rng(bench::input_seed(cli, hull_n) ^ 0x9e3779b97f4a7c15ull);
         std::vector<algos::Pt> pts(hull_n);

@@ -160,15 +160,17 @@ public:
         }
         for (std::uint64_t k = 0; k < m; ++k) data[b + k] = tmp[k];
         // Strip scan: y-ordered candidates near the split line, each against
-        // at most the next 7 strip points.
+        // at most the next 7 strip points. The strip reuses this extent's
+        // scratch range, free again once the merged run is copied back.
         const std::int64_t sx = splitx_[mid];
-        std::vector<Pt> strip;
+        Pt* strip = tmp;
+        std::uint64_t s = 0;
         for (std::uint64_t k = b; k < e; ++k) {
             const i128 dx = data[k].x - sx;
-            if (dx * dx < static_cast<i128>(d)) strip.push_back(data[k]);
+            if (dx * dx < static_cast<i128>(d)) strip[s++] = data[k];
         }
-        for (std::uint64_t p = 0; p < strip.size(); ++p) {
-            for (std::uint64_t q = p + 1; q < strip.size(); ++q) {
+        for (std::uint64_t p = 0; p < s; ++p) {
+            for (std::uint64_t q = p + 1; q < s; ++q) {
                 const i128 dy = strip[q].y - strip[p].y;
                 if (dy * dy >= static_cast<i128>(d)) break;
                 d = std::min(d, dist2(strip[p], strip[q]));
@@ -245,7 +247,7 @@ protected:
     mutable std::uint64_t n_ = 0;
     mutable std::vector<std::uint64_t> dist_;    ///< best d², keyed by extent begin
     mutable std::vector<std::int64_t> splitx_;   ///< split x, keyed by split index
-    mutable std::vector<Pt> scratch_;            ///< x-sort and y-merge staging
+    mutable std::vector<Pt> scratch_;            ///< x-sort, y-merge and strip staging
     mutable util::MergeExec exec_;               ///< Merge Path binding (wall-side)
 };
 

@@ -3,17 +3,19 @@
 // and the GPU-only breadth-first executor (§4.2). The hybrid schedulers
 // live in core/hybrid.hpp and core/pipeline.hpp.
 //
-// All executors process the recursion tree bottom-up by *global level*
-// index i (0 = root, L-1 = deepest internal level, L = log_b n), running
-// the a^i independent tasks of each level on the chosen unit. They require
-// a == b so that level tasks tile the array contiguously.
+// On a regular tree the executors process the recursion tree bottom-up by
+// *global level* index i (0 = root, L-1 = deepest internal level,
+// L = log_b n), running the a^i independent tasks of each level on the
+// chosen unit. They require a == b so that level tasks tile the array
+// contiguously.
 //
-// Every regular executor is the same two steps: a producer builds the
-// run's Plan (core/plan.hpp), and detail::run_plan runs that plan — the
-// static verifier checks it priced (ExecOptions::verify), then the plan
-// walker runs it, functionally or analytically, through the one launch
-// primitive (core/launch.hpp), which also records the span tree and the
-// validation findings.
+// Every executor, for both tree kinds, is the same two steps: a producer
+// builds the run's Plan (core/plan.hpp), and detail::run_plan runs that
+// plan — the static verifier checks it (ExecOptions::verify), then the
+// plan walker runs a regular plan, or the expand/combine sweeps run a
+// dynamic tree's (core/irregular.hpp), functionally or analytically,
+// through the one launch primitive (core/launch.hpp), which also records
+// the span tree and the validation findings.
 //
 // Host-parallel functional execution: construct the sim::Hpu (or CpuUnit)
 // with a util::ThreadPool and CPU levels / device waves run pool-parallel.
@@ -26,6 +28,7 @@
 #include <span>
 #include <string>
 
+#include "core/irregular.hpp"
 #include "core/launch.hpp"
 #include "core/level_algorithm.hpp"
 #include "core/plan.hpp"
@@ -35,23 +38,6 @@
 #include "verify/verify.hpp"
 
 namespace hpu::core {
-
-/// Which scheduler shape core/irregular.hpp emulates for a dynamic task
-/// tree. Each of the six public executors maps onto one of these when
-/// handed an IrregularLevelAlgorithm (the pipelined one onto kAdvanced).
-enum class IrregularMode : std::uint8_t {
-    kSequential,  ///< 1 core, no device
-    kMulticore,   ///< p cores, no device
-    kGpu,         ///< device only (optional boundary transfers)
-    kBasic,       ///< whole-level placement, observed-cost crossover
-    kAdvanced,    ///< per-level α split re-balanced from observed widths
-};
-
-template <typename T>
-ExecReport run_irregular(sim::CpuUnit& cpu, sim::Device* dev, const sim::HpuParams& hw,
-                         const IrregularLevelAlgorithm<T>& alg, std::span<T> data,
-                         IrregularMode mode, const ExecOptions& opts, bool include_transfers,
-                         const char* executor_label);
 
 namespace detail {
 
@@ -79,10 +65,13 @@ void observe_run(const ExecOptions& opts, ExecReport& rep, trace::SpanId run,
     rep.obs = obs::observe(*opts.trace, run, ctx);
 }
 
-/// Runs one regular plan end to end on `cpu` (and `dev`) of machine `hw`:
+/// Runs one plan end to end on `cpu` (and `dev`) of machine `hw`:
 /// prepares the algorithm, binds its merge context, verifies `plan` itself
-/// (ExecOptions::verify), opens the run span, runs the host pre-pass,
-/// walks the plan, closes the run and observes it.
+/// (ExecOptions::verify) and opens the run span; then runs the host
+/// pre-pass and walks the climbs of a regular plan, or runs the
+/// expand/combine sweeps of a dynamic one (core/irregular.hpp); closes the
+/// run and observes a regular one (the observation models the regular
+/// recurrence).
 template <typename T>
 ExecReport run_plan(const Plan& plan, sim::CpuUnit& cpu, sim::Device* dev,
                     const sim::HpuParams& hw, const LevelAlgorithm<T>& alg, std::span<T> data,
@@ -94,6 +83,11 @@ ExecReport run_plan(const Plan& plan, sim::CpuUnit& cpu, sim::Device* dev,
     rep.trace = opts.trace;
     const ValCtx val = validation_ctx(opts, rep);
     const trace::SpanId run = open_run(opts, alg.name(), plan.executor, data.size());
+    if (plan.dynamic()) {
+        Sweeps<T>{plan, alg, cpu, dev, hw, opts, val, data, rep}.run(run);
+        close_run(opts, run, rep.total);
+        return rep;
+    }
     const SpanCtx rt{opts.trace, run, 0.0, trace::SpanAttrs::kNoLevel, opts.profile};
     const sim::Ticks pre = host_pre_pass(alg, data, cpu.params(), rt);
     Walker<T> w{plan, alg, cpu, dev, hw.link, opts, val, data, rep};
@@ -120,11 +114,6 @@ ExecReport run_sequential(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::
     sim::CpuUnit single(one_core, cpu.pool());
     sim::HpuParams hw;
     hw.cpu = one_core;
-    if (const auto* irr = alg.as_irregular()) {
-        return run_irregular(single, static_cast<sim::Device*>(nullptr), hw, *irr, data,
-                             IrregularMode::kSequential, opts, /*include_transfers=*/false,
-                             "sequential");
-    }
     return detail::run_plan(plan_cpu(alg, data.size(), "sequential"), single, nullptr, hw, alg,
                             data, opts);
 }
@@ -135,11 +124,6 @@ ExecReport run_multicore(sim::CpuUnit& cpu, const LevelAlgorithm<T>& alg, std::s
                          const ExecOptions& opts = {}) {
     sim::HpuParams hw;
     hw.cpu = cpu.params();
-    if (const auto* irr = alg.as_irregular()) {
-        return run_irregular(cpu, static_cast<sim::Device*>(nullptr), hw, *irr, data,
-                             IrregularMode::kMulticore, opts, /*include_transfers=*/false,
-                             "multicore");
-    }
     return detail::run_plan(plan_cpu(alg, data.size(), "multicore"), cpu, nullptr, hw, alg,
                             data, opts);
 }
@@ -152,19 +136,8 @@ template <typename T>
 ExecReport run_gpu(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std::span<T> data,
                    const ExecOptions& opts = {}, bool include_transfers = true,
                    std::uint64_t elementwise = 0) {
-    if (const auto* irr = alg.as_irregular()) {
-        HPU_CHECK(elementwise == 0, alg.name() + " has no element-wise form");
-        return run_irregular(hpu.cpu(), &hpu.gpu(), hpu.params(), *irr, data,
-                             IrregularMode::kGpu, opts, include_transfers, "gpu");
-    }
     return detail::run_plan(plan_gpu(alg, data.size(), include_transfers, elementwise),
                             hpu.cpu(), &hpu.gpu(), hpu.params(), alg, data, opts);
 }
 
 }  // namespace hpu::core
-
-// The dynamic-tree engine is a separate header for readability, but it needs
-// the detail helpers above and the executors need its run_irregular — so it
-// is textually part of this header (include-at-bottom; it has no own guard
-// loop because both files are #pragma once).
-#include "core/irregular.hpp"  // IWYU pragma: keep

@@ -39,11 +39,6 @@ struct AdvancedOptions {
 template <typename T>
 ExecReport run_basic_hybrid(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std::span<T> data,
                             const ExecOptions& opts = {}) {
-    if (const auto* irr = alg.as_irregular()) {
-        return run_irregular(hpu.cpu(), &hpu.gpu(), hpu.params(), *irr, data,
-                             IrregularMode::kBasic, opts, /*include_transfers=*/true,
-                             "basic-hybrid");
-    }
     const Plan plan = plan_basic(alg, data.size(), hpu.params());
     if (plan.shape == PlanShape::kCpu) return run_multicore(hpu.cpu(), alg, data, opts);
     return detail::run_plan(plan, hpu.cpu(), &hpu.gpu(), hpu.params(), alg, data, opts);
@@ -51,20 +46,14 @@ ExecReport run_basic_hybrid(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std::sp
 
 /// Advanced hybrid scheduler (§5.2) at explicit (α, transfer level y).
 /// y counts global levels from the root, as in the paper's figures; the
-/// device executes levels L-1 .. y of its slice.
+/// device executes levels L-1 .. y of its slice. Dynamic trees re-balance
+/// α per level from the observed task list, so the caller's (α, y) —
+/// derived from the regular a^i shape — does not apply and is ignored
+/// (ExecReport::alpha_effective reports what the observed split chose).
 template <typename T>
 ExecReport run_advanced_hybrid(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std::span<T> data,
                                double alpha, std::uint64_t y,
                                const AdvancedOptions& adv = {}) {
-    // Dynamic trees re-balance α per level from the observed task list, so
-    // the caller's (α, y) plan — derived from the regular a^i shape — does
-    // not apply and is ignored (ExecReport::alpha_effective reports what the
-    // observed split actually chose).
-    if (const auto* irr = alg.as_irregular()) {
-        return run_irregular(hpu.cpu(), &hpu.gpu(), hpu.params(), *irr, data,
-                             IrregularMode::kAdvanced, adv.exec, /*include_transfers=*/true,
-                             "advanced-hybrid");
-    }
     return detail::run_plan(plan_advanced(alg, hpu.params(), data.size(), alpha, y), hpu.cpu(),
                             &hpu.gpu(), hpu.params(), alg, data, adv.exec);
 }

@@ -4,7 +4,7 @@
 // detail::launch runs one level (or leaf sweep) of `tasks` task bodies on
 // the CPU unit or the device — or, with no body, prices it analytically —
 // and records the level's trace span. The regular plan walker
-// (core/plan.hpp) and the irregular engine (core/irregular.hpp) both go
+// (core/plan.hpp) and the dynamic-tree sweeps (core/irregular.hpp) both go
 // through it, so a launch is run, priced and recorded in one place.
 //
 // This header also owns what every executor shares: ExecOptions and

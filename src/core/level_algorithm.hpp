@@ -174,10 +174,10 @@ public:
     }
 
     /// Non-null for algorithms whose recursion tree is produced
-    /// dynamically: their dynamic-tree interface. The executors dispatch
-    /// such algorithms to the irregular engine (core/irregular.hpp);
-    /// regular algorithms never take that path. Virtual downcast so the
-    /// dispatch needs no RTTI.
+    /// dynamically: their dynamic-tree interface. The plan producers give
+    /// such algorithms a plan with no climbs, which run_plan runs as the
+    /// sweeps of core/irregular.hpp; regular algorithms never take that
+    /// path. Virtual downcast so the dispatch needs no RTTI.
     virtual const IrregularLevelAlgorithm<T>* as_irregular() const { return nullptr; }
 
     /// Symbolic per-task access footprint for the queried phase, in the
@@ -197,9 +197,8 @@ public:
 /// An algorithm whose recursion tree is produced *dynamically*: each level
 /// is a TaskList the previous level's divide work computed, with variable
 /// arity, uneven extents, empty branches, and early termination (a branch
-/// that spawns no children). The irregular engine (core/irregular.hpp)
-/// drives the tree in two sweeps, mirroring the paper's breadth-first
-/// translation (Alg. 2):
+/// that spawns no children). core/irregular.hpp drives the tree in two
+/// sweeps, mirroring the paper's breadth-first translation (Alg. 2):
 ///
 ///   expand  — top-down: run every task's divide_task, collect the
 ///             children it appends; the concatenated children (in task

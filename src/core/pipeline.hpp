@@ -50,23 +50,13 @@ struct PipelinedOptions {
 
 /// Pipelined hybrid scheduler at explicit (α, transfer level y, K chunks).
 /// Same contract as run_advanced_hybrid; ExecReport::chunks reports the K
-/// the guard settled on.
+/// the guard settled on. A dynamic tree runs the advanced per-level split,
+/// whose device part is one launch per level, so there is nothing to
+/// chunk: chunks reports 1, the schedule degenerated to the advanced hybrid.
 template <typename T>
 ExecReport run_pipelined_hybrid(sim::Hpu& hpu, const LevelAlgorithm<T>& alg, std::span<T> data,
                                 double alpha, std::uint64_t y,
                                 const PipelinedOptions& pip = {}) {
-    // As in run_advanced_hybrid, a dynamic tree ignores the caller's (α, y)
-    // plan. It runs the advanced per-level schedule, whose device part is
-    // one launch per level, so there is nothing to chunk: chunks reports 1,
-    // the schedule degenerated to the advanced hybrid.
-    if (const auto* irr = alg.as_irregular()) {
-        HPU_CHECK(pip.chunks >= 1, "need at least one chunk");
-        ExecReport rep = run_irregular(hpu.cpu(), &hpu.gpu(), hpu.params(), *irr, data,
-                                       IrregularMode::kAdvanced, pip.exec,
-                                       /*include_transfers=*/true, "pipelined-hybrid");
-        rep.chunks = 1;
-        return rep;
-    }
     return detail::run_plan(plan_pipelined(alg, hpu.params(), data.size(), alpha, y, pip.chunks),
                             hpu.cpu(), &hpu.gpu(), hpu.params(), alg, data, pip.exec,
                             pip.chunks);

@@ -1,5 +1,5 @@
-// Plans: every regular run as a small value, and the one walker that runs,
-// prices and verifies it (DESIGN.md §3.1).
+// Plans: every run as a small value, and the one walker that runs, prices
+// and verifies a regular one (DESIGN.md §3.1).
 //
 // The paper's breadth-first form (Alg. 2) and its §5 schedulers are data:
 // which unit climbs which level range of which slice, and which transfers
@@ -21,6 +21,12 @@
 // verifier checks. The executors, the verifier and the pipelined
 // never-worse guard therefore all read the same plan: the schedule exists
 // once.
+//
+// A dynamic tree (IrregularLevelAlgorithm) has no levels to climb before
+// it runs: each producer hands it a plan with no climbs whose shape is the
+// per-level policy of its sweeps (core/irregular.hpp) — kCpu, kGpu (`ship`
+// = the boundary transfers), kBasic (whole-level placement) or kSplit (the
+// observed per-level split). It ignores (α, y) unchecked.
 #pragma once
 
 #include <algorithm>
@@ -73,7 +79,7 @@ struct Climb {
     std::uint64_t elementwise = 0;
 };
 
-/// A regular run of one executor.
+/// One run of one executor.
 struct Plan {
     PlanShape shape = PlanShape::kCpu;
     const char* executor = "";  ///< run label
@@ -98,6 +104,9 @@ struct Plan {
     std::uint64_t task_size(std::uint64_t level) const {
         return n / util::ipow(a, static_cast<std::uint32_t>(level));
     }
+    /// A dynamic tree's plan: no climbs; `shape` is the sweeps' per-level
+    /// policy (core/irregular.hpp).
+    bool dynamic() const { return cpu.empty() && gpu.empty(); }
 };
 
 namespace detail {
@@ -575,11 +584,26 @@ inline std::vector<Climb> device_climbs(const std::vector<Chunk>& chunks, std::u
     return climbs;
 }
 
+/// A dynamic tree's plan over `n` elements, checked admissible.
+template <typename T>
+Plan dynamic_plan(const LevelAlgorithm<T>& alg, std::uint64_t n, PlanShape shape,
+                  const char* executor) {
+    HPU_CHECK(alg.admissible(n), "input size not admissible for this algorithm");
+    Plan p;
+    p.shape = shape;
+    p.executor = executor;
+    p.n = n;
+    return p;
+}
+
 }  // namespace detail
 
 /// Sequential / multicore: the CPU climbs the whole tree.
 template <typename T>
 Plan plan_cpu(const LevelAlgorithm<T>& alg, std::uint64_t n, const char* executor) {
+    if (alg.as_irregular() != nullptr) {
+        return detail::dynamic_plan(alg, n, PlanShape::kCpu, executor);
+    }
     const std::uint64_t L = detail::level_count(alg, n);
     Plan p;
     p.shape = PlanShape::kCpu;
@@ -598,6 +622,12 @@ Plan plan_cpu(const LevelAlgorithm<T>& alg, std::uint64_t n, const char* executo
 template <typename T>
 Plan plan_gpu(const LevelAlgorithm<T>& alg, std::uint64_t n, bool include_transfers,
               std::uint64_t elementwise = 0) {
+    if (alg.as_irregular() != nullptr) {
+        HPU_CHECK(elementwise == 0, alg.name() + " has no element-wise form");
+        Plan p = detail::dynamic_plan(alg, n, PlanShape::kGpu, "gpu");
+        p.ship = include_transfers;
+        return p;
+    }
     const std::uint64_t L = detail::level_count(alg, n);
     const std::uint64_t s = std::min(elementwise, L);
     HPU_CHECK(s == 0 || alg.elementwise_item_ops(n).has_value(),
@@ -619,6 +649,9 @@ Plan plan_gpu(const LevelAlgorithm<T>& alg, std::uint64_t n, bool include_transf
 /// trip. Falls back to the multicore plan when no level favors the device.
 template <typename T>
 Plan plan_basic(const LevelAlgorithm<T>& alg, std::uint64_t n, const sim::HpuParams& hw) {
+    if (alg.as_irregular() != nullptr) {
+        return detail::dynamic_plan(alg, n, PlanShape::kBasic, "basic-hybrid");
+    }
     const std::uint64_t L = detail::level_count(alg, n);
     const auto pred = model::predict_basic(hw, alg.recurrence(), static_cast<double>(n));
     if (pred.cpu_only) return plan_cpu(alg, n, "multicore");
@@ -649,11 +682,20 @@ Plan plan_basic(const LevelAlgorithm<T>& alg, std::uint64_t n, const sim::HpuPar
 /// shared top s-1..0. Never-worse guard: both the K-chunk and the 1-chunk
 /// device lanes are priced, and the plan keeps K chunks only on a strict
 /// win, so the pipelined makespan is never worse than the advanced one.
+/// A dynamic tree re-splits every level from its observed task list and
+/// ships each level's device part in one launch, so there is nothing to
+/// chunk: its plan reports one chunk.
 template <typename T>
 Plan plan_pipelined(const LevelAlgorithm<T>& alg, const sim::HpuParams& hw, std::uint64_t n,
                     double alpha, std::uint64_t y, std::uint64_t chunks) {
-    HPU_CHECK(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
+    const bool dynamic = alg.as_irregular() != nullptr;
+    HPU_CHECK(dynamic || (alpha > 0.0 && alpha < 1.0), "alpha must be in (0, 1)");
     HPU_CHECK(chunks >= 1, "need at least one chunk");
+    if (dynamic) {
+        Plan p = detail::dynamic_plan(alg, n, PlanShape::kSplit, "pipelined-hybrid");
+        p.chunks = 1;
+        return p;
+    }
     const std::uint64_t L = detail::level_count(alg, n);
     HPU_CHECK(y >= 1 && y <= L, "transfer level y must be in [1, L]");
     Plan p;

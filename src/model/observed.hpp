@@ -12,7 +12,7 @@
 //
 // Decisions are deterministic pure functions of (hardware, estimates), so
 // pooled and inline irregular runs schedule identically (the
-// pool-determinism invariant extends to the irregular engine).
+// pool-determinism invariant extends to the dynamic-tree sweeps).
 #pragma once
 
 #include <cstdint>

@@ -29,12 +29,12 @@ double PipelinedModel::gpu_span(double alpha, double y, std::uint64_t chunks) co
     const double beta = 1.0 - alpha;
     const double K = static_cast<double>(chunks);
     const double W = beta * adv_.n();
-    const double x_full = hw_.link.lambda + hw_.link.delta * W;
+    const double x_full = hw_.link.transfer_time(W);
     if (chunks == 1) {
         // Degenerate pipeline: ship, compute, retrieve — the advanced thread.
         return x_full + mult_ * adv_.gpu_time_for_share(beta, y) + x_full;
     }
-    const double x_chunk = hw_.link.lambda + hw_.link.delta * W / K;
+    const double x_chunk = hw_.link.transfer_time(W / K);
     const double d = merge_level(alpha, y, chunks);
     const double chunk_compute = mult_ * adv_.gpu_time_for_share(beta / K, d);
     const double shallow =
@@ -77,7 +77,7 @@ PipelinedPrediction PipelinedModel::predict_at(double alpha, double y,
     out.chunk_words = W / K;
     out.merge_level = merge_level(alpha, y, chunks);
     out.chunk_compute = mult_ * adv_.gpu_time_for_share(beta / K, out.merge_level);
-    out.input_stream_time = K * hw_.link.lambda + hw_.link.delta * W;
+    out.input_stream_time = K * hw_.link.transfer_time(out.chunk_words);
     out.gpu_span = gpu_span(alpha, y, chunks);
     out.advanced_gpu_span = gpu_span(alpha, y, 1);
     // Mirror the executor's guard: pipeline only when it strictly wins.

@@ -37,7 +37,7 @@ struct PipelinedPrediction {
     double chunk_words = 0.0;        ///< w = (1−α)·n / K
     double chunk_compute = 0.0;      ///< C_chunk: leaves + deep levels, β/K share
     double merge_level = 0.0;        ///< d: chunk-local below, merged launches above
-    double input_stream_time = 0.0;  ///< K·λ + δ·(1−α)·n
+    double input_stream_time = 0.0;  ///< K back-to-back chunks: K·(λ + δ·w)
     double gpu_span = 0.0;           ///< GPU thread makespan incl. transfers
     double advanced_gpu_span = 0.0;  ///< same thread, unpipelined (K = 1)
     double pipeline_gain = 0.0;      ///< advanced_total − total (≥ 0 by fallback)

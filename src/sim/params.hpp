@@ -117,9 +117,9 @@ struct LinkParams {
         HPU_CHECK(lambda >= 0.0 && delta >= 0.0, "link costs must be >= 0");
     }
 
-    Ticks transfer_time(std::uint64_t words) const noexcept {
-        return lambda + delta * static_cast<double>(words);
-    }
+    /// Transferring `words` words; fractional counts are the §5 models'
+    /// continuous β·n.
+    Ticks transfer_time(double words) const noexcept { return lambda + delta * words; }
 };
 
 /// A full Hybrid Processing Unit: one multi-core CPU + one GPU + link.

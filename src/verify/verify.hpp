@@ -10,7 +10,8 @@
 //      safety, never-worse) on the priced events — so the checked schedule
 //      and the executed one are the same object. verify_cpu_run and
 //      verify_hybrid_run build an executor's plan from its parameters and
-//      check it the same way.
+//      check it the same way. A dynamic tree's plan, which has no climbs
+//      to price, gets a downgrade certificate: its checks run at run time.
 //
 // The resulting VerifyReport is the certificate executors attach to their
 // ExecReport; a proven phase lets the runtime validation layer skip word
@@ -31,6 +32,37 @@
 #include "verify/schedule.hpp"
 
 namespace hpu::verify {
+
+namespace detail {
+
+/// Downgrade certificate for a dynamic tree's run: its task lists exist
+/// only at run time, so the prover has nothing to quantify over. Every
+/// phase is kUnknown and a kDynamicFootprint finding records the
+/// proven→checked downgrade, so proven() is false and, under
+/// ExecOptions::validate, the sweeps keep the exact passes on (extent
+/// disjointness plus word-level race detection). certified() is false: a
+/// dynamic run is checked, never certified.
+inline VerifyReport dynamic_certificate(const std::string& algorithm,
+                                        const std::string& executor, std::uint64_t n) {
+    VerifyReport rep;
+    rep.attempted = true;
+    rep.algorithm = algorithm;
+    rep.executor = executor;
+    rep.n = n;
+    for (const Phase ph : {Phase::kCpuTask, Phase::kDeviceTask, Phase::kLeaf}) {
+        PhaseProof pp;
+        pp.phase = ph;
+        pp.status = ProofStatus::kUnknown;
+        rep.proofs.push_back(pp);
+    }
+    rep.findings.push_back(VerifyFinding{
+        VerifyFinding::Kind::kDynamicFootprint,
+        "task lists are data-dependent; static race-freedom proofs downgraded to runtime "
+        "checks (extent disjointness + exact race detection per dynamic level)"});
+    return rep;
+}
+
+}  // namespace detail
 
 /// Proves (or refutes) intra-level race-freedom of every phase of `alg`,
 /// quantifying over all admissible levels and input sizes at once.
@@ -65,10 +97,12 @@ VerifyReport prove_algorithm(const core::LevelAlgorithm<T>& alg) {
 
 /// Certificate for one run of `plan` on `hw`: proves the footprints,
 /// re-checks a pipelined plan's never-worse guard, and checks the plan,
-/// priced by the plan walker, against the schedule invariants.
+/// priced by the plan walker, against the schedule invariants. A dynamic
+/// tree's plan gets the downgrade certificate instead.
 template <typename T>
 VerifyReport verify_plan(const core::LevelAlgorithm<T>& alg, const core::Plan& plan,
                          const sim::HpuParams& hw) {
+    if (plan.dynamic()) return detail::dynamic_certificate(alg.name(), plan.executor, plan.n);
     VerifyReport rep = prove_algorithm(alg);
     rep.executor = plan.executor;
     rep.n = plan.n;
@@ -120,37 +154,6 @@ VerifyReport verify_hybrid_run(const core::LevelAlgorithm<T>& alg, std::uint64_t
             break;
     }
     return verify_plan(alg, plan, hw);
-}
-
-/// Downgrade certificate for an irregular (data-dependent) run: the task
-/// lists exist only at run time, so there is nothing the symbolic prover
-/// can quantify over — every phase is recorded kUnknown and an explicit
-/// kDynamicFootprint finding documents the proven→checked downgrade.
-/// Consequences, by construction of the runtime: VerifyReport::proven() is
-/// false for every phase, so under ExecOptions::validate the irregular
-/// engine keeps the *exact* passes on — declared-extent disjointness
-/// (analysis::detect_extent_overlaps) plus word-level race concretization
-/// over the dynamic access sets — instead of the cheaper conformance check
-/// proven regular phases earn. certified() is false: an irregular run is
-/// checked, never certified.
-inline VerifyReport verify_irregular_run(const std::string& algorithm,
-                                         const std::string& executor, std::uint64_t n) {
-    VerifyReport rep;
-    rep.attempted = true;
-    rep.algorithm = algorithm;
-    rep.executor = executor;
-    rep.n = n;
-    for (const Phase ph : {Phase::kCpuTask, Phase::kDeviceTask, Phase::kLeaf}) {
-        PhaseProof pp;
-        pp.phase = ph;
-        pp.status = ProofStatus::kUnknown;
-        rep.proofs.push_back(pp);
-    }
-    rep.findings.push_back(VerifyFinding{
-        VerifyFinding::Kind::kDynamicFootprint,
-        "task lists are data-dependent; static race-freedom proofs downgraded to runtime "
-        "checks (extent disjointness + exact race detection per dynamic level)"});
-    return rep;
 }
 
 }  // namespace hpu::verify

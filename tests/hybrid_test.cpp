@@ -8,6 +8,7 @@
 #include <complex>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algos/binary_reduce.hpp"
@@ -112,6 +113,58 @@ TEST(BasicHybrid, FallbackRunsTheHostPrePassOnce) {
     EXPECT_EQ(rb.levels_gpu, 0u);
     EXPECT_EQ(rb.total, rm.total);
     EXPECT_TRUE(basic == multicore) << "fallback output differs from the multicore run";
+}
+
+TEST(BasicHybrid, DeviceLaneSpanStartsKeepTheirAssociation) {
+    // The basic hybrid's device lane forms a span start as
+    // origin + (at − origin), origin being the fractional host pre-pass
+    // time (p = 7). Once `at` is two or more additions past origin that
+    // differs from `at` in the last bit: here the level-5 launch. Pinned
+    // as hexfloats, functional and analytic.
+    sim::HpuParams hw = platforms::hpu2();
+    hw.cpu.p = 7;
+    hw.gpu.g = 90;
+    hw.gpu.gamma = 0.5;
+    hw.gpu.launch_overhead = 0.0;
+    hw.link.lambda = 5.0;
+    hw.link.delta = 0.3;
+    const std::vector<std::pair<std::string, double>> want = {
+        {"dc-fft/basic-hybrid", 0x0p+0},
+        {"dc-fft/pre", 0x0p+0},
+        {"dc-fft/gpu-phase", 0x1.b6db6db6db6dbp+5},
+        {"dc-fft/xfer-in", 0x1.b6db6db6db6dbp+5},
+        {"dc-fft/gpu-leaves[128 tasks]", 0x1.8907507507507p+6},
+        {"dc-fft/gpu-level[64 tasks]", 0x1.9907507507507p+6},
+        {"dc-fft/gpu-level[32 tasks]", 0x1.e907507507508p+6},
+        {"dc-fft/gpu-level[16 tasks]", 0x1.4483a83a83a84p+7},
+        {"dc-fft/xfer-out", 0x1.e483a83a83a84p+7},
+        {"dc-fft/cpu-levels", 0x1.1da83a83a83a8p+8},
+        {"dc-fft/cpu-level[8 tasks]", 0x1.1da83a83a83a8p+8},
+        {"dc-fft/cpu-level[4 tasks]", 0x1.bda83a83a83a8p+8},
+        {"dc-fft/cpu-level[2 tasks]", 0x1.2ed41d41d41d4p+9},
+        {"dc-fft/cpu-level[1 tasks]", 0x1.ced41d41d41d4p+9},
+    };
+    for (const bool functional : {true, false}) {
+        SCOPED_TRACE(functional ? "functional" : "analytic");
+        sim::Hpu h(hw);
+        algos::DcFft alg;
+        std::vector<std::complex<double>> wave(128);
+        for (std::size_t i = 0; i < wave.size(); ++i) {
+            wave[i] = {static_cast<double>(i % 97) - 48.0,
+                       static_cast<double>(i * 7 % 31) - 15.0};
+        }
+        trace::TraceSession ts;
+        ExecOptions o;
+        o.functional = functional;
+        o.trace = &ts;
+        const ExecReport r = run_basic_hybrid(h, alg, std::span(wave), o);
+        EXPECT_EQ(r.total, 0x1.876a0ea0ea0eap+10);
+        std::vector<std::pair<std::string, double>> got;
+        for (const trace::Span& s : ts.spans()) {
+            if (s.kind != trace::SpanKind::kWave) got.emplace_back(s.label, s.start);
+        }
+        EXPECT_EQ(got, want);
+    }
 }
 
 class AdvancedHybridGrid

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <random>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "algos/closest_pair.hpp"
@@ -457,6 +459,87 @@ TEST(IrregularEngine, NonPowerOfTwoSizesRunEverywhere) {
         EXPECT_EQ(d, ref);
         EXPECT_GT(r.tasks_spawned, 0u);
     }
+}
+
+/// The golden's WEAK-HOST platform: one core and a fast, cheaply linked
+/// device, so the dynamic trees' split levels run device parts.
+sim::HpuParams weak_host() {
+    sim::HpuParams hw = platforms::hpu1();
+    hw.name = "WEAK-HOST";
+    hw.cpu.p = 1;
+    hw.gpu.g = 64;
+    hw.gpu.gamma = 0.5;
+    hw.gpu.strided_penalty = 2.0;
+    hw.gpu.launch_overhead = 0.0;
+    hw.link.lambda = 5.0;
+    hw.link.delta = 0.01;
+    return hw;
+}
+
+/// Everything a traced hybrid run of `alg` reports except ExecReport::
+/// chunks and the run label: every report field, the output bytes and the
+/// span tree.
+template <typename T>
+std::vector<std::string> hybrid_run(const LevelAlgorithm<T>& alg, const std::vector<T>& input,
+                                    bool pipelined, double alpha, std::uint64_t y,
+                                    std::uint64_t chunks) {
+    sim::Hpu h(weak_host());
+    trace::TraceSession ts;
+    std::vector<T> d = input;
+    ExecReport r;
+    if (pipelined) {
+        PipelinedOptions p;
+        p.exec.trace = &ts;
+        p.chunks = chunks;
+        r = run_pipelined_hybrid(h, alg, std::span(d), alpha, y, p);
+    } else {
+        AdvancedOptions a;
+        a.exec.trace = &ts;
+        r = run_advanced_hybrid(h, alg, std::span(d), alpha, y, a);
+    }
+    EXPECT_GT(r.levels_gpu, 0u) << alg.name() << ": the split ran no device part";
+    std::vector<std::string> out;
+    std::ostringstream os;
+    os << std::hexfloat << r.total << ' ' << r.cpu_busy << ' ' << r.gpu_busy << ' '
+       << r.transfer << ' ' << r.finish << ' ' << r.levels_cpu << ' ' << r.levels_gpu << ' '
+       << r.alpha_effective << ' ' << r.tasks_spawned;
+    out.push_back(os.str());
+    out.emplace_back(reinterpret_cast<const char*>(d.data()), d.size() * sizeof(T));
+    for (const trace::Span& s : ts.spans()) {
+        const trace::SpanAttrs& a = s.attrs;
+        std::ostringstream ss;
+        ss << std::hexfloat << s.parent << ' ' << static_cast<int>(s.kind) << ' '
+           << static_cast<int>(s.unit) << ' ' << (s.kind == trace::SpanKind::kRun ? "" : s.label)
+           << ' ' << s.start << ' ' << s.end << ' ' << a.level << ' ' << a.tasks << ' '
+           << a.items << ' ' << a.waves << ' ' << a.ops << ' ' << a.max_ops << ' ' << a.work
+           << ' ' << a.bytes << ' ' << a.coalesced_transactions << ' '
+           << a.strided_transactions << ' ' << a.extent_words << ' ' << a.imbalance;
+        out.push_back(ss.str());
+    }
+    return out;
+}
+
+TEST(IrregularEngine, HybridsIgnoreAlphaYAndChunks) {
+    // A dynamic tree re-splits every level from its observed task list, so
+    // the advanced hybrid's (α, y) — even values the regular producer would
+    // reject — and the pipelined hybrid's K change nothing but the reported
+    // chunks and the run label, on a platform where the split uses the
+    // device.
+    auto check = [](const auto& alg, const auto& input) {
+        SCOPED_TRACE(alg.name());
+        const auto want = hybrid_run(alg, input, false, 0.5, 1, 0);
+        EXPECT_EQ(hybrid_run(alg, input, false, 0.01, 1, 0), want);
+        EXPECT_EQ(hybrid_run(alg, input, false, 0.99, 40, 0), want);
+        EXPECT_EQ(hybrid_run(alg, input, true, 0.5, 1, 1), want);
+        EXPECT_EQ(hybrid_run(alg, input, true, 0.99, 40, 4), want);
+    };
+    const auto pts = random_points(300, 2026);
+    check(algos::Quickhull{}, pts);
+    check(algos::ClosestPair{}, pts);
+    std::vector<std::int64_t> operands(2 * 151);
+    std::mt19937_64 rng(7);
+    for (auto& v : operands) v = static_cast<std::int64_t>(rng() % 1000);
+    check(algos::KaratsubaArray{}, operands);
 }
 
 // ----------------------------------------------------------- prepare reuse

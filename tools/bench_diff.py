@@ -26,6 +26,8 @@ Exit codes: 0 ok / self-test pass, 1 regression found, 2 bad input.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -46,12 +48,26 @@ def load(path):
         fail(f"cannot parse {path}: {e}")
 
 
+def key_name(key):
+    """"size/executor/mode" of a normalized key."""
+    size, executor, pooled = key
+    return f"{size}/{executor}/{'pooled' if pooled else 'inline'}"
+
+
 def normalized(doc, label):
     """{(size, executor, pooled): seconds / seq_inline_seconds(size)}.
 
     Entries are keyed by the pooled/inline class, not the worker count, so
-    baselines recorded on a different host shape still line up.
+    baselines recorded on a different host shape still line up. Two rows
+    sharing one key (e.g. quickhull rows at a mergesort sweep size) would
+    be normalized against one another, so they fail naming the key.
     """
+    seen = set()
+    for e in doc.get("entries", []):
+        key = (e["size"], e["executor"], e["workers"] > 0)
+        if key in seen:
+            fail(f"{label}: two entries share the key {key_name(key)}")
+        seen.add(key)
     seq = {}
     for e in doc.get("entries", []):
         if e["executor"] == SEQ and e["workers"] == 0:
@@ -177,6 +193,20 @@ def self_test():
     _, _, dropped = compare(make_doc([entry(1024, "sequential", 0, 1.0)]),
                             baseline, 0.25)
     assert dropped, "dropped entries not detected"
+
+    # Two algorithms' rows at one size collide: a hard error naming the key.
+    colliding = make_doc(baseline["entries"] + [
+        entry(1024, "sequential", 0, 3.0), entry(1024, "advanced", 3, 0.5),
+    ])
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            normalized(colliding, "current")
+    except SystemExit:
+        pass
+    else:
+        raise AssertionError("colliding rows not rejected")
+    assert "1024/sequential/inline" in err.getvalue(), err.getvalue()
 
     print("bench_diff: self-test OK")
 

@@ -8,10 +8,11 @@ report subcommand turns the accumulated file into BENCH_trajectory.json
 plus a markdown trend table for $GITHUB_STEP_SUMMARY.
 
 Raw seconds are not comparable across CI hosts, so each run is normalized
-the same way bench_diff.py does it: every entry's time is divided by that
-run's own sequential-inline time at the same size. Only the dimensionless
-relative cost is persisted — the trajectory stays meaningful even when the
-runner hardware changes between commits.
+by bench_diff.py's normalizer: every entry's time is divided by that run's
+own sequential-inline time at the same size, and an artifact whose rows
+share a key (two algorithms at one size) is refused. Only the
+dimensionless relative cost is persisted — the trajectory stays meaningful
+even when the runner hardware changes between commits.
 
 Usage:
   tools/bench_history.py append BENCH_wallclock.json \
@@ -28,12 +29,16 @@ Exit codes: 0 ok / self-test pass, 2 bad input.
 """
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import sys
 
-SEQ = "sequential"
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import bench_diff  # noqa: E402  (sibling tool; owns the per-size normalizer)
+
+SEQ = bench_diff.SEQ
 
 
 def fail(msg, code=2):
@@ -50,23 +55,11 @@ def load_json(path):
 
 
 def normalized(doc):
-    """{"size/executor/mode": seconds / seq_inline_seconds(size)}."""
-    seq = {}
-    for e in doc.get("entries", []):
-        if e["executor"] == SEQ and e["workers"] == 0:
-            seq[e["size"]] = e["seconds"]
-    rel = {}
-    for e in doc.get("entries", []):
-        base = seq.get(e["size"])
-        if base is None:
-            fail(f"no sequential inline entry at size {e['size']}")
-        if base <= 0:
-            continue
-        if e["executor"] == SEQ and e["workers"] == 0:
-            continue  # the normalizer itself is 1.0 by definition
-        mode = "pooled" if e["workers"] > 0 else "inline"
-        rel[f"{e['size']}/{e['executor']}/{mode}"] = e["seconds"] / base
-    return rel
+    """{"size/executor/mode": seconds / seq_inline_seconds(size)}, by
+    bench_diff's normalizer, without the normalizer rows themselves."""
+    return {bench_diff.key_name(key): rel
+            for key, rel in bench_diff.normalized(doc, "artifact").items()
+            if key[1:] != (SEQ, False)}
 
 
 def make_record(doc, sha, label=""):
@@ -200,6 +193,21 @@ def self_test():
     assert abs(rec["entries"]["1024/advanced/pooled"] - 0.4) < 1e-12, rec
     assert "1024/sequential/inline" not in rec["entries"], rec
 
+    # Quickhull rows at a mergesort sweep size collide with its rows: a
+    # hard error naming the key, not a silently merged record.
+    colliding = make_doc(doc_a["entries"] + [
+        entry(1024, "sequential", 0, 3.0), entry(1024, "advanced", 3, 2.4),
+    ])
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            make_record(colliding, "sha-x")
+    except SystemExit:
+        pass
+    else:
+        raise AssertionError("colliding rows not rejected")
+    assert "1024/sequential/inline" in err.getvalue(), err.getvalue()
+
     with tempfile.TemporaryDirectory() as tmp:
         hist = os.path.join(tmp, "history.jsonl")
         append(hist, doc_a, "sha-a")
@@ -239,7 +247,6 @@ def self_test():
         # A corrupt line is a hard error, not silent data loss.
         with open(hist, "a", encoding="utf-8") as f:
             f.write("{nope\n")
-        import contextlib
         try:
             with contextlib.redirect_stderr(io.StringIO()):
                 read_history(hist)
