@@ -1,13 +1,15 @@
 // Google-benchmark microbenchmarks of the simulator substrate itself: how
-// fast the host executes simulated kernels, CPU levels, merges, and the
-// quickhull partition. These measure the *reproduction harness*, not the
-// paper's system — wall-clock throughput of the simulation determines how
-// large an n the figure benches can sweep.
+// fast the host executes simulated kernels, CPU levels, merges, the
+// quickhull partition and the dynamic-tree engine. These measure the
+// *reproduction harness*, not the paper's system — wall-clock throughput
+// of the simulation determines how large an n the figure benches can
+// sweep.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <thread>
 
+#include "algos/karatsuba.hpp"
 #include "algos/mergesort.hpp"
 #include "algos/quickhull.hpp"
 #include "core/hybrid.hpp"
@@ -89,18 +91,18 @@ void BM_QuickhullDivide(benchmark::State& state) {
     qh.prepare(n);
     qh.bind_exec(util::MergeExec{&pool, true});
     std::vector<algos::Pt> data(n);
-    std::vector<core::TaskDesc> children;
+    core::TaskDesc kids[4];
     for (auto _ : state) {
         state.PauseTiming();
         data = input;
         sim::OpCounter ops;
         const core::TaskList roots = qh.root_tasks(std::span(data), ops);
-        children.clear();
         state.ResumeTiming();
-        for (const core::TaskDesc& t : roots.tasks) {
-            qh.divide_task(std::span(data), t, 0, children, ops);
+        for (std::size_t r = 0; r < roots.tasks.size(); ++r) {
+            core::ChildSlots children(kids + 2 * r, 2);
+            qh.divide_task(std::span(data), roots.tasks[r], 0, children, ops);
         }
-        benchmark::DoNotOptimize(children.data());
+        benchmark::DoNotOptimize(kids);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(n));
@@ -111,6 +113,39 @@ BENCHMARK(BM_QuickhullDivide)
     ->Args({1 << 20, 0})
     ->Args({1 << 20, pooled_workers()})
     ->UseRealTime();
+
+// The dynamic-tree engine (core/irregular.hpp) end to end: Karatsuba on
+// two operands of 2^12 coefficients, inline (no pool), under multicore and
+// the advanced hybrid, whose split levels first predict every task's
+// charge. Items are the tasks of the expand sweep, so items/s reads as the
+// engine's per-task rate including the bodies' data work.
+enum class IrregularExecutor { kMulticore, kAdvanced };
+
+void BM_IrregularRun(benchmark::State& state, IrregularExecutor executor) {
+    constexpr std::size_t kCoefficients = 1 << 12;
+    util::Rng rng(4);
+    const auto coefficients = rng.int_vector(2 * kCoefficients, -100, 100);
+    const std::vector<std::int64_t> input(coefficients.begin(), coefficients.end());
+    algos::KaratsubaArray alg;
+    sim::Hpu h(platforms::hpu1());
+    std::vector<std::int64_t> data;
+    std::uint64_t tasks = 0;
+    for (auto _ : state) {
+        data = input;
+        const core::ExecReport r =
+            executor == IrregularExecutor::kMulticore
+                ? core::run_multicore(h.cpu(), alg, std::span(data))
+                : core::run_advanced_hybrid(h, alg, std::span(data), 0.5, 1);
+        tasks = r.tasks_spawned;
+        benchmark::DoNotOptimize(r.total);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(tasks));
+}
+BENCHMARK_CAPTURE(BM_IrregularRun, multicore, IrregularExecutor::kMulticore)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_IrregularRun, advanced, IrregularExecutor::kAdvanced)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MakespanSkewed(benchmark::State& state) {
     util::Rng rng(1);

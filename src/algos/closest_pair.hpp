@@ -84,10 +84,10 @@ public:
     }
 
     void divide_task(std::span<Pt> data, const core::TaskDesc& t, std::uint64_t /*level*/,
-                     std::vector<core::TaskDesc>& children,
-                     sim::OpCounter& ops) const override {
+                     core::ChildSlots& children, sim::OpCounter& ops) const override {
+        ops += task_charge(t, false);
         const std::uint64_t b = t.begin, e = t.end, m = t.size();
-        if (m <= 3) {
+        if (m <= kLeaf) {
             // Leaf: solve directly and leave the extent y-sorted, the
             // invariant every combine above this point expects.
             std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
@@ -102,8 +102,6 @@ public:
                       [](const Pt& p, const Pt& q) {
                           return p.y != q.y ? p.y < q.y : p.x < q.x;
                       });
-            ops.charge_compute(3 * m);
-            ops.charge_mem(2 * m, sim::Pattern::kStrided);
             ops.log_read(b, m);
             ops.log_write(b, m);
             ops.log_write(verify::kScratchRegionBase + b, 1);  // dist_[b]
@@ -118,7 +116,6 @@ public:
         splitx_[mid] = data[mid].x;
         children.push_back(core::TaskDesc{b, mid, 0});
         children.push_back(core::TaskDesc{mid, e, 0});
-        ops.charge_compute(2);
         ops.log_read(mid, 1);
         ops.log_write(verify::kScratchRegionBase + mid, 1);  // splitx_[mid]
     }
@@ -126,11 +123,9 @@ public:
     void combine_task(std::span<Pt> data, const core::TaskDesc& t, std::uint64_t /*level*/,
                       std::span<const core::TaskDesc> children,
                       sim::OpCounter& ops) const override {
-        if (children.empty()) {
-            // Leaf already solved in the divide sweep.
-            ops.charge_compute(1);
-            return;
-        }
+        ops += task_charge(t, true);
+        // A leaf was already solved in the divide sweep.
+        if (children.empty()) return;
         const std::uint64_t b = t.begin, e = t.end, m = t.size();
         const std::uint64_t mid = children[1].begin;
         std::uint64_t d = std::min(dist_[b], dist_[mid]);
@@ -177,8 +172,6 @@ public:
             }
         }
         dist_[b] = d;
-        ops.charge_compute(3 * m);
-        ops.charge_mem(3 * m, sim::Pattern::kStrided);
         ops.log_read(b, m);
         ops.log_write(b, m);
         ops.log_read(verify::kScratchRegionBase + b, 1);
@@ -192,9 +185,28 @@ public:
         ops.charge_mem(1, sim::Pattern::kCoalesced);
     }
 
-    double task_cost_estimate(const core::TaskDesc& t, bool combine) const override {
-        const auto m = static_cast<double>(std::max<std::uint64_t>(t.size(), 1));
-        return combine ? 3.0 * m : m;
+    /// Over an extent of m points: a leaf's divide (m ≤ 3) compares its
+    /// pairs and y-sorts them (3m ops, 2m strided words) and its combine is
+    /// a no-op; an inner divide only records its split line (2 ops), its
+    /// combine merges the halves and scans the strip (3m ops, 3m strided
+    /// words).
+    sim::OpCounter task_charge(const core::TaskDesc& t, bool combine) const override {
+        const std::uint64_t m = t.size();
+        sim::OpCounter c;
+        if (combine) {
+            if (m <= kLeaf) {
+                c.charge_compute(1);
+            } else {
+                c.charge_compute(3 * m);
+                c.charge_mem(3 * m, sim::Pattern::kStrided);
+            }
+        } else if (m <= kLeaf) {
+            c.charge_compute(3 * m);
+            c.charge_mem(2 * m, sim::Pattern::kStrided);
+        } else {
+            c.charge_compute(2);
+        }
+        return c;
     }
 
     /// Exact width schedule of the ceil/floor tree for size n — the
@@ -205,7 +217,7 @@ public:
         while (true) {
             std::vector<std::uint64_t> next;
             for (const std::uint64_t s : sizes) {
-                if (s <= 3) continue;
+                if (s <= kLeaf) continue;
                 next.push_back((s + 1) / 2);
                 next.push_back(s - (s + 1) / 2);
             }
@@ -220,6 +232,8 @@ public:
     std::uint64_t best_dist2() const { return dist_[0]; }
 
 protected:
+    static constexpr std::uint64_t kLeaf = 3;  ///< extents this small are solved directly
+
     /// Sorts data[0, n) as `parts` blocks across the pool, then merges
     /// neighbouring runs pairwise through the merge kernel, ping-ponging
     /// through scratch_; one block is a plain std::sort. Points that

@@ -89,8 +89,9 @@ public:
     }
 
     void divide_task(std::span<std::int64_t> /*data*/, const core::TaskDesc& t,
-                     std::uint64_t /*level*/, std::vector<core::TaskDesc>& children,
+                     std::uint64_t /*level*/, core::ChildSlots& children,
                      sim::OpCounter& ops) const override {
+        ops += task_charge(t, false);
         const Node& node = nodes_[t.tag];
         const std::uint64_t m = node.m, off = node.off;
         const std::int64_t* A = arena_.data() + off;
@@ -102,8 +103,6 @@ public:
             for (std::uint64_t i = 0; i < m; ++i) {
                 for (std::uint64_t j = 0; j < m; ++j) R[i + j] += A[i] * B[j];
             }
-            ops.charge_compute(m * m);
-            ops.charge_mem(4 * m, sim::Pattern::kStrided);
             ops.log_read(verify::kScratchRegionBase + off, 2 * m);
             ops.log_write(verify::kScratchRegionBase + off + 2 * m, 2 * m);
             return;  // branch ends here — depths vary with operand length
@@ -127,8 +126,6 @@ public:
             sum[i] += A[h + i];
             sum[h + i] += B[h + i];
         }
-        ops.charge_compute(4 * m);
-        ops.charge_mem(4 * m, sim::Pattern::kCoalesced);
         ops.log_read(verify::kScratchRegionBase + off, 2 * m);
         for (const std::uint64_t kid : node.kid) {
             const Node& c = nodes_[kid];
@@ -140,11 +137,9 @@ public:
     void combine_task(std::span<std::int64_t> /*data*/, const core::TaskDesc& t,
                       std::uint64_t /*level*/, std::span<const core::TaskDesc> children,
                       sim::OpCounter& ops) const override {
-        if (children.empty()) {
-            // Schoolbook leaf already produced its R in the divide sweep.
-            ops.charge_compute(1);
-            return;
-        }
+        ops += task_charge(t, true);
+        // A schoolbook leaf already produced its R in the divide sweep.
+        if (children.empty()) return;
         const Node& node = nodes_[t.tag];
         const std::uint64_t m = node.m, off = node.off, h = (m + 1) / 2;
         const Node& c0 = nodes_[node.kid[0]];
@@ -162,8 +157,6 @@ public:
             if (i < 2 * (m - h)) mid -= z2[i];
             R[h + i] += mid;
         }
-        ops.charge_compute(6 * m);
-        ops.charge_mem(8 * m, sim::Pattern::kStrided);
         ops.log_read(verify::kScratchRegionBase + c0.off + 2 * h, 2 * h);
         ops.log_read(verify::kScratchRegionBase + c1.off + 2 * (m - h), 2 * (m - h));
         ops.log_read(verify::kScratchRegionBase + c2.off + 2 * h, 2 * h);
@@ -179,11 +172,29 @@ public:
         ops.charge_mem(4 * n, sim::Pattern::kCoalesced);
     }
 
-    double task_cost_estimate(const core::TaskDesc& t, bool combine) const override {
+    /// Over operands of length m (the extent is [A | B | R], 4m words):
+    /// a schoolbook leaf's divide is m² multiply-adds over 4m strided
+    /// words and its combine a no-op; an inner divide copies and sums
+    /// 4m coalesced words, its combine assembles R from three 2m-word
+    /// partial products (6m ops, 8m strided words).
+    sim::OpCounter task_charge(const core::TaskDesc& t, bool combine) const override {
         const std::uint64_t m = t.size() / 4;
-        if (combine) return static_cast<double>(t.size());
-        if (m <= kBase) return static_cast<double>(m * m + 2 * m);
-        return static_cast<double>(t.size());
+        sim::OpCounter c;
+        if (combine) {
+            if (m <= kBase) {
+                c.charge_compute(1);
+            } else {
+                c.charge_compute(6 * m);
+                c.charge_mem(8 * m, sim::Pattern::kStrided);
+            }
+        } else if (m <= kBase) {
+            c.charge_compute(m * m);
+            c.charge_mem(4 * m, sim::Pattern::kStrided);
+        } else {
+            c.charge_compute(4 * m);
+            c.charge_mem(4 * m, sim::Pattern::kCoalesced);
+        }
+        return c;
     }
 
     /// Exact width schedule of the {h, m-h, h} tree for input size sz.

@@ -150,12 +150,9 @@ public:
     }
 
     void divide_task(std::span<Pt> data, const core::TaskDesc& t, std::uint64_t /*level*/,
-                     std::vector<core::TaskDesc>& children,
-                     sim::OpCounter& ops) const override {
-        if (t.empty()) {
-            ops.charge_compute(1);
-            return;
-        }
+                     core::ChildSlots& children, sim::OpCounter& ops) const override {
+        ops += task_charge(t, false);
+        if (t.empty()) return;
         const std::uint64_t b = t.begin, e = t.end, m = t.size();
         const Pt P = edge_from_[b], Q = edge_to_[b];
         ops.log_read(verify::kScratchRegionBase + b, 1);
@@ -200,8 +197,6 @@ public:
         util::scatter_blocks<5>(exec_.pool, tmp, codes, m, blocks, counts,
                                 {b, s1_end, s1_end + 1, s2_begin, e}, data.data());
         hull_[s1_end] = 1;
-        ops.charge_compute(3 * m);
-        ops.charge_mem(3 * m, sim::Pattern::kStrided);
         ops.log_read(b, m);
         ops.log_write(b, m);
         ops.log_write(verify::kScratchRegionBase + n_ + s1_end, 1);  // hull mark
@@ -250,9 +245,19 @@ public:
         ops.charge_mem(n + h, sim::Pattern::kStrided);
     }
 
-    double task_cost_estimate(const core::TaskDesc& t, bool /*combine*/) const override {
-        // One farthest scan + two partition passes per candidate point.
-        return 4.0 * static_cast<double>(t.size()) + 1.0;
+    /// A divide: per candidate point, three compute ops (the farthest
+    /// scan's cross product, the flag pass's two) and three strided words
+    /// (one read per pass); an empty extent only checks its bounds. There
+    /// is no combine sweep.
+    sim::OpCounter task_charge(const core::TaskDesc& t, bool /*combine*/) const override {
+        sim::OpCounter c;
+        if (t.empty()) {
+            c.charge_compute(1);
+            return c;
+        }
+        c.charge_compute(3 * t.size());
+        c.charge_mem(3 * t.size(), sim::Pattern::kStrided);
+        return c;
     }
 
     /// Modeling choice for the analytic path (the real widths are

@@ -24,10 +24,12 @@
 // (model/observed.hpp): kSplit chooses the prefix k that minimizes the
 // estimated level makespan (the per-level α re-balance), kBasic places
 // whole levels on the cheaper unit including the residency switch
-// transfer. A level's device part is one launch, so a pipelined run has
-// nothing to chunk. Decisions are pure functions of (hardware, per-task
-// estimates), so pooled and inline runs schedule — and therefore time —
-// identically.
+// transfer. Both price each task by its task_charge — exactly what its
+// body will charge — so a kSplit level is never slower than the same
+// level all on the CPU (DESIGN.md §14). A level's device part is one
+// launch, so a pipelined run has nothing to chunk. Decisions are pure
+// functions of (hardware, task descriptors), so pooled and inline runs
+// schedule — and therefore time — identically.
 //
 // The levels do not run through the walker's lanes, whose clocks, busy
 // sums and device slice would not reproduce these numbers bit for bit
@@ -62,6 +64,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -82,19 +85,46 @@ struct LevelRecord {
     std::vector<std::uint64_t> child_off;
 };
 
-inline double est_sum(const std::vector<model::ObservedTask>& est, std::uint64_t b,
+inline double est_sum(std::span<const model::ObservedTask> est, std::uint64_t b,
                       std::uint64_t e) {
     double s = 0.0;
     for (std::uint64_t j = b; j < e; ++j) s += est[j].cost;
     return s;
 }
 
-inline std::uint64_t est_words(const std::vector<model::ObservedTask>& est, std::uint64_t b,
+inline std::uint64_t est_words(std::span<const model::ObservedTask> est, std::uint64_t b,
                                std::uint64_t e) {
     std::uint64_t w = 0;
     for (std::uint64_t j = b; j < e; ++j) w += est[j].words;
     return w;
 }
+
+/// The expand sweep's child slots: uninitialised storage, so a level only
+/// touches the slots its divides fill. Grows geometrically and never
+/// copies — a level's slots are dead once its children are listed.
+class SlotBuffer {
+public:
+    SlotBuffer() = default;
+    SlotBuffer(const SlotBuffer&) = delete;
+    SlotBuffer& operator=(const SlotBuffer&) = delete;
+    ~SlotBuffer() {
+        if (data_ != nullptr) std::allocator<TaskDesc>().deallocate(data_, capacity_);
+    }
+
+    /// At least `n` slots; earlier contents are lost.
+    TaskDesc* reserve(std::uint64_t n) {
+        if (n > capacity_) {
+            if (data_ != nullptr) std::allocator<TaskDesc>().deallocate(data_, capacity_);
+            capacity_ = std::max(n, 2 * capacity_);
+            data_ = std::allocator<TaskDesc>().allocate(capacity_);
+        }
+        return data_;
+    }
+
+private:
+    TaskDesc* data_ = nullptr;
+    std::uint64_t capacity_ = 0;
+};
 
 /// Runs (functional) or prices (analytic) one dynamic plan, filling `rep`
 /// on a level-synchronous clock: each level starts when the previous one
@@ -115,6 +145,8 @@ struct Sweeps {
     sim::Ticks clock = 0.0;
     double cpu_est_work = 0.0, total_est_work = 0.0;
     bool on_device = false;  ///< where the frontier lives (kGpu, kBasic)
+    /// Per-task predictions of the current level, reused across levels.
+    std::vector<model::ObservedTask> pred{};
 
     void run(trace::SpanId run_span) {
         HPU_CHECK(tree != nullptr, alg.name() + " has no dynamic tree for a plan without climbs");
@@ -205,26 +237,27 @@ struct Sweeps {
         return x;
     }
 
-    /// The plan's policy for one level, from the per-task estimates alone:
+    /// The plan's policy for one level of `width` tasks over `words` words:
     /// the prefix [0, k) runs on the CPU, [k, W) on the device. kBasic
-    /// places the whole level and pays a residency switch at `tc`.
-    std::uint64_t cpu_prefix(const std::vector<model::ObservedTask>& est, const SpanCtx& tc) {
-        const std::uint64_t width = est.size();
+    /// places the whole level and pays a residency switch at `tc`; it and
+    /// kSplit decide from the per-task predictions `est`, which the other
+    /// shapes do not read.
+    std::uint64_t cpu_prefix(std::span<const model::ObservedTask> est, std::uint64_t width,
+                             std::uint64_t words, const SpanCtx& tc) {
+        if (plan.shape == PlanShape::kCpu) return width;
+        if (plan.shape == PlanShape::kGpu) return 0;
         std::uint64_t k = width;
-        if (plan.shape == PlanShape::kGpu) k = 0;
         if (plan.shape == PlanShape::kBasic) {
-            const std::uint64_t fw = est_words(est, 0, width);
-            const sim::Ticks sw = hw.link.transfer_time(fw);
+            const sim::Ticks sw = hw.link.transfer_time(words);
             const auto pl = model::place_observed_level(hw, est, mult, on_device ? sw : 0.0,
                                                         on_device ? 0.0 : sw);
             const bool to_device = pl.unit == model::LevelPlacement::kGpu;
             if (to_device) k = 0;
             if (to_device != on_device && sw > 0.0) {
-                clock += ship(tc, to_device ? "xfer-in" : "xfer-out", fw);
+                clock += ship(tc, to_device ? "xfer-in" : "xfer-out", words);
             }
             on_device = to_device;
-        }
-        if (plan.shape == PlanShape::kSplit) {
+        } else {
             k = model::split_observed_level(hw, est, mult, /*include_transfers=*/true).cpu_tasks;
         }
         cpu_est_work += est_sum(est, 0, k);
@@ -232,29 +265,31 @@ struct Sweeps {
         return k;
     }
 
-    /// Schedules one level from its per-task estimates and runs its CPU
-    /// part [0, k) and device part [k, W) through the launch primitive —
-    /// functionally with `body(j, ops)` executing task j, priced from the
-    /// (uniform) estimates when `body` is nullptr — then advances the clock
-    /// by the level makespan. A kSplit level brackets its device part with
-    /// the transfers of the part's words in and back out.
+    /// Schedules one level of `width` tasks over `words` words and runs its
+    /// CPU part [0, k) and device part [k, W) through the launch primitive
+    /// — functionally with `body(j, ops)` executing task j, priced from the
+    /// (uniform) predictions when `body` is nullptr — then advances the
+    /// clock by the level makespan. A kSplit level brackets its device part
+    /// with the transfers of the part's words in and back out.
     template <typename Body>
-    void level(const std::vector<model::ObservedTask>& est, std::uint64_t depth,
-               trace::SpanId phase, double imb, std::vector<sim::ItemAccessLog>& logs,
-               Body&& body) {
-        const std::uint64_t width = est.size();
+    void level(std::span<const model::ObservedTask> est, std::uint64_t width,
+               std::uint64_t words, std::uint64_t depth, trace::SpanId phase, double imb,
+               std::vector<sim::ItemAccessLog>& logs, Body&& body) {
         const SpanCtx tc{opts.trace, phase, clock, depth, opts.profile};
-        const std::uint64_t k = cpu_prefix(est, tc);
+        const std::uint64_t k = cpu_prefix(est, width, words, tc);
+        const std::uint64_t cpu_words = k == width ? words : est_words(est, 0, k);
         const sim::Ticks level_start = clock;
-        // Tasks [b, e) of the level on `unit`, starting `at` into the level.
-        auto part = [&](trace::Unit unit, std::uint64_t b, std::uint64_t e, sim::Ticks at) {
+        // Tasks [b, e) of the level, covering `part_words` words, on `unit`,
+        // starting `at` into the level.
+        auto part = [&](trace::Unit unit, std::uint64_t b, std::uint64_t e,
+                        std::uint64_t part_words, sim::Ticks at) {
             const bool gpu = unit == trace::Unit::kGpu;
             Launch l;
             l.unit = unit;
             l.phase = gpu ? "gpu-level" : "cpu-level";
             l.tasks = e - b;
             l.intra = alg.intra_task_parallel();
-            l.extent_words = est_words(est, b, e);
+            l.extent_words = part_words;
             l.imbalance = imb;
             if (!gpu) l.working_set = alg.level_working_set_bytes(l.extent_words);
             const SpanCtx pt = tc.moved(at, depth);
@@ -275,15 +310,16 @@ struct Sweeps {
         };
         sim::Ticks cpu_time = 0.0, gpu_path = 0.0;
         if (k > 0) {
-            cpu_time = part(trace::Unit::kCpu, 0, k, level_start);
+            cpu_time = part(trace::Unit::kCpu, 0, k, cpu_words, level_start);
             rep.cpu_busy += cpu_time;
             ++rep.levels_cpu;
         }
         if (k < width) {
             const bool shipped = plan.shape == PlanShape::kSplit;
-            const std::uint64_t gpu_words = est_words(est, k, width);
+            const std::uint64_t gpu_words = words - cpu_words;
             if (shipped) gpu_path = ship(tc.moved(level_start, depth), "xfer-in", gpu_words);
-            const sim::Ticks t = part(trace::Unit::kGpu, k, width, level_start + gpu_path);
+            const sim::Ticks t =
+                part(trace::Unit::kGpu, k, width, gpu_words, level_start + gpu_path);
             rep.gpu_busy += t;
             ++rep.levels_gpu;
             gpu_path += t;
@@ -295,16 +331,24 @@ struct Sweeps {
     }
 
     /// Runs one functional level of `list`; `body(j, ops)` executes task
-    /// j's divide/combine.
+    /// j's divide/combine. The shapes that split a level (kSplit, kBasic)
+    /// first predict each task's charge from its task_charge: its CPU ops
+    /// and its device ops, priced as the device will charge them.
     template <typename Body>
     void functional_level(const TaskList& list, std::uint64_t depth, const char* sweep,
                           bool combine, trace::SpanId phase, Body&& body) {
         const std::uint64_t width = list.width();
         if (width == 0) return;
-        std::vector<model::ObservedTask> est(width);
-        for (std::uint64_t j = 0; j < width; ++j) {
-            est[j] = model::ObservedTask{tree->task_cost_estimate(list.tasks[j], combine),
-                                         list.tasks[j].size()};
+        std::span<const model::ObservedTask> est;
+        if (plan.shape == PlanShape::kSplit || plan.shape == PlanShape::kBasic) {
+            pred.resize(width);
+            for (std::uint64_t j = 0; j < width; ++j) {
+                const TaskDesc& t = list.tasks[j];
+                const sim::OpCounter c = tree->task_charge(t, combine);
+                pred[j] = model::ObservedTask{static_cast<double>(c.cpu_ops()), t.size(),
+                                              c.gpu_ops(hw.gpu.strided_penalty)};
+            }
+            est = pred;
         }
         const std::string label = launch_label(alg.name(), sweep, width);
         std::vector<sim::ItemAccessLog> logs;
@@ -315,7 +359,7 @@ struct Sweeps {
             analysis::detect_extent_overlaps(ex, label, *val.report, val.race);
             logs.resize(width);
         }
-        level(est, depth, phase, list.imbalance(), logs, body);
+        level(est, width, list.extent_words(), depth, phase, list.imbalance(), logs, body);
         if (val.on()) {
             // CPU and GPU parts of a split level overlap in virtual time,
             // so the whole width is one concurrency window.
@@ -328,38 +372,41 @@ struct Sweeps {
     void analytic_level(std::uint64_t width, std::uint64_t depth, trace::SpanId phase) {
         HPU_CHECK(width > 0, "analytic level width must be positive");
         const std::uint64_t n = data.size();
-        const std::vector<model::ObservedTask> est(
-            width, model::ObservedTask{tree->analytic_task_cost(n, depth), n / width});
+        pred.assign(width, model::ObservedTask{tree->analytic_task_cost(n, depth), n / width});
         std::vector<sim::ItemAccessLog> no_logs;
-        level(est, depth, phase, 1.0, no_logs, nullptr);
+        level(pred, width, width * (n / width), depth, phase, 1.0, no_logs, nullptr);
     }
 
     /// The functional expand sweep from the root level `levels[0]`,
-    /// recording every level it reaches.
+    /// recording every level it reaches. Task j of a level appends its
+    /// children into the flat slots [j·a, j·a + a) and records their count
+    /// in child_off[j + 1]; the counts become offsets and the filled slots,
+    /// in task order, the next level's list.
     void expand(std::vector<LevelRecord>& levels, trace::SpanId run_span) {
         in_phase(run_span, "expand", [&](trace::SpanId phase) {
-            // Each task's children, kept across levels so their storage is
-            // reused rather than reallocated per task.
-            std::vector<std::vector<TaskDesc>> kids;
+            const std::uint64_t a = alg.a();
+            SlotBuffer slots;
             for (std::uint64_t depth = 0;; ++depth) {
                 HPU_CHECK(depth < tree->max_levels(data.size()),
                           "irregular expansion exceeded max_levels — runaway divide_task?");
                 const TaskList& list = levels[depth].list;
                 const std::uint64_t width = list.width();
                 rep.tasks_spawned += width;
-                if (kids.size() < width) kids.resize(width);
-                for (std::uint64_t j = 0; j < width; ++j) kids[j].clear();
-                functional_level(list, depth, "divide", /*combine=*/false, phase,
-                                 [&](std::uint64_t j, sim::OpCounter& ops) {
-                                     tree->divide_task(data, list.tasks[j], depth, kids[j], ops);
-                                 });
+                TaskDesc* const kids = slots.reserve(width * a);
                 std::vector<std::uint64_t>& off = levels[depth].child_off;
                 off.assign(width + 1, 0);
-                for (std::uint64_t j = 0; j < width; ++j) off[j + 1] = off[j] + kids[j].size();
+                functional_level(list, depth, "divide", /*combine=*/false, phase,
+                                 [&](std::uint64_t j, sim::OpCounter& ops) {
+                                     ChildSlots ch(kids + j * a, a);
+                                     tree->divide_task(data, list.tasks[j], depth, ch, ops);
+                                     off[j + 1] = ch.size();
+                                 });
+                for (std::uint64_t j = 0; j < width; ++j) off[j + 1] += off[j];
                 TaskList next;
                 next.tasks.reserve(off[width]);
                 for (std::uint64_t j = 0; j < width; ++j) {
-                    next.tasks.insert(next.tasks.end(), kids[j].begin(), kids[j].end());
+                    next.tasks.insert(next.tasks.end(), kids + j * a,
+                                      kids + j * a + (off[j + 1] - off[j]));
                 }
                 if (next.empty()) break;
                 levels.push_back({std::move(next), {}});

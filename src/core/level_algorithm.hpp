@@ -232,10 +232,11 @@ public:
     virtual TaskList root_tasks(std::span<T> data, sim::OpCounter& ops) const = 0;
 
     /// Divide work of one task: partition / prepare its extent and append
-    /// the children tasks to `children` (zero children = this branch
-    /// terminates here). Runs as one CPU task or one device work-item.
+    /// the children tasks to `children`, at most a() of them (zero
+    /// children = this branch terminates here). Runs as one CPU task or one
+    /// device work-item, and charges exactly `ops += task_charge(t, false)`.
     virtual void divide_task(std::span<T> data, const TaskDesc& t, std::uint64_t level,
-                             std::vector<TaskDesc>& children, sim::OpCounter& ops) const = 0;
+                             ChildSlots& children, sim::OpCounter& ops) const = 0;
 
     /// Whether the tree has a bottom-up combine sweep at all. Pure
     /// partition algorithms (quickhull) return false and skip the sweep.
@@ -243,24 +244,25 @@ public:
 
     /// Combine work of one task, after all its children combined.
     /// `children` are the descriptors divide_task appended (empty = leaf).
-    virtual void combine_task(std::span<T> /*data*/, const TaskDesc& /*t*/,
+    /// Charges exactly `ops += task_charge(t, true)`.
+    virtual void combine_task(std::span<T> /*data*/, const TaskDesc& t,
                               std::uint64_t /*level*/,
                               std::span<const TaskDesc> /*children*/,
                               sim::OpCounter& ops) const {
-        ops.charge_compute(1);
+        ops += task_charge(t, true);
     }
 
     /// Host-side wrap-up after both sweeps (assemble the output in
     /// `data`). Priced as p-way parallel CPU work.
     virtual void finalize(std::span<T> /*data*/, sim::OpCounter& /*ops*/) const {}
 
-    /// Deterministic per-task cost estimate, in CPU ops, consumed by the
-    /// observed-width scheduler BEFORE the task runs (model/observed.hpp).
-    /// Must be a pure function of the descriptor (and immutable prepared
-    /// state) so pooled and inline runs split identically.
-    virtual double task_cost_estimate(const TaskDesc& t, bool /*combine*/) const {
-        return t.size() > 0 ? static_cast<double>(t.size()) : 1.0;
-    }
+    /// The charge of task t's divide (or, with `combine`, its combine),
+    /// written once per tree: a pure function of the descriptor (and
+    /// immutable prepared state), and exactly what the body adds to its
+    /// OpCounter. The split schedulers read it BEFORE the task runs
+    /// (model/observed.hpp), so they price each part of a level as its
+    /// launch will charge it, and pooled and inline runs split identically.
+    virtual sim::OpCounter task_charge(const TaskDesc& t, bool combine) const = 0;
 
     /// Canonical, data-independent level widths for the analytic fast
     /// path, which prices the tree without executing task bodies (the real

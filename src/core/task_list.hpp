@@ -14,7 +14,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
+
+#include "util/check.hpp"
 
 namespace hpu::core {
 
@@ -32,6 +35,32 @@ struct TaskDesc {
     bool empty() const noexcept { return end <= begin; }
 
     friend bool operator==(const TaskDesc&, const TaskDesc&) = default;
+};
+
+/// Where one divide appends its children: a run of `capacity` slots (the
+/// algorithm's a()) in a flat per-level buffer the expand sweep owns, so a
+/// divide allocates nothing. The slots may be uninitialised storage; each
+/// push_back constructs its child in place.
+class ChildSlots {
+public:
+    ChildSlots(TaskDesc* slots, std::uint64_t capacity) noexcept
+        : slots_(slots), capacity_(capacity) {}
+
+    void push_back(const TaskDesc& t) {
+        HPU_CHECK(count_ < capacity_, "divide_task appended more than a() children");
+        std::construct_at(slots_ + count_, t);
+        ++count_;
+    }
+
+    std::uint64_t size() const noexcept { return count_; }
+    bool empty() const noexcept { return count_ == 0; }
+    const TaskDesc* begin() const noexcept { return slots_; }
+    const TaskDesc* end() const noexcept { return slots_ + count_; }
+
+private:
+    TaskDesc* slots_;
+    std::uint64_t capacity_;
+    std::uint64_t count_ = 0;
 };
 
 /// The tasks of one level of an irregular tree, in schedule order. An

@@ -5,29 +5,32 @@
 // recurrence before anything runs. An irregular tree has neither property:
 // the width and the per-task extents of level i are only known once level
 // i-1 executed. These helpers re-derive the same decisions per level from
-// the *observed* task list — width, per-task cost estimates, extent words
-// — through the unit prices of sim/params.hpp (p cores; g lanes at γ
+// the *observed* task list — width, per-task charges, extent words —
+// through the unit prices of sim/params.hpp (p cores; g lanes at γ
 // ops/tick; λ + δ·w link), the ones the simulator charges and the analytic
 // predictions price with.
 //
-// Decisions are deterministic pure functions of (hardware, estimates), so
+// Decisions are deterministic pure functions of (hardware, charges), so
 // pooled and inline irregular runs schedule identically (the
 // pool-determinism invariant extends to the dynamic-tree sweeps).
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "sim/params.hpp"
 
 namespace hpu::model {
 
 /// One observed task of a level, as the scheduler sees it before running:
-/// a cost estimate (CPU ops) and the words its extent covers (what a
-/// hybrid level exchange would ship).
+/// its CPU ops, the words its extent covers (what a hybrid level exchange
+/// would ship) and, when known, its device ops (OpCounter::gpu_ops). A
+/// task without device ops (negative, the default) is priced on the
+/// device at cost × the device multiplier.
 struct ObservedTask {
     double cost = 1.0;
     std::uint64_t words = 0;
+    double device_ops = -1.0;
 };
 
 /// Per-level α re-balance: the first `cpu_tasks` tasks run on the CPU, the
@@ -44,23 +47,24 @@ struct ObservedSplit {
 /// makespan max(cpu(k), gpu(k)), through the unit prices of sim/params.hpp:
 ///   cpu(k) = max(host_pass_time(Σ_{j<k} cost_j), max_{j<k} cost_j)
 ///   gpu(k) = launch_overhead
-///            + Σ over the waves of g tasks from k on: wave_time(max cost · mult)
+///            + Σ over the waves of g tasks from k on: wave_time(max device ops)
 ///            + [include_transfers] 2 · transfer_time(Σ_{j≥k} words_j)
 /// The device part is priced wave by wave, exactly as sim::Device::launch
 /// charges those per-task ops. The CPU part keeps the list-scheduling
-/// lower bound: a list-scheduled estimate would be a second
-/// list-scheduling implementation and moves no benchmark number.
-/// Ties keep the smallest k (prefer the CPU for equal estimates, matching
-/// the paper's preference for keeping shallow work host-side).
+/// lower bound, never above the in-order list schedule the CPU unit
+/// charges: the all-CPU candidate k = W then bounds the chosen level by
+/// the all-CPU level (DESIGN.md §14).
+/// Ties keep the largest k: a split that buys nothing ships nothing.
 ObservedSplit split_observed_level(const sim::HpuParams& hw,
-                                   const std::vector<ObservedTask>& tasks,
+                                   std::span<const ObservedTask> tasks,
                                    double device_multiplier, bool include_transfers);
 
 /// Whole-level placement for the basic-style irregular schedule: the level
 /// runs entirely on one unit, priced as split_observed_level prices k = 0
-/// (device) and k = width (CPU). `cpu_extra` / `gpu_extra` are the
-/// residency switch costs (ticks) the engine would pay to place the level
-/// on that unit given where the frontier currently lives.
+/// (device) and k = width (CPU); equal prices keep the CPU. `cpu_extra` /
+/// `gpu_extra` are the residency switch costs (ticks) the engine would pay
+/// to place the level on that unit given where the frontier currently
+/// lives.
 enum class LevelPlacement { kCpu, kGpu };
 
 struct ObservedPlacement {
@@ -70,7 +74,7 @@ struct ObservedPlacement {
 };
 
 ObservedPlacement place_observed_level(const sim::HpuParams& hw,
-                                       const std::vector<ObservedTask>& tasks,
+                                       std::span<const ObservedTask> tasks,
                                        double device_multiplier, double cpu_extra,
                                        double gpu_extra);
 

@@ -397,13 +397,18 @@ public:
     }
 
     void divide_task(std::span<int> data, const core::TaskDesc& t, std::uint64_t /*level*/,
-                     std::vector<core::TaskDesc>& /*children*/,
-                     sim::OpCounter& ops) const override {
+                     core::ChildSlots& /*children*/, sim::OpCounter& ops) const override {
         data[0] += data[t.begin];  // the fold the declaration hides
-        ops.charge_compute(1);
-        ops.charge_mem(2, sim::Pattern::kStrided);
+        ops += task_charge(t, false);
         ops.log_read(t.begin, 1);
         ops.log_write(0, 1);  // outside the declared extent of task 1
+    }
+
+    sim::OpCounter task_charge(const core::TaskDesc& /*t*/, bool /*combine*/) const override {
+        sim::OpCounter c;
+        c.charge_compute(1);
+        c.charge_mem(2, sim::Pattern::kStrided);
+        return c;
     }
 
     bool has_combine() const override { return false; }
@@ -422,8 +427,7 @@ public:
     std::string name() const override { return "quickhull-overrun"; }
 
     void divide_task(std::span<algos::Pt> data, const core::TaskDesc& t, std::uint64_t level,
-                     std::vector<core::TaskDesc>& children,
-                     sim::OpCounter& ops) const override {
+                     core::ChildSlots& children, sim::OpCounter& ops) const override {
         algos::Quickhull::divide_task(data, t, level, children, ops);
         if (t.size() >= 2 && t.end < data.size() - 1) ops.log_write(t.end, 1);
     }
@@ -449,10 +453,15 @@ public:
     }
 
     void divide_task(std::span<int> /*data*/, const core::TaskDesc& t, std::uint64_t /*level*/,
-                     std::vector<core::TaskDesc>& /*children*/,
-                     sim::OpCounter& ops) const override {
-        ops.charge_compute(1);
+                     core::ChildSlots& /*children*/, sim::OpCounter& ops) const override {
+        ops += task_charge(t, false);
         ops.log_read(t.begin, 1);
+    }
+
+    sim::OpCounter task_charge(const core::TaskDesc& /*t*/, bool /*combine*/) const override {
+        sim::OpCounter c;
+        c.charge_compute(1);
+        return c;
     }
 
     bool has_combine() const override { return false; }

@@ -55,6 +55,18 @@ TEST(TaskList, DegenerateShapes) {
     EXPECT_DOUBLE_EQ(tl.imbalance(), 1.0);  // perfectly regular
 }
 
+TEST(TaskList, ChildSlotsHoldAtMostTheirCapacity) {
+    TaskDesc slots[2];
+    ChildSlots kids(slots, 2);
+    EXPECT_TRUE(kids.empty());
+    kids.push_back({0, 4, 1});
+    kids.push_back({4, 8, 2});
+    ASSERT_EQ(kids.size(), 2u);
+    EXPECT_EQ(kids.begin()[1], (TaskDesc{4, 8, 2}));
+    EXPECT_THROW(kids.push_back({8, 9, 3}), util::HpuError);
+    EXPECT_EQ(kids.size(), 2u);
+}
+
 TEST(LevelAlgorithm, OnlyIrregularAlgorithmsHaveTheDynamicTreeInterface) {
     algos::MergesortPlain<std::int32_t> regular;
     EXPECT_EQ(regular.as_irregular(), nullptr);
@@ -176,6 +188,69 @@ TEST(ObservedSplit, DeviceEstimateEqualsTheLaunchCharge) {
     EXPECT_EQ(sp.gpu_est, charge(sp.cpu_tasks));
 }
 
+TEST(ObservedSplit, PerTaskDeviceOpsPriceTheLaunchExactly) {
+    // Tasks that carry their own device ops are priced from them, not from
+    // cost × multiplier: the part must cost what a launch of the same
+    // charges costs. Integer ops, a penalty of 4 and γ = 1/64 keep every
+    // sum exact; the bogus multiplier would show if it were read.
+    sim::HpuParams hw = gpu_friendly();
+    hw.cpu.p = 2;
+    hw.gpu.g = 128;
+    hw.gpu.gamma = 1.0 / 64.0;
+    hw.gpu.strided_penalty = 4.0;
+    hw.gpu.launch_overhead = 50.0;
+    std::mt19937_64 rng(11);
+    std::vector<sim::OpCounter> charges(700);
+    std::vector<model::ObservedTask> est(charges.size());
+    for (std::size_t j = 0; j < charges.size(); ++j) {
+        charges[j].charge_compute(1 + rng() % 50);
+        charges[j].charge_mem(rng() % 40, sim::Pattern::kStrided);
+        charges[j].charge_mem(rng() % 10, sim::Pattern::kCoalesced);
+        est[j] = {static_cast<double>(charges[j].cpu_ops()), 4,
+                  charges[j].gpu_ops(hw.gpu.strided_penalty)};
+    }
+    auto charge = [&](std::uint64_t k) {
+        sim::Device dev(hw.gpu);
+        return dev
+            .launch(est.size() - k,
+                    [&](sim::WorkItem& wi) { wi.ops() += charges[k + wi.global_id()]; })
+            .time;
+    };
+    const double bogus = 1000.0;
+    EXPECT_EQ(model::place_observed_level(hw, est, bogus, 0.0, 0.0).gpu_est, charge(0));
+    const auto sp = model::split_observed_level(hw, est, bogus, /*include_transfers=*/false);
+    ASSERT_GT(sp.cpu_tasks, 0u);
+    ASSERT_LT(sp.cpu_tasks, est.size());
+    EXPECT_EQ(sp.gpu_est, charge(sp.cpu_tasks));
+}
+
+TEST(ObservedSplit, ExactTiesKeepTheLargerCpuPrefix) {
+    // Four 1-op tasks on two cores, four lanes at γ = 0.5 and a free link:
+    // every split k prices exactly 2 ticks, so a split buys nothing and
+    // the whole level stays on the CPU, shipping nothing.
+    sim::HpuParams hw = gpu_friendly();
+    hw.cpu.p = 2;
+    hw.gpu.g = 4;
+    hw.gpu.gamma = 0.5;
+    hw.link.lambda = 0.0;
+    hw.link.delta = 0.0;
+    const std::vector<model::ObservedTask> est(4, model::ObservedTask{1.0, 8, 1.0});
+    for (const bool transfers : {false, true}) {
+        const auto sp = model::split_observed_level(hw, est, 1.0, transfers);
+        EXPECT_EQ(sp.cpu_tasks, 4u) << "transfers=" << transfers;
+        EXPECT_EQ(sp.cpu_est, 2.0);
+        EXPECT_EQ(sp.gpu_est, 0.0);
+        EXPECT_EQ(sp.alpha, 1.0);
+    }
+    const auto pl = model::place_observed_level(hw, est, 1.0, 0.0, 0.0);
+    EXPECT_EQ(pl.cpu_est, pl.gpu_est);
+    EXPECT_EQ(pl.unit, model::LevelPlacement::kCpu);
+    // At γ = 1 the device part costs 1 tick for any k < 4, so k = 0, 1, 2
+    // all price 1: the largest of them wins.
+    hw.gpu.gamma = 1.0;
+    EXPECT_EQ(model::split_observed_level(hw, est, 1.0, true).cpu_tasks, 2u);
+}
+
 TEST(ObservedSplit, SkewedCostsShiftTheSplit) {
     const sim::HpuParams hw = gpu_friendly();
     // Front-loaded costs: the same width must yield a smaller CPU prefix
@@ -280,6 +355,117 @@ TEST(IrregularEngine, AllSixExecutorsAgreeBitExactly) {
         p.chunks = 4;
         return run_pipelined_hybrid(hg, alg, d, 0.5, 1, p);
     });
+}
+
+// ------------------------------------------------------------ task charges
+
+/// What walk_charges saw: tasks divided, empty extents, leaves (a divide
+/// that appended no children) and combines.
+struct Walked {
+    std::uint64_t tasks = 0, empty = 0, leaves = 0, combines = 0;
+};
+
+/// Walks `alg`'s tree over `input` as the sweeps do — the root pass, each
+/// level's divides, then the combines bottom-up — and checks that every
+/// body charges exactly its task_charge.
+template <typename T>
+Walked walk_charges(const IrregularLevelAlgorithm<T>& alg, std::vector<T> data) {
+    auto same = [](const sim::OpCounter& x, const sim::OpCounter& y) {
+        return x.compute == y.compute && x.mem_coalesced == y.mem_coalesced &&
+               x.mem_strided == y.mem_strided;
+    };
+    const std::span<T> d(data);
+    alg.prepare(d.size());
+    alg.bind_exec(util::MergeExec{});
+    sim::OpCounter pre;
+    std::vector<TaskList> levels{alg.root_tasks(d, pre)};
+    std::vector<std::vector<std::uint64_t>> offs;
+    Walked w;
+    const std::uint64_t a = alg.a();
+    for (std::uint64_t depth = 0; !levels[depth].empty(); ++depth) {
+        const std::vector<TaskDesc> tasks = levels[depth].tasks;
+        std::vector<TaskDesc> slots(a);
+        std::vector<std::uint64_t> off{0};
+        TaskList next;
+        for (const TaskDesc& t : tasks) {
+            ChildSlots kids(slots.data(), a);
+            sim::OpCounter ops;
+            alg.divide_task(d, t, depth, kids, ops);
+            EXPECT_TRUE(same(ops, alg.task_charge(t, false)))
+                << alg.name() << " divide [" << t.begin << ", " << t.end << ") at level "
+                << depth;
+            next.tasks.insert(next.tasks.end(), kids.begin(), kids.end());
+            off.push_back(next.tasks.size());
+            ++w.tasks;
+            w.empty += t.empty() ? 1 : 0;
+            w.leaves += kids.empty() ? 1 : 0;
+        }
+        offs.push_back(std::move(off));
+        levels.push_back(std::move(next));
+    }
+    if (!alg.has_combine()) return w;
+    for (std::uint64_t i = offs.size(); i-- > 0;) {
+        for (std::uint64_t j = 0; j < levels[i].width(); ++j) {
+            const TaskDesc& t = levels[i].tasks[j];
+            const std::span<const TaskDesc> kids =
+                std::span<const TaskDesc>(levels[i + 1].tasks)
+                    .subspan(offs[i][j], offs[i][j + 1] - offs[i][j]);
+            sim::OpCounter ops;
+            alg.combine_task(d, t, i, kids, ops);
+            EXPECT_TRUE(same(ops, alg.task_charge(t, true)))
+                << alg.name() << " combine [" << t.begin << ", " << t.end << ") at level " << i;
+            ++w.combines;
+        }
+    }
+    return w;
+}
+
+TEST(TaskCharge, QuickhullBodiesChargeTheirTaskCharge) {
+    algos::Quickhull alg;
+    const Walked random = walk_charges(alg, random_points(500, 3));
+    EXPECT_GT(random.tasks, 10u);
+    EXPECT_GT(random.empty, 0u);
+    // Nothing below A→B: the lower root extent is empty.
+    const Walked upper = walk_charges(alg, std::vector<algos::Pt>{
+                                               {0, 0}, {10, 0}, {5, 9}, {5, 2}, {2, 1}, {8, 3}});
+    EXPECT_GT(upper.empty, 0u);
+    // All collinear: both root extents are empty.
+    std::vector<algos::Pt> line;
+    for (std::int64_t i = 0; i < 40; ++i) line.push_back({3 * i, 2 * i});
+    const Walked collinear = walk_charges(alg, line);
+    EXPECT_EQ(collinear.tasks, 2u);
+    EXPECT_EQ(collinear.empty, 2u);
+    // All identical: no root tasks at all.
+    EXPECT_EQ(walk_charges(alg, std::vector<algos::Pt>(17, algos::Pt{4, 4})).tasks, 0u);
+}
+
+TEST(TaskCharge, KaratsubaBodiesChargeTheirTaskCharge) {
+    algos::KaratsubaArray alg;
+    std::mt19937_64 rng(5);
+    // m <= 4 roots are schoolbook leaves; odd halves split unevenly.
+    for (const std::uint64_t half : {2u, 3u, 4u, 5u, 7u, 13u, 101u, 256u}) {
+        std::vector<std::int64_t> in(2 * half);
+        for (auto& c : in) c = static_cast<std::int64_t>(rng() % 201) - 100;
+        const Walked w = walk_charges(alg, in);
+        EXPECT_EQ(w.combines, w.tasks) << "half=" << half;
+        EXPECT_GT(w.leaves, 0u) << "half=" << half;
+        if (half <= 4) {
+            EXPECT_EQ(w.tasks, 1u) << "half=" << half;
+        }
+    }
+}
+
+TEST(TaskCharge, ClosestPairBodiesChargeTheirTaskCharge) {
+    algos::ClosestPair alg;
+    // n <= 3 roots are leaves; the others split ceil/floor down to m <= 3.
+    for (const std::uint64_t n : {2u, 3u, 4u, 7u, 300u, 1001u}) {
+        const Walked w = walk_charges(alg, random_points(n, 9 + n));
+        EXPECT_EQ(w.combines, w.tasks) << "n=" << n;
+        EXPECT_GT(w.leaves, 0u) << "n=" << n;
+        if (n <= 3) {
+            EXPECT_EQ(w.tasks, 1u) << "n=" << n;
+        }
+    }
 }
 
 TEST(Quickhull, TiedFarthestPointsKeepOnlyHullVertices) {
@@ -517,6 +703,45 @@ std::vector<std::string> hybrid_run(const LevelAlgorithm<T>& alg, const std::vec
         out.push_back(ss.str());
     }
     return out;
+}
+
+TEST(IrregularEngine, KaratsubaSplitNeverLosesToMulticore) {
+    // The property harness's worst case before the split read each task's
+    // task_charge (seed 13088025008137445075): Karatsuba on 2 × 170
+    // coefficients, where the advanced hybrid took 53,118.4 ticks against
+    // multicore's 51,861 (+2.4%). Priced exactly, it takes 46,783.8.
+    sim::HpuParams hw = platforms::hpu1();
+    hw.name = "random-irregular";
+    hw.cpu.p = 2;
+    hw.cpu.contention = 0.0;
+    hw.gpu.g = 256;
+    hw.gpu.gamma = 0x1.2fba50f09e9cap-3;
+    hw.link.lambda = 0x1.ce9598f63aef7p+8;
+    hw.link.delta = 0x1.f9e46d4e34c41p-1;
+    sim::Hpu h(hw);
+    algos::KaratsubaArray alg;
+    std::mt19937_64 rng(13);
+    std::vector<std::int64_t> input(2 * 170);
+    for (auto& c : input) c = static_cast<std::int64_t>(rng() % 201) - 100;
+    for (const bool functional : {true, false}) {
+        SCOPED_TRACE(functional ? "functional" : "analytic");
+        ExecOptions opts;
+        opts.functional = functional;
+        auto d = input;
+        const ExecReport rm = run_multicore(h.cpu(), alg, std::span(d), opts);
+        d = input;
+        AdvancedOptions a;
+        a.exec = opts;
+        const ExecReport ra = run_advanced_hybrid(h, alg, std::span(d), 0.5, 1, a);
+        d = input;
+        PipelinedOptions p;
+        p.exec = opts;
+        p.chunks = 4;
+        const ExecReport rp = run_pipelined_hybrid(h, alg, std::span(d), 0.5, 1, p);
+        EXPECT_LE(ra.total, rm.total);
+        EXPECT_GT(ra.levels_gpu, 0u) << "the split no longer uses the device";
+        EXPECT_EQ(rp.total, ra.total);
+    }
 }
 
 TEST(IrregularEngine, HybridsIgnoreAlphaYAndChunks) {

@@ -232,7 +232,9 @@ TEST(PropertyHarness, RandomInstancesAgreeAcrossExecutorsAndModes) {
 // Instances are quickhull / closest-pair / Karatsuba at sizes no regular
 // executor accepts (primes, odd halves); conservation is span-derived —
 // summing the `tasks` attribute of the kLevel spans under the expand phase
-// must reconstruct ExecReport::tasks_spawned, empty branches included.
+// must reconstruct ExecReport::tasks_spawned, empty branches included. A
+// third property holds on every instance: the advanced (and so the
+// pipelined) hybrid is never slower than multicore.
 
 /// One randomized irregular instance over element type T.
 template <typename T>
@@ -307,7 +309,7 @@ void run_irregular_instance(const IrregularInstance<T>& in, bool functional) {
         return rep;
     };
 
-    against_ref("multicore", [&](std::span<T> d, const ExecOptions& o) {
+    const ExecReport rm = against_ref("multicore", [&](std::span<T> d, const ExecOptions& o) {
         return run_multicore(h.cpu(), *in.alg, d, o);
     });
     against_ref("gpu", [&](std::span<T> d, const ExecOptions& o) {
@@ -324,6 +326,9 @@ void run_irregular_instance(const IrregularInstance<T>& in, bool functional) {
         });
     EXPECT_GE(ra.alpha_effective, 0.0);
     EXPECT_LE(ra.alpha_effective, 1.0);
+    // Each split level is priced exactly and may stay all on the CPU, so
+    // the advanced hybrid never loses to multicore (DESIGN.md §14).
+    EXPECT_LE(ra.total, rm.total) << "advanced lost to multicore";
     const ExecReport rp =
         against_ref("pipelined-hybrid", [&](std::span<T> d, const ExecOptions& o) {
             PipelinedOptions p;
