@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the simulator substrate itself: how
 // fast the host executes simulated kernels, CPU levels, merges, the
-// quickhull partition and the dynamic-tree engine. These measure the
+// quickhull partition, the dynamic-tree engine and the §6.3 layout layer. These measure the
 // *reproduction harness*, not the paper's system — wall-clock throughput
 // of the simulation determines how large an n the figure benches can
 // sweep.
@@ -146,6 +146,42 @@ BENCHMARK_CAPTURE(BM_IrregularRun, multicore, IrregularExecutor::kMulticore)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_IrregularRun, advanced, IrregularExecutor::kAdvanced)
     ->Unit(benchmark::kMillisecond);
+
+// The §6.3 coalesced mergesort's layout layer end to end: MergesortCoalesced
+// on 2^20 uniform int32 keys under run_gpu (every level on the device in the
+// interleaved layout, then the un-interleave) and the basic hybrid (device
+// levels to the crossover, the un-interleave hook, then the CPU levels).
+// Argument: pool workers (0 = inline). Items are the elements sorted.
+enum class CoalescedExecutor { kGpu, kBasic };
+
+void BM_CoalescedRun(benchmark::State& state, CoalescedExecutor executor) {
+    constexpr std::size_t kN = 1 << 20;
+    util::Rng rng(5);
+    const std::vector<std::int32_t> input = rng.int_vector(kN, 0, 2 * kN);
+    algos::MergesortCoalesced<std::int32_t> alg;
+    util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+    sim::Hpu h(platforms::hpu1(), &pool);
+    std::vector<std::int32_t> data;
+    for (auto _ : state) {
+        data = input;
+        const core::ExecReport r = executor == CoalescedExecutor::kGpu
+                                       ? core::run_gpu(h, alg, std::span(data))
+                                       : core::run_basic_hybrid(h, alg, std::span(data));
+        benchmark::DoNotOptimize(r.total);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(kN));
+}
+BENCHMARK_CAPTURE(BM_CoalescedRun, gpu, CoalescedExecutor::kGpu)
+    ->Arg(0)
+    ->Arg(pooled_workers())
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_CoalescedRun, basic, CoalescedExecutor::kBasic)
+    ->Arg(0)
+    ->Arg(pooled_workers())
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_MakespanSkewed(benchmark::State& state) {
     util::Rng rng(1);

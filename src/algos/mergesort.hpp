@@ -21,12 +21,14 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/level_algorithm.hpp"
 #include "util/check.hpp"
 #include "util/math.hpp"
+#include "util/transpose.hpp"
 
 namespace hpu::algos {
 
@@ -198,16 +200,15 @@ public:
         // the inverse of the after_gpu_levels permutation, same tiled
         // transpose price.
         const std::uint64_t m = device_data.size() / runs_in;
-        for (std::uint64_t j = 0; j < runs_in; ++j) {
-            for (std::uint64_t k = 0; k < m; ++k) {
-                dscratch_[k * runs_in + j] = device_data[j * m + k];
-            }
-        }
+        util::transpose(this->exec_, device_data.data(), m, dscratch_.data(), runs_in, runs_in,
+                        m);
         cur_is_scratch_ = true;
         ops.charge_mem(2 * device_data.size(), sim::Pattern::kCoalesced);
         ops.charge_compute(device_data.size() / 4);
     }
 
+    /// The per-item strided walk: item j merges the interleaved columns 2j
+    /// and 2j + 1 into column j of the other ping-pong buffer.
     void run_device_task(std::span<T> data, std::uint64_t count, std::uint64_t j,
                          sim::OpCounter& ops) const override {
         HPU_CHECK(runs_ == 2 * count, "interleaved layout out of sync with the level");
@@ -220,8 +221,7 @@ public:
         // column are strided views over disjoint ping-pong buffers, so the
         // segments write disjoint output cells. Same stable merge as the
         // serial walk below (va <= vb takes run A).
-        const std::size_t parts =
-            this->exec_.parallel_ok() ? util::merge_parts(2 * m, this->exec_.pool) : 1;
+        const std::size_t parts = walk_parts(m);
         if (parts > 1) {
             util::merge_segments_strided(
                 this->exec_.pool, util::Strided<const T>{src + ra, in_runs}, m,
@@ -246,17 +246,46 @@ public:
             while (ia < m) dst[k++ * count + j] = src_at(ra, ia++);
             while (ib < m) dst[k++ * count + j] = src_at(rb, ib++);
         }
-        // 1 compare + 2 coalesced words per output element.
-        ops.charge_compute(2 * m);
-        ops.charge_mem(4 * m, sim::Pattern::kCoalesced);
-        // Declared footprint: interleaved columns ra, rb of src, column j
-        // of dst. The ping-pong scratch lives in a disjoint address region
-        // so data-vs-scratch accesses can never alias.
-        const std::uint64_t src_base = cur_is_scratch_ ? verify::kScratchRegionBase : 0;
-        const std::uint64_t dst_base = cur_is_scratch_ ? 0 : verify::kScratchRegionBase;
-        ops.log_read(src_base + ra, m, in_runs);
-        ops.log_read(src_base + rb, m, in_runs);
-        ops.log_write(dst_base + j, 2 * m, count);
+        charge_item(count, j, m, ops);
+    }
+
+    /// A work-group of t items stages instead of walking (DESIGN.md §15):
+    /// one blocked transpose copies its 2t input columns row-major into
+    /// scratch_, at those runs' own offsets (disjoint across the groups of
+    /// a launch); each pair merges half in place there, through a
+    /// thread-local copy of run A; a second blocked transpose writes the t
+    /// merged runs into their output columns. Same stable merge, same
+    /// bytes, and each item charges and logs what its walk would. Groups
+    /// narrower than kMinStagedGroup, runs longer than kStageCap, and
+    /// merges the walk splits across a free pool walk item by item.
+    void run_device_group(std::span<T> data, std::uint64_t count, std::uint64_t first,
+                          std::span<sim::OpCounter> ops) const override {
+        const std::uint64_t t = ops.size();
+        const std::uint64_t m = data.size() / (2 * count);  // input run length
+        if (t < kMinStagedGroup || m > kStageCap || walk_parts(m) > 1) {
+            MergesortPlain<T>::run_device_group(data, count, first, ops);
+            return;
+        }
+        HPU_CHECK(runs_ == 2 * count, "interleaved layout out of sync with the level");
+        HPU_CHECK(this->scratch_.size() >= data.size(), "prepare() was not called");
+        const T* src = cur_is_scratch_ ? dscratch_.data() : data.data();
+        T* dst = cur_is_scratch_ ? data.data() : dscratch_.data();
+        T* staged = this->scratch_.data() + 2 * first * m;
+        util::transpose(src + 2 * first, 2 * count, staged, m, m, 2 * t);
+        // Allocated once per thread; only the pages a run uses are touched.
+        thread_local std::unique_ptr<T[]> copy = std::make_unique_for_overwrite<T[]>(kStageCap);
+        const T* left = copy.get();
+        for (std::uint64_t i = 0; i < t; ++i) {
+            // merge_slice's serial merge: run A copied out, merged with run B
+            // back into the pair's cells (ties take run A).
+            T* pair = staged + 2 * i * m;
+            std::copy_n(pair, m, copy.get());
+            std::uint64_t ia = 0, ib = m, k = 0;
+            while (ia < m && ib < 2 * m) pair[k++] = left[ia] <= pair[ib] ? left[ia++] : pair[ib++];
+            while (ia < m) pair[k++] = left[ia++];
+            charge_item(count, first + i, m, ops[i]);
+        }
+        util::transpose(staged, 2 * m, dst + first, count, t, 2 * m);
     }
 
     void after_gpu_level(std::span<T> /*device_data*/, std::uint64_t count,
@@ -272,20 +301,8 @@ public:
         const std::uint64_t m = device_data.size() / runs_;
         // Un-interleave back to row-major so the CPU sees ordinary runs —
         // "the array is permuted back to the original arrangement" (§6.3).
-        if (cur_is_scratch_) {
-            for (std::uint64_t j = 0; j < runs_; ++j) {
-                for (std::uint64_t k = 0; k < m; ++k) {
-                    device_data[j * m + k] = dscratch_[k * runs_ + j];
-                }
-            }
-        } else {
-            std::copy(device_data.begin(), device_data.end(), dscratch_.begin());
-            for (std::uint64_t j = 0; j < runs_; ++j) {
-                for (std::uint64_t k = 0; k < m; ++k) {
-                    device_data[j * m + k] = dscratch_[k * runs_ + j];
-                }
-            }
-        }
+        if (!cur_is_scratch_) std::copy(device_data.begin(), device_data.end(), dscratch_.begin());
+        util::transpose(this->exec_, dscratch_.data(), runs_, device_data.data(), m, m, runs_);
         cur_is_scratch_ = false;
         // A tiled device transpose moves each word twice, coalesced.
         ops.charge_mem(2 * device_data.size(), sim::Pattern::kCoalesced);
@@ -327,7 +344,40 @@ public:
         return fp;
     }
 
+    /// Longest input run a work-group stages. It bounds the thread-local
+    /// copy of run A at 2^17 elements (512 KiB of int32 per thread, of
+    /// which a run touches only what it uses).
+    static constexpr std::uint64_t kStageCap = std::uint64_t{1} << 17;
+
 private:
+    /// Narrowest group that stages. A narrower one reads less than half a
+    /// 4-byte cache line per row, and on a pooled launch its neighbours
+    /// share its lines from other cores; the walk serves it better.
+    static constexpr std::uint64_t kMinStagedGroup = 4;
+
+    /// Merge Path segments the walk splits one merge of 2m outputs into:
+    /// more than one only for a long merge when the pool is free.
+    std::size_t walk_parts(std::uint64_t m) const {
+        return this->exec_.parallel_ok() ? util::merge_parts(2 * m, this->exec_.pool) : 1;
+    }
+
+    /// Item j's charges and declared footprint on a level of `count` tasks
+    /// over input runs of m: closed-form, whichever kernel moved its data.
+    void charge_item(std::uint64_t count, std::uint64_t j, std::uint64_t m,
+                     sim::OpCounter& ops) const {
+        // 1 compare + 2 coalesced words per output element.
+        ops.charge_compute(2 * m);
+        ops.charge_mem(4 * m, sim::Pattern::kCoalesced);
+        // Declared footprint: interleaved columns 2j, 2j + 1 of src, column
+        // j of dst. The ping-pong scratch lives in a disjoint address
+        // region so data-vs-scratch accesses can never alias.
+        const std::uint64_t src_base = cur_is_scratch_ ? verify::kScratchRegionBase : 0;
+        const std::uint64_t dst_base = cur_is_scratch_ ? 0 : verify::kScratchRegionBase;
+        ops.log_read(src_base + 2 * j, m, 2 * count);
+        ops.log_read(src_base + 2 * j + 1, m, 2 * count);
+        ops.log_write(dst_base + j, 2 * m, count);
+    }
+
     mutable std::vector<T> dscratch_;
     mutable bool cur_is_scratch_ = false;
     mutable std::uint64_t runs_ = 0;

@@ -147,6 +147,8 @@ struct Sweeps {
     bool on_device = false;  ///< where the frontier lives (kGpu, kBasic)
     /// Per-task predictions of the current level, reused across levels.
     std::vector<model::ObservedTask> pred{};
+    /// The splits' buffers, reused across levels.
+    model::SplitScratch split{};
 
     void run(trace::SpanId run_span) {
         HPU_CHECK(tree != nullptr, alg.name() + " has no dynamic tree for a plan without climbs");
@@ -258,7 +260,8 @@ struct Sweeps {
             }
             on_device = to_device;
         } else {
-            k = model::split_observed_level(hw, est, mult, /*include_transfers=*/true).cpu_tasks;
+            k = model::split_observed_level(hw, est, mult, /*include_transfers=*/true, split)
+                    .cpu_tasks;
         }
         cpu_est_work += est_sum(est, 0, k);
         total_est_work += est_sum(est, 0, width);

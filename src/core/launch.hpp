@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -291,11 +292,20 @@ struct Launched {
     trace::SpanId span = trace::kNoSpan;
 };
 
+/// A launch body that takes a whole work-group: (first task, one OpCounter
+/// per task of the group).
+template <typename Body>
+inline constexpr bool kGroupBody =
+    std::is_invocable_v<Body&, std::uint64_t, std::span<sim::OpCounter>>;
+
 /// The launch primitive. With a body — a callable (task index, OpCounter&)
-/// — runs the level on `cpu` or `*dev` and records its span (per-wave
-/// children on the device) from the measured charges; with `nullptr`,
-/// prices the uniform level from Launch::task_ops and records that span.
-/// `tc.at` is the tick the launch starts at, `tc.level` its level index.
+/// or a group body — runs the level on `cpu` or `*dev` and records its
+/// span (per-wave children on the device) from the measured charges; with
+/// `nullptr`, prices the uniform level from Launch::task_ops and records
+/// that span. A device launch runs in work-groups (sim::WorkGroup): a
+/// group body gets each group whole, a per-task body runs once per task of
+/// the group; on the CPU a group body gets groups of one. `tc.at` is the
+/// tick the launch starts at, `tc.level` its level index.
 template <typename T, typename Body>
 Launched launch(sim::CpuUnit& cpu, sim::Device* dev, const LevelAlgorithm<T>& alg,
                 const Launch& l, const SpanCtx& tc, Body&& body) {
@@ -328,7 +338,18 @@ Launched launch(sim::CpuUnit& cpu, sim::Device* dev, const LevelAlgorithm<T>& al
                                       tc.at, out.time, a, tc.parent);
     } else if (!gpu) {
         const std::uint64_t w0 = tc.wall_start();
-        const sim::LevelResult r = cpu.run_level(l.tasks, body, l.working_set, l.intra);
+        const sim::LevelResult r = [&] {
+            if constexpr (kGroupBody<Body>) {
+                return cpu.run_level(
+                    l.tasks,
+                    [&](std::uint64_t j, sim::OpCounter& ops) {
+                        body(j, std::span<sim::OpCounter>(&ops, 1));
+                    },
+                    l.working_set, l.intra);
+            } else {
+                return cpu.run_level(l.tasks, body, l.working_set, l.intra);
+            }
+        }();
         out.time = r.time;
         if (!tc.on()) return out;
         a.ops = static_cast<double>(r.total_ops.cpu_ops());
@@ -343,7 +364,16 @@ Launched launch(sim::CpuUnit& cpu, sim::Device* dev, const LevelAlgorithm<T>& al
         std::vector<sim::WaveTrace> waves;
         WaveTraceGuard guard(*dev, tc.on() ? &waves : nullptr);
         const sim::LaunchResult r = dev->launch(
-            l.tasks, [&](sim::WorkItem& wi) { body(wi.global_id(), wi.ops()); }, l.intra);
+            l.tasks,
+            [&](sim::WorkGroup& g) {
+                const std::span<sim::OpCounter> ops = g.ops();
+                if constexpr (kGroupBody<Body>) {
+                    body(g.first_id(), ops);
+                } else {
+                    for (std::size_t i = 0; i < ops.size(); ++i) body(g.first_id() + i, ops[i]);
+                }
+            },
+            l.intra);
         out.time = r.time;
         if (!tc.on()) return out;
         const auto& dp = dev->params();

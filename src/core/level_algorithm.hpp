@@ -66,9 +66,9 @@ public:
     virtual void before_run(std::span<T> /*data*/, sim::OpCounter& /*ops*/) const {}
 
     /// Run combine/divide task `j` (0-based) of the level that has `count`
-    /// tasks over `data`. Charges its work to `ops`. `pattern` tells the
-    /// task how its memory accesses will be priced (the §6.3 permuted
-    /// variant switches this to kCoalesced on the device).
+    /// tasks over `data`. Charges its work to `ops`. The same body runs as
+    /// a device work-item unless run_device_task overrides it; there its
+    /// memory words are priced by device_pattern().
     virtual void run_task(std::span<T> data, std::uint64_t count, std::uint64_t j,
                           sim::OpCounter& ops) const = 0;
 
@@ -92,6 +92,20 @@ public:
     virtual void run_device_task(std::span<T> data, std::uint64_t count, std::uint64_t j,
                                  sim::OpCounter& ops) const {
         run_task(data, count, j, ops);
+    }
+
+    /// One work-group of a device level (sim::WorkGroup): tasks
+    /// [first, first + ops.size()) of the `count`, task first + i charging
+    /// ops[i]. The plan walker runs every per-task device level through
+    /// this. Default: run_device_task per item, in order. An override may
+    /// share host-side work across the group, but each item must charge
+    /// and log exactly what its run_device_task would, and the bytes it
+    /// leaves must not depend on how the level was grouped.
+    virtual void run_device_group(std::span<T> data, std::uint64_t count, std::uint64_t first,
+                                  std::span<sim::OpCounter> ops) const {
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            run_device_task(data, count, first + i, ops[i]);
+        }
     }
 
     /// Device-side hook before a run of consecutive GPU levels (e.g., the

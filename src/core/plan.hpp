@@ -446,14 +446,14 @@ struct Walker {
                            alg.run_task(region, tasks, j, ops);
                        });
         }
-        // Validation also re-executes a device launch in a permuted item
-        // order to catch order-dependent kernels the declared access sets
-        // miss.
+        // The level runs in work-groups. Validation also re-executes it one
+        // item at a time, in a permuted order, to catch order-dependent
+        // kernels the declared access sets miss.
         std::vector<T> before;
         if (val.on()) before.assign(region.begin(), region.end());
         const sim::Ticks t = run(l, tc, verify::Phase::kDeviceTask, region.size() / tasks,
-                                 [&](std::uint64_t j, sim::OpCounter& ops) {
-                                     alg.run_device_task(region, tasks, j, ops);
+                                 [&](std::uint64_t first, std::span<sim::OpCounter> ops) {
+                                     alg.run_device_group(region, tasks, first, ops);
                                  });
         if (!val.on()) return t;
         const std::vector<T> after(region.begin(), region.end());
@@ -502,12 +502,24 @@ struct Walker {
                    std::uint64_t task_size, Body&& body) {
         if (!val.on()) return launch(cpu, dev, alg, l, tc, body).time;
         std::vector<sim::ItemAccessLog> logs(l.tasks);
-        const sim::Ticks t = launch(cpu, dev, alg, l, tc,
-                                    [&](std::uint64_t j, sim::OpCounter& ops) {
-                                        ops.trace = &logs[j];
-                                        body(j, ops);
-                                    })
-                                 .time;
+        sim::Ticks t = 0.0;
+        if constexpr (kGroupBody<Body>) {
+            t = launch(cpu, dev, alg, l, tc,
+                       [&](std::uint64_t first, std::span<sim::OpCounter> ops) {
+                           for (std::size_t i = 0; i < ops.size(); ++i) {
+                               ops[i].trace = &logs[first + i];
+                           }
+                           body(first, ops);
+                       })
+                    .time;
+        } else {
+            t = launch(cpu, dev, alg, l, tc,
+                       [&](std::uint64_t j, sim::OpCounter& ops) {
+                           ops.trace = &logs[j];
+                           body(j, ops);
+                       })
+                    .time;
+        }
         const std::uint64_t width =
             l.unit == trace::Unit::kGpu ? dev->params().g : cpu.params().p;
         check_launch(alg, phase, logs, width, task_size,

@@ -15,8 +15,11 @@
 // pool-determinism invariant extends to the dynamic-tree sweeps).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "sim/params.hpp"
 
@@ -58,6 +61,22 @@ struct ObservedSplit {
 ObservedSplit split_observed_level(const sim::HpuParams& hw,
                                    std::span<const ObservedTask> tasks,
                                    double device_multiplier, bool include_transfers);
+
+/// Buffers a split works in. Hand one to every split of a run (the
+/// dynamic-tree sweeps keep one per run), and a split allocates only for a
+/// level wider than every level before it; it holds about 8 bytes a task
+/// of the widest level.
+struct SplitScratch {
+    std::vector<double> waves;  ///< wave sums of the device part [k, W), per k
+    /// Sliding maximum of the wave starting at k: (task, device ops).
+    std::vector<std::pair<std::size_t, double>> window;
+};
+
+/// The same split, working in `scratch`.
+ObservedSplit split_observed_level(const sim::HpuParams& hw,
+                                   std::span<const ObservedTask> tasks,
+                                   double device_multiplier, bool include_transfers,
+                                   SplitScratch& scratch);
 
 /// Whole-level placement for the basic-style irregular schedule: the level
 /// runs entirely on one unit, priced as split_observed_level prices k = 0

@@ -7,6 +7,13 @@
 // (Alg. 3). A wave lasts as long as its slowest item; waves execute back to
 // back. Items charge their work through WorkItem::ops().
 //
+// A kernel takes either one item (WorkItem&) or, like an OpenCL
+// work-group, a run of at most kGroupItems consecutive items (WorkGroup&)
+// with one OpCounter each: a group kernel can share host-side work across
+// its items (the §6.3 mergesort stages its group's columns together).
+// Either way each item charges its own counter, and the counters are
+// folded in item order, so the grouping is invisible to the virtual clock.
+//
 // Functional execution is optionally *host-parallel*: constructed with a
 // util::ThreadPool, the device runs a whole launch as one pool batch (the
 // items of one launch are independent by the framework's contract — the
@@ -18,11 +25,16 @@
 // wave durations are summed in a serial loop over waves. Every slot fold
 // is a uint64 sum or a double max, exact in any grouping, so virtual
 // time, LaunchResult, and WaveTrace are bit-identical with or without a
-// pool (enforced by test). Without a pool the same block loop runs inline.
+// pool (enforced by test). Without a pool the same block loop runs inline,
+// one block per wave. A work-group never leaves its block, so it never
+// straddles a wave.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -55,6 +67,29 @@ private:
     std::uint64_t global_id_;
     std::uint64_t global_size_;
     OpCounter* ops_;
+};
+
+/// Most items a launch hands one group kernel (OpenCL's local size).
+inline constexpr std::uint64_t kGroupItems = 16;
+
+/// Handle given to each group-kernel invocation: the consecutive items
+/// [first_id(), first_id() + size()) of one charge block, item i charging
+/// ops()[i]. A group never straddles a wave.
+class WorkGroup {
+public:
+    WorkGroup(std::uint64_t first_id, std::span<OpCounter> ops) noexcept
+        : first_id_(first_id), ops_(ops) {}
+
+    /// Global id of the group's first item.
+    std::uint64_t first_id() const noexcept { return first_id_; }
+    /// Items in the group, 1..kGroupItems.
+    std::uint64_t size() const noexcept { return ops_.size(); }
+    /// One zeroed counter per item, in item order.
+    std::span<OpCounter> ops() const noexcept { return ops_; }
+
+private:
+    std::uint64_t first_id_;
+    std::span<OpCounter> ops_;
 };
 
 /// Result of one kernel launch.
@@ -105,8 +140,10 @@ public:
     /// launches. The device does not own the sink; it must outlive its use.
     void set_wave_trace(std::vector<WaveTrace>* sink) noexcept { wave_trace_ = sink; }
 
-    /// Launches `n_items` invocations of `kernel` (callable taking
-    /// WorkItem&). Items run functionally on the host; virtual time follows
+    /// Launches `n_items` items of `kernel`, a callable taking WorkItem&
+    /// (one call per item) or WorkGroup& (one call per run of at most
+    /// kGroupItems items inside a charge block). Items run functionally on
+    /// the host; virtual time follows
     /// the wave model. An exception from a kernel body propagates to the
     /// caller, and the failed launch records nothing: no stats, counters,
     /// or wave traces. Inline, no further items run after the throw. Pooled,
@@ -128,7 +165,10 @@ public:
         const std::uint64_t width = std::min(n_items, params_.g);  // widest wave
         const std::uint64_t workers = pool_ != nullptr ? pool_->worker_count() : 0;
         const bool pooled = workers > 0 && width > 1 && !(items_use_pool && width <= workers);
-        const std::uint64_t block = std::min(width, block_items(n_items, pooled ? workers + 1 : 1));
+        // Inline, a block is a whole wave: nothing to balance, and the
+        // work-groups stay full.
+        const std::uint64_t block =
+            pooled ? std::min(width, block_items(n_items, workers + 1)) : width;
         const std::uint64_t wave_blocks = util::ceil_div(width, block);
         const std::uint64_t last_wave = n_items - (r.waves - 1) * params_.g;
         const std::uint64_t n_blocks =
@@ -139,12 +179,27 @@ public:
             const std::uint64_t begin = wave * params_.g + (b % wave_blocks) * block;
             const std::uint64_t end = std::min({begin + block, (wave + 1) * params_.g, n_items});
             BlockCharges<double> acc;
-            for (std::uint64_t id = begin; id < end; ++id) {
-                OpCounter ops;
-                WorkItem wi(id, n_items, ops);
-                kernel(wi);
-                acc.max_cost = std::max(acc.max_cost, ops.gpu_ops(params_.strided_penalty));
-                acc.ops += ops;
+            if constexpr (std::is_invocable_v<Kernel&, WorkGroup&>) {
+                std::array<OpCounter, kGroupItems> ops;
+                for (std::uint64_t first = begin; first < end; first += kGroupItems) {
+                    const std::uint64_t size = std::min(kGroupItems, end - first);
+                    std::fill_n(ops.begin(), size, OpCounter{});
+                    WorkGroup group(first, std::span(ops.data(), size));
+                    kernel(group);
+                    for (std::uint64_t i = 0; i < size; ++i) {
+                        acc.max_cost =
+                            std::max(acc.max_cost, ops[i].gpu_ops(params_.strided_penalty));
+                        acc.ops += ops[i];
+                    }
+                }
+            } else {
+                for (std::uint64_t id = begin; id < end; ++id) {
+                    OpCounter ops;
+                    WorkItem wi(id, n_items, ops);
+                    kernel(wi);
+                    acc.max_cost = std::max(acc.max_cost, ops.gpu_ops(params_.strided_penalty));
+                    acc.ops += ops;
+                }
             }
             blocks_[b] = acc;
         };

@@ -4,7 +4,10 @@
 // sorting path against std::sort.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "algos/binary_reduce.hpp"
 #include "algos/closest_pair.hpp"
@@ -13,7 +16,9 @@
 #include "algos/quickhull.hpp"
 #include "core/hybrid.hpp"
 #include "platforms/platforms.hpp"
+#include "sim/device.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hpu::algos {
 namespace {
@@ -59,6 +64,16 @@ TEST(MergesortPlain, RequiresPrepare) {
     EXPECT_THROW(alg.run_task(std::span(v), 1, 0, ops), util::HpuError);
 }
 
+TEST(MergesortCoalesced, GroupsRequirePrepare) {
+    // A staged group writes into scratch sized by prepare().
+    MergesortCoalesced<std::int32_t> alg;
+    std::vector<std::int32_t> v(64, 0);
+    sim::OpCounter hook;
+    alg.before_gpu_levels(std::span(v), 8, hook);
+    std::vector<sim::OpCounter> ops(8);
+    EXPECT_THROW(alg.run_device_group(std::span(v), 8, 0, std::span(ops)), util::HpuError);
+}
+
 TEST(MergesortCoalesced, DevicePathIsCheaperThanPlainOnDevice) {
     const sim::DeviceParams dev = platforms::hpu1().gpu;
     MergesortPlain<std::int32_t> plain;
@@ -82,6 +97,138 @@ TEST(MergesortCoalesced, StaysTransparentToCpuSide) {
     EXPECT_EQ(a, b);
     EXPECT_EQ(oa.cpu_ops(), ob.cpu_ops());
 }
+
+// The §6.3 work-group kernel against the per-item strided walk. One device
+// climb, entered at `counts[0]` tasks over input runs of m elements, runs
+// its levels either through run_device_group in groups of `t` (t = 0: item
+// by item through run_device_task) and is then un-interleaved. Returns the
+// row-major output and every item's charges and access log, level by
+// level.
+template <typename T>
+struct ClimbRun {
+    std::vector<T> out;
+    std::vector<sim::OpCounter> ops;
+    std::vector<sim::ItemAccessLog> logs;
+};
+
+template <typename T>
+ClimbRun<T> coalesced_climb(const std::vector<T>& input, const std::vector<std::uint64_t>& counts,
+                            std::uint64_t t, util::ThreadPool* pool) {
+    MergesortCoalesced<T> alg;
+    alg.prepare(input.size());
+    alg.bind_exec(util::MergeExec{pool, pool != nullptr});
+    ClimbRun<T> r{input, {}, {}};
+    std::uint64_t items = 0;
+    for (const std::uint64_t c : counts) items += c;
+    r.ops.resize(items);
+    r.logs.resize(items);
+    for (std::uint64_t i = 0; i < items; ++i) r.ops[i].trace = &r.logs[i];
+    const std::span<T> d(r.out);
+    sim::OpCounter hook;
+    alg.before_gpu_levels(d, counts.front(), hook);
+    std::uint64_t base = 0;
+    for (const std::uint64_t count : counts) {
+        const std::span<sim::OpCounter> level(r.ops.data() + base, count);
+        if (t == 0) {
+            for (std::uint64_t j = 0; j < count; ++j) alg.run_device_task(d, count, j, level[j]);
+        } else {
+            for (std::uint64_t first = 0; first < count; first += t) {
+                alg.run_device_group(d, count, first,
+                                     level.subspan(first, std::min(t, count - first)));
+            }
+        }
+        alg.after_gpu_level(d, count, hook);
+        base += count;
+    }
+    alg.after_gpu_levels(d, counts.back(), hook);
+    return r;
+}
+
+bool same_access(const std::vector<sim::MemAccess>& a, const std::vector<sim::MemAccess>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const sim::MemAccess& x, const sim::MemAccess& y) {
+                          return x.begin == y.begin && x.words == y.words && x.stride == y.stride;
+                      });
+}
+
+enum class Keys { kUniform, kSorted, kReversed, kFewDistinct };
+
+/// n keys of one class, each input run of m sorted (a merge level's input).
+template <typename T>
+std::vector<T> level_input(Keys keys, std::uint64_t n, std::uint64_t m, std::uint64_t seed) {
+    util::Rng rng(seed);
+    std::vector<T> v(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        switch (keys) {
+            case Keys::kUniform:
+                v[i] = static_cast<T>(rng.uniform_int(-1000000, 1000000)) / T{2};
+                break;
+            case Keys::kSorted: v[i] = static_cast<T>(i); break;
+            case Keys::kReversed: v[i] = static_cast<T>(n - i); break;
+            case Keys::kFewDistinct: {
+                // Eight values, two of them -0 and +0: equal keys whose bytes
+                // differ for double, so the output shows which run won a tie.
+                const std::int64_t k = rng.uniform_int(0, 7);
+                v[i] = k == 0 ? -T{0} : static_cast<T>(k - 1);
+                break;
+            }
+        }
+    }
+    for (std::uint64_t r = 0; r < n; r += m) {
+        std::sort(v.begin() + static_cast<std::ptrdiff_t>(r),
+                  v.begin() + static_cast<std::ptrdiff_t>(r + m));
+    }
+    return v;
+}
+
+template <typename T>
+void expect_groups_match_items() {
+    // (level counts, input run length at entry): advanced's 408-, 816- and
+    // 1,632-task slices, the pipelined chunk (6,528) and merged stage
+    // (13,056) widths, odd widths, and runs up to and across the staging
+    // cap. m = 1 enters in the identity layout (the first level reads the
+    // data buffer), m > 1 through the interleaving pre-hook (it reads the
+    // scratch buffer); two-level climbs flip the orientation.
+    constexpr std::uint64_t cap = MergesortCoalesced<T>::kStageCap;
+    const std::vector<std::pair<std::vector<std::uint64_t>, std::uint64_t>> shapes = {
+        {{408}, 1},       {{816, 408}, 2},  {{1632, 816}, 1}, {{6528}, 3},
+        {{13056, 6528}, 1}, {{3}, 1000},    {{17}, 64},       {{4, 2}, cap / 2},
+        {{4}, cap},       {{4}, cap + 1},
+    };
+    util::ThreadPool pool(2);
+    for (const auto& [counts, m] : shapes) {
+        const std::uint64_t n = 2 * counts.front() * m;
+        for (const Keys keys : {Keys::kUniform, Keys::kSorted, Keys::kReversed, Keys::kFewDistinct}) {
+            const std::vector<T> input = level_input<T>(keys, n, m, n + m);
+            const ClimbRun<T> items = coalesced_climb(input, counts, 0, nullptr);
+            // The reference walk leaves every final run sorted.
+            const std::uint64_t run = n / counts.back();
+            for (std::uint64_t r = 0; r < n; r += run) {
+                ASSERT_TRUE(std::is_sorted(items.out.begin() + static_cast<std::ptrdiff_t>(r),
+                                           items.out.begin() + static_cast<std::ptrdiff_t>(r + run)));
+            }
+            for (std::uint64_t t = 1; t <= sim::kGroupItems; ++t) {
+                const ClimbRun<T> groups = coalesced_climb(input, counts, t, t % 2 ? &pool : nullptr);
+                const std::string at = "counts[0] " + std::to_string(counts.front()) + " m " +
+                                       std::to_string(m) + " keys " +
+                                       std::to_string(static_cast<int>(keys)) + " t " +
+                                       std::to_string(t);
+                ASSERT_EQ(std::memcmp(groups.out.data(), items.out.data(), n * sizeof(T)), 0) << at;
+                for (std::size_t i = 0; i < items.ops.size(); ++i) {
+                    ASSERT_EQ(groups.ops[i].compute, items.ops[i].compute) << at << " item " << i;
+                    ASSERT_EQ(groups.ops[i].mem_coalesced, items.ops[i].mem_coalesced) << at;
+                    ASSERT_EQ(groups.ops[i].mem_strided, items.ops[i].mem_strided) << at;
+                    ASSERT_TRUE(same_access(groups.logs[i].reads, items.logs[i].reads)) << at;
+                    ASSERT_TRUE(same_access(groups.logs[i].writes, items.logs[i].writes)) << at;
+                }
+            }
+        }
+    }
+}
+
+TEST(CoalescedGroups, Int32GroupsMatchTheItemWalk) { expect_groups_match_items<std::int32_t>(); }
+TEST(CoalescedGroups, Int64GroupsMatchTheItemWalk) { expect_groups_match_items<std::int64_t>(); }
+TEST(CoalescedGroups, DoubleGroupsMatchTheItemWalk) { expect_groups_match_items<double>(); }
 
 class SortEquivalence : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/buffer.hpp"
@@ -187,6 +190,68 @@ TEST(Device, KernelExceptionPropagates) {
     EXPECT_EQ(rp.total_ops.compute, rs.total_ops.compute);
     EXPECT_EQ(pooled.stats().launches, 1u);
     EXPECT_EQ(waves.size(), 16u);
+}
+
+TEST(Device, GroupKernelsFoldLikeItemKernels) {
+    // Charges that differ from item to item, so a misplaced or dropped item
+    // changes a wave's sum or its slowest item.
+    auto charge = [](std::uint64_t id, OpCounter& ops) {
+        ops.charge_compute(1 + id % 7);
+        ops.charge_mem(id % 5, id % 3 == 0 ? Pattern::kStrided : Pattern::kCoalesced);
+    };
+    util::ThreadPool pool(3);
+    for (const std::uint64_t g : {5u, 40u, 64u}) {
+        // Widths around g and around the charge block sizes (pooled:
+        // ceil(n / 32) items, inline: ceil(n / 8), neither above g).
+        for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{15}, std::uint64_t{16},
+                                      std::uint64_t{17}, g - 1, g, g + 1, 2 * g + 1,
+                                      std::uint64_t{31}, std::uint64_t{32}, std::uint64_t{33},
+                                      std::uint64_t{513}, std::uint64_t{1000}}) {
+            for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+                Device items(small_device(g), p), groups(small_device(g), p);
+                std::vector<WaveTrace> item_waves, group_waves;
+                items.set_wave_trace(&item_waves);
+                groups.set_wave_trace(&group_waves);
+                const LaunchResult a =
+                    items.launch(n, [&](WorkItem& wi) { charge(wi.global_id(), wi.ops()); });
+                std::vector<int> seen(n, 0);  // each group writes only its own items
+                std::atomic<bool> misplaced{false};
+                const LaunchResult b = groups.launch(n, [&](WorkGroup& grp) {
+                    const std::uint64_t first = grp.first_id(), size = grp.size();
+                    if (size == 0 || size > kGroupItems || first / g != (first + size - 1) / g) {
+                        misplaced = true;  // empty, oversized, or straddling a wave
+                    }
+                    for (std::uint64_t i = 0; i < size; ++i) {
+                        ++seen[first + i];
+                        charge(first + i, grp.ops()[i]);
+                    }
+                });
+                const std::string at = "g " + std::to_string(g) + " n " + std::to_string(n) +
+                                       (p != nullptr ? " pooled" : " inline");
+                EXPECT_FALSE(misplaced) << at;
+                EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), static_cast<long>(n)) << at;
+                EXPECT_EQ(a.time, b.time) << at;
+                EXPECT_EQ(a.items, b.items) << at;
+                EXPECT_EQ(a.waves, b.waves) << at;
+                EXPECT_EQ(a.max_item_ops, b.max_item_ops) << at;
+                EXPECT_EQ(a.total_ops.compute, b.total_ops.compute) << at;
+                EXPECT_EQ(a.total_ops.mem_coalesced, b.total_ops.mem_coalesced) << at;
+                EXPECT_EQ(a.total_ops.mem_strided, b.total_ops.mem_strided) << at;
+                ASSERT_EQ(item_waves.size(), group_waves.size()) << at;
+                for (std::size_t w = 0; w < item_waves.size(); ++w) {
+                    EXPECT_EQ(item_waves[w].first_item, group_waves[w].first_item) << at;
+                    EXPECT_EQ(item_waves[w].items, group_waves[w].items) << at;
+                    EXPECT_EQ(item_waves[w].duration, group_waves[w].duration) << at;
+                    EXPECT_EQ(item_waves[w].max_item_ops, group_waves[w].max_item_ops) << at;
+                    EXPECT_EQ(item_waves[w].ops.compute, group_waves[w].ops.compute) << at;
+                    EXPECT_EQ(item_waves[w].ops.mem_coalesced, group_waves[w].ops.mem_coalesced)
+                        << at;
+                    EXPECT_EQ(item_waves[w].ops.mem_strided, group_waves[w].ops.mem_strided)
+                        << at;
+                }
+            }
+        }
+    }
 }
 
 TEST(Buffer, ResidencyIsEnforced) {
