@@ -1,12 +1,13 @@
 // Google-benchmark microbenchmarks of the simulator substrate itself: how
-// fast the host executes simulated kernels, CPU levels, merges, the
-// quickhull partition, the dynamic-tree engine and the §6.3 layout layer. These measure the
-// *reproduction harness*, not the paper's system — wall-clock throughput
-// of the simulation determines how large an n the figure benches can
-// sweep.
+// fast the host executes simulated kernels, CPU levels, pool batches,
+// merges, the quickhull partition, the dynamic-tree engine, the §6.3
+// layout layer and trace recording. These measure the *reproduction
+// harness*, not the paper's system — wall-clock throughput of the
+// simulation determines how large an n the figure benches can sweep.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <sstream>
 #include <thread>
 
 #include "algos/karatsuba.hpp"
@@ -15,6 +16,7 @@
 #include "core/hybrid.hpp"
 #include "platforms/platforms.hpp"
 #include "sim/device.hpp"
+#include "trace/export.hpp"
 #include "util/makespan.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -71,6 +73,57 @@ BENCHMARK(BM_CpuLevel)
     ->Args({1 << 18, 0})
     ->Args({1 << 21, pooled_workers()})
     ->UseRealTime();
+
+// The pool layer alone: one util::ThreadPool::parallel_for batch with an
+// empty body, at the widths of mergesort's levels at n = 2^22 (16 to 2^21
+// tasks). Arguments: items, pool workers (nproc - 1). The batch pays the
+// submit, the workers' wake-up, their chunk claims and the completion
+// wait, which is what a pooled CPU level or device launch adds to its
+// bodies.
+void BM_PoolBatch(benchmark::State& state) {
+    util::ThreadPool pool(static_cast<std::size_t>(state.range(1)));
+    const auto items = static_cast<std::size_t>(state.range(0));
+    for (auto _ : state) {
+        pool.parallel_for(items, [](std::size_t) {});
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(items));
+}
+BENCHMARK(BM_PoolBatch)
+    ->ArgsProduct({{1 << 4, 1 << 10, 1 << 16, 1 << 21}, {pooled_workers()}})
+    ->UseRealTime();
+
+// The trace layer alone: the spans of one traced, profiled and pooled
+// run_advanced_hybrid (MergesortCoalesced, 2^20 keys, HPU1) recorded into a
+// fresh session, wall stamps included, and exported as Chrome JSON. Items
+// are the spans.
+void BM_TraceRecord(benchmark::State& state) {
+    constexpr std::size_t kN = 1 << 20;
+    util::Rng rng(6);
+    std::vector<std::int32_t> data = rng.int_vector(kN, 0, 2 * kN);
+    algos::MergesortCoalesced<std::int32_t> alg;
+    util::ThreadPool pool(static_cast<std::size_t>(pooled_workers()));
+    sim::Hpu h(platforms::hpu1(), &pool);
+    trace::TraceSession run;
+    core::AdvancedOptions adv;
+    adv.exec.trace = &run;
+    adv.exec.profile = true;
+    core::run_advanced_hybrid(h, alg, std::span(data), 0.17, 10, adv);
+    for (auto _ : state) {
+        trace::TraceSession session;
+        for (const trace::Span& s : run.spans()) {
+            const trace::SpanId id = session.record(s.kind, s.unit, s.label, s.start,
+                                                    s.duration(), s.attrs, s.parent);
+            if (s.wall_ns != 0) session.annotate_wall(id, s.wall_start_ns, s.wall_ns);
+        }
+        std::ostringstream os;
+        trace::export_chrome(session, os);
+        benchmark::DoNotOptimize(os.tellp());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(run.spans().size()));
+}
+BENCHMARK(BM_TraceRecord)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Quickhull's divide, the host data work of the irregular workload: the
 // two level-0 divides over n points on a circle (every point stays a

@@ -11,10 +11,7 @@ const char* to_string(FindingKind k) noexcept {
         case FindingKind::kWriteWriteRace: return "write-write-race";
         case FindingKind::kReadWriteRace: return "read-write-race";
         case FindingKind::kOrderDependent: return "order-dependent";
-        case FindingKind::kStaleHostRead: return "stale-host-read";
-        case FindingKind::kStaleHostWrite: return "stale-host-write";
         case FindingKind::kRedundantTransfer: return "redundant-transfer";
-        case FindingKind::kHostWriteWhileDeviceLive: return "host-write-while-device-live";
         case FindingKind::kInFlightRead: return "in-flight-read";
         case FindingKind::kFootprintViolation: return "footprint-violation";
         case FindingKind::kLaunchSkipped: return "launch-skipped";

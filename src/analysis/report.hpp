@@ -21,10 +21,7 @@ enum class FindingKind : std::uint8_t {
     kWriteWriteRace,     ///< two work-items write the same word in one launch
     kReadWriteRace,      ///< one item reads a word another item writes
     kOrderDependent,     ///< permuted item order changed the launch's output
-    kStaleHostRead,      ///< host copy read while the device holds newer data
-    kStaleHostWrite,     ///< host copy written over while stale (device newer)
     kRedundantTransfer,  ///< full copy to a side that is already valid
-    kHostWriteWhileDeviceLive,  ///< host() taken while a device copy is live
     kInFlightRead,  ///< kernel touched a streamed chunk before it arrived
     kFootprintViolation,  ///< runtime access outside the declared footprint
     kLaunchSkipped,  ///< budget-capped launch surfaced via fail_on_skip

@@ -24,7 +24,7 @@ bool overlaps(const sim::BufferEvent& a, const sim::BufferEvent& b) {
     return a.offset < b.offset + b.count && b.offset < a.offset + a.count;
 }
 
-/// An in-flight chunk: a timed host→device copy whose words only become
+/// An in-flight chunk: a host→device copy whose words only become
 /// usable on the device at `ready`.
 struct InFlight {
     std::size_t event_index;
@@ -34,7 +34,7 @@ struct InFlight {
 void check_in_flight(const std::vector<InFlight>& streamed, const sim::BufferEvent& access,
                      std::size_t access_index, std::string_view label,
                      AnalysisReport& report) {
-    if (!access.timed() || access.count == 0) return;
+    if (access.count == 0) return;
     for (const InFlight& f : streamed) {
         if (!overlaps(*f.copy, access)) continue;
         if (f.copy->ready > access.start) {
@@ -59,59 +59,29 @@ void lint_residency(std::span<const sim::BufferEvent> log, std::string_view buff
     std::vector<InFlight> streamed;
     for (std::size_t i = 0; i < log.size(); ++i) {
         const sim::BufferEvent& e = log[i];
-        if (e.op == sim::BufferOp::kCopyToDevice && e.timed()) {
-            std::erase_if(streamed, [&](const InFlight& f) {
-                return f.copy->offset == e.offset && f.copy->count == e.count;
-            });
-            streamed.push_back({i, &e});
-        }
-        if (e.op == sim::BufferOp::kDeviceMut || e.op == sim::BufferOp::kDeviceRead) {
-            check_in_flight(streamed, e, i, buffer_label, report);
-        }
         switch (e.op) {
-            case sim::BufferOp::kHostRead:
-                if (!e.host_valid_before) {
-                    report.add(make(FindingKind::kStaleHostRead, Severity::kError,
-                                    buffer_label, i,
-                                    "host_view() read while the device copy is newer — "
-                                    "copy_to_host() first"));
-                }
-                break;
-            case sim::BufferOp::kHostMut:
-                if (!e.host_valid_before) {
-                    report.add(make(FindingKind::kStaleHostWrite, Severity::kWarning,
-                                    buffer_label, i,
-                                    "host() write over a stale host copy — device-side "
-                                    "results will be lost unless copy_to_host() runs first"));
-                }
-                if (e.device_valid_before) {
-                    report.add(make(FindingKind::kHostWriteWhileDeviceLive, Severity::kWarning,
-                                    buffer_label, i,
-                                    "host() acquired while a device copy is live — this "
-                                    "invalidates the device copy; use host_view() for "
-                                    "read-only access"));
-                }
+            case sim::BufferOp::kDeviceMut:
+                check_in_flight(streamed, e, i, buffer_label, report);
                 break;
             case sim::BufferOp::kCopyToDevice:
                 if (e.device_valid_before && full_range(e)) {
                     report.add(make(FindingKind::kRedundantTransfer, Severity::kWarning,
                                     buffer_label, i,
-                                    "full copy_to_device() but the device copy is already "
+                                    "full stream_to_device() but the device copy is already "
                                     "valid — the transfer moves words the device has"));
                 }
+                std::erase_if(streamed, [&](const InFlight& f) {
+                    return f.copy->offset == e.offset && f.copy->count == e.count;
+                });
+                streamed.push_back({i, &e});
                 break;
             case sim::BufferOp::kCopyToHost:
                 if (e.host_valid_before && full_range(e)) {
                     report.add(make(FindingKind::kRedundantTransfer, Severity::kWarning,
                                     buffer_label, i,
-                                    "full copy_to_host() but the host copy is already "
+                                    "full stream_to_host() but the host copy is already "
                                     "valid — the transfer moves words the host has"));
                 }
-                break;
-            case sim::BufferOp::kDeviceMut:
-            case sim::BufferOp::kDeviceRead:
-                // Invalid device access throws in DeviceBuffer itself; the
-                // events only matter as context for the host-side rules.
                 break;
         }
     }

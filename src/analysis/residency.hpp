@@ -2,17 +2,11 @@
 // DeviceBuffer::set_trace) and flags the residency anti-patterns the
 // simulated memory model makes observable:
 //
-//   * stale-host-read (error): host_view()/host() while the device holds
-//     newer data — the reader sees pre-kernel contents;
 //   * redundant-transfer (warning): a full copy to a side that is already
 //     valid moves words the destination already has;
-//   * host-write-while-device-live (warning): host() acquired while a
-//     device copy is valid — it invalidates the device copy, which is
-//     wasteful when the caller only wanted to read (use host_view());
-//   * in-flight-read (error): a timed device access (device_region) over a
-//     range whose streamed chunk has a later arrival tick — the kernel ran
-//     before the words crossed the link. Only streamed copies and timed
-//     accesses participate; synchronous events are untimed and exempt.
+//   * in-flight-read (error): a device access (device_region) over a range
+//     whose streamed chunk has a later arrival tick — the kernel ran before
+//     the words crossed the link.
 #pragma once
 
 #include <span>

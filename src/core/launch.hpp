@@ -47,13 +47,6 @@
 
 namespace hpu::core {
 
-/// HPU_PROFILE environment default for ExecOptions::profile (same
-/// convention as HPU_VALIDATE).
-inline bool env_profile_default() { return analysis::env_flag_enabled("HPU_PROFILE"); }
-
-/// HPU_OBSERVE environment default for ExecOptions::observe.
-inline bool env_observe_default() { return analysis::env_flag_enabled("HPU_OBSERVE"); }
-
 /// HPU_MERGE_PATH environment default for ExecOptions::merge_path. Unlike
 /// the validation flags this one defaults ON (it is a pure wall-clock
 /// optimization); set HPU_MERGE_PATH=0 to disable.
@@ -82,9 +75,8 @@ struct ExecOptions {
     /// root, gets wall_start_ns / wall_ns filled in. Requires `trace`;
     /// no-op without it. The wall stamps feed metrics::derive_profile; the
     /// virtual-clock side of the spans and the ExecReport stay
-    /// byte-identical with profiling on or off (enforced by test). Off
-    /// unless requested here or via the HPU_PROFILE environment variable.
-    bool profile = env_profile_default();
+    /// byte-identical with profiling on or off (enforced by test).
+    bool profile = false;
     /// Run the hpu::verify static pass before executing: prove the declared
     /// footprints race-free and check the planned schedule's invariants.
     /// The certificate lands in ExecReport::verify; under `validate`,
@@ -101,9 +93,8 @@ struct ExecOptions {
     /// Requires `trace`; no-op without it. Runs strictly after the last
     /// tick is computed and is read-only over the session, so the virtual
     /// clock, the trace, and every other ExecReport field are bit-identical
-    /// with observe on or off (enforced by test). Off unless requested here
-    /// or via the HPU_OBSERVE environment variable.
-    bool observe = env_observe_default();
+    /// with observe on or off (enforced by test).
+    bool observe = false;
     /// Thresholds the observation's watchdog checks against.
     obs::WatchdogThresholds watchdog;
     /// Let functional task bodies split large merges into Merge Path

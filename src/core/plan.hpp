@@ -44,7 +44,6 @@
 #include "model/basic.hpp"
 #include "sim/buffer.hpp"
 #include "sim/params.hpp"
-#include "sim/stream.hpp"
 #include "verify/schedule.hpp"
 
 namespace hpu::core {
@@ -91,8 +90,10 @@ struct Plan {
     std::vector<Climb> finish;  ///< CPU lane after the join (kSplit)
     std::uint64_t device_offset = 0;  ///< the device owns [device_offset, n)
     bool ship = false;      ///< the device lane ships its slice in and back
-    /// Chunk transfers queue on one link stream (pipelined): a transfer
-    /// lasts end − start on the stream's clock and is labelled "-chunk".
+    /// Pipelined: a transfer is priced end − start on the link's clock
+    /// (else λ + δ·w) and labelled "-chunk", and without a merged
+    /// stage the results ship back chunk by chunk. How the lane moves its
+    /// data does not depend on it.
     bool streamed = false;
     double alpha_effective = 0.0;  ///< ExecReport::alpha_effective
     std::uint64_t chunks = 0;      ///< ExecReport::chunks
@@ -242,30 +243,39 @@ struct Walker {
         const std::string& name = alg.name();
         const SpanCtx tc{opts.trace, parent, 0.0, trace::SpanAttrs::kNoLevel, opts.profile};
         const std::uint64_t W = plan.n - plan.device_offset;
-        sim::Stream stream(link);
         sim::Ticks gpu_free = lane.at;
+        // The link is one FIFO resource (§9): a transfer starts once its
+        // words are ready and the link has carried everything queued before
+        // it, and lasts λ + δ·w.
+        sim::Ticks link_free = lane.at;
 
-        // Functional runs own a real device buffer for the slice; analytic
-        // runs never touch data.
+        // A functional run streams the caller's slice through one device
+        // copy; analytic runs never touch data.
         std::optional<sim::DeviceBuffer<T>> buf;
         std::vector<sim::BufferEvent> buf_events;
-        const std::span<T> slice =
-            opts.functional ? data.subspan(plan.device_offset) : std::span<T>{};
-        std::span<T> dspan;
+        if (opts.functional) {
+            buf.emplace(data.subspan(plan.device_offset));
+            if (val.on()) buf->set_trace(&buf_events);
+        }
+        // Moves [offset, offset + words) of the slice over the link schedule
+        // [start, end).
+        auto move_words = [&](bool in, std::uint64_t offset, std::uint64_t words,
+                              sim::Ticks start, sim::Ticks end) {
+            if (!buf) return;
+            if (in) buf->stream_to_device(offset, words, start, end);
+            else buf->stream_to_host(offset, words, start, end);
+        };
 
         // One link transfer of [offset, offset + words) of the slice, ready
-        // at `ready`: queues on the link stream; returns its end.
+        // at `ready`: queues on the link; returns its end.
         auto transfer = [&](bool in, const char* what, std::uint64_t offset,
-                            std::uint64_t words, sim::Ticks ready, std::uint64_t w0) {
+                            std::uint64_t words, sim::Ticks ready) {
+            const std::uint64_t w0 = tc.wall_start();
             const sim::Ticks x = link.transfer_time(words);
-            const sim::Ticks end = in ? stream.push_to_device(words, offset, ready).when
-                                      : stream.push_to_host(words, offset, ready).when;
-            const sim::Ticks start = stream.chunks().back().start;
-            if (opts.functional && plan.streamed) {
-                if (in) buf->stream_to_device(offset, words, start, end);
-                else buf->stream_to_host(offset, words, start, end);
-            }
-            const sim::Ticks dur = plan.streamed ? end - start : x;
+            const sim::Ticks start = std::max(ready, link_free);
+            link_free = start + x;
+            move_words(in, offset, words, start, link_free);
+            const sim::Ticks dur = plan.streamed ? link_free - start : x;
             rep.transfer += dur;
             Cursor at = lane;
             at.restart(start);
@@ -277,25 +287,17 @@ struct Walker {
                                           at.now(), x, 0, plan.device_offset + offset, words,
                                           0.0, what});
             }
-            return end;
+            return link_free;
         };
 
-        const std::uint64_t in_w0 = tc.wall_start();
-        if (opts.functional) {
-            buf.emplace(std::vector<T>(slice.begin(), slice.end()));
-            if (val.on()) buf->set_trace(&buf_events);
-            if (!plan.streamed) {
-                buf->copy_to_device();
-                dspan = buf->device();
-            }
-        }
+        // Without link transfers the slice still moves, in zero time.
+        if (!plan.ship) move_words(true, 0, W, lane.at, lane.at);
         std::vector<sim::Ticks> arrived(plan.gpu.size(), lane.at);
         for (std::size_t c = 0; c < plan.gpu.size(); ++c) {
             const Climb& ch = plan.gpu[c];
             if (ch.merge || !plan.ship) continue;
-            const std::uint64_t w0 = plan.streamed ? tc.wall_start() : in_w0;
             arrived[c] = transfer(true, plan.streamed ? "xfer-in-chunk" : "xfer-in",
-                                  ch.offset - plan.device_offset, ch.words, lane.at, w0);
+                                  ch.offset - plan.device_offset, ch.words, lane.at);
         }
 
         std::vector<sim::Ticks> done(plan.gpu.size(), lane.at);
@@ -303,9 +305,9 @@ struct Walker {
             const Climb& ch = plan.gpu[c];
             Cursor cur = lane;
             cur.restart(ch.merge ? gpu_free : std::max(gpu_free, arrived[c]));
-            if (opts.functional && plan.streamed) {
-                dspan = buf->device_region(ch.offset - plan.device_offset, ch.words, cur.at);
-            }
+            const std::span<T> dspan =
+                buf ? buf->device_region(ch.offset - plan.device_offset, ch.words, cur.at)
+                    : std::span<T>{};
             device_climb(ch, dspan, cur, parent, c == 0 || ch.merge);
             rep.gpu_busy += cur.k;
             done[c] = cur.end();
@@ -313,23 +315,18 @@ struct Walker {
         }
 
         sim::Ticks end = gpu_free;
-        if (plan.gpu.back().merge || !plan.streamed) {
-            const std::uint64_t w0 = tc.wall_start();
-            if (opts.functional && !plan.streamed) buf->copy_to_host();
-            if (plan.ship) end = transfer(false, "xfer-out", 0, W, gpu_free, w0);
+        if (!plan.ship) {
+            move_words(false, 0, W, gpu_free, gpu_free);
+        } else if (plan.gpu.back().merge || !plan.streamed) {
+            end = transfer(false, "xfer-out", 0, W, gpu_free);
         } else {
             for (std::size_t c = 0; c < plan.gpu.size(); ++c) {
                 const Climb& ch = plan.gpu[c];
                 end = transfer(false, "xfer-out-chunk", ch.offset - plan.device_offset,
-                               ch.words, done[c], tc.wall_start());
+                               ch.words, done[c]);
             }
         }
-        if (opts.functional) {
-            std::copy(buf->host_view().begin(), buf->host_view().end(), slice.begin());
-            if (val.on()) {
-                analysis::lint_residency(buf_events, name + "/device-buffer", *val.report);
-            }
-        }
+        if (val.on()) analysis::lint_residency(buf_events, name + "/device-buffer", *val.report);
         return end;
     }
 

@@ -101,14 +101,6 @@ struct LaunchResult {
     double max_item_ops = 0;   ///< largest per-item GPU op count observed
 };
 
-/// Cumulative device statistics.
-struct DeviceStats {
-    std::uint64_t launches = 0;
-    std::uint64_t items = 0;
-    Ticks busy_time = 0.0;
-    OpCounter total_ops;
-};
-
 /// One SIMT wave of a launch, recorded into an optional external sink (see
 /// Device::set_wave_trace) for the hpu::trace span tracer. Purely
 /// observational: attaching a sink never changes launch timing.
@@ -131,8 +123,6 @@ public:
     }
 
     const DeviceParams& params() const noexcept { return params_; }
-    const DeviceStats& stats() const noexcept { return stats_; }
-    void reset_stats() noexcept { stats_ = DeviceStats{}; }
 
     util::ThreadPool* pool() const noexcept { return pool_; }
 
@@ -145,8 +135,8 @@ public:
     /// kGroupItems items inside a charge block). Items run functionally on
     /// the host; virtual time follows
     /// the wave model. An exception from a kernel body propagates to the
-    /// caller, and the failed launch records nothing: no stats, counters,
-    /// or wave traces. Inline, no further items run after the throw. Pooled,
+    /// caller, and the failed launch records nothing: no counters or wave
+    /// traces. Inline, no further items run after the throw. Pooled,
     /// the pool's contract applies: chunks claimed after the failure is
     /// recorded are skipped, but chunks already running finish, so items
     /// of any wave — earlier or later than the failing one — may still run.
@@ -227,10 +217,6 @@ public:
             }
         }
         r.time = total;
-        stats_.launches += 1;
-        stats_.items += n_items;
-        stats_.busy_time += r.time;
-        stats_.total_ops += r.total_ops;
         auto& ctr = trace::counters();
         trace::count(ctr.kernel_launches);
         trace::count(ctr.waves_launched, r.waves);
@@ -243,7 +229,6 @@ public:
 
 private:
     DeviceParams params_;
-    DeviceStats stats_;
     std::vector<WaveTrace>* wave_trace_ = nullptr;
     util::ThreadPool* pool_ = nullptr;
     // Per-block charge slots, reused across launches so steady-state

@@ -27,8 +27,6 @@ public:
     CpuUnit& cpu() noexcept { return cpu_; }
     Device& gpu() noexcept { return gpu_; }
 
-    void reset() { gpu_.reset_stats(); }
-
 private:
     HpuParams params_;
     CpuUnit cpu_;

@@ -26,7 +26,7 @@
 namespace hpu::verify {
 
 /// HPU_VERIFY environment default for ExecOptions::verify (same convention
-/// as HPU_VALIDATE / HPU_PROFILE).
+/// as HPU_VALIDATE).
 inline bool env_verify_default() { return analysis::env_flag_enabled("HPU_VERIFY"); }
 
 /// Ranges the symbolic parameters quantify over when proving facts about a

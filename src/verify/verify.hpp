@@ -8,10 +8,10 @@
 //      with the plan walker that runs it, and checks the schedule
 //      invariants (capacity, serialization, transfer precedence, chunk
 //      safety, never-worse) on the priced events — so the checked schedule
-//      and the executed one are the same object. verify_cpu_run and
-//      verify_hybrid_run build an executor's plan from its parameters and
-//      check it the same way. A dynamic tree's plan, which has no climbs
-//      to price, gets a downgrade certificate: its checks run at run time.
+//      and the executed one are the same object. verify_hybrid_run builds
+//      a device executor's plan from its parameters and checks it the
+//      same way. A dynamic tree's plan, which has no climbs to price, gets
+//      a downgrade certificate: its checks run at run time.
 //
 // The resulting VerifyReport is the certificate executors attach to their
 // ExecReport; a proven phase lets the runtime validation layer skip word
@@ -23,7 +23,6 @@
 
 #include "core/level_algorithm.hpp"
 #include "core/plan.hpp"
-#include "sim/cpu_unit.hpp"
 #include "sim/hpu.hpp"
 #include "verify/conformance.hpp"
 #include "verify/footprint.hpp"
@@ -110,15 +109,6 @@ VerifyReport verify_plan(const core::LevelAlgorithm<T>& alg, const core::Plan& p
     if (plan.chunks > 0) check_never_worse(plan.est_chosen, plan.est_mono, plan.chunks, rep);
     check_plan(core::price_plan(plan, alg, hw), hw, rep);
     return rep;
-}
-
-/// Certificate for a single-unit CPU run (sequential / multicore).
-template <typename T>
-VerifyReport verify_cpu_run(const core::LevelAlgorithm<T>& alg, std::uint64_t n,
-                            const sim::CpuUnit& cpu, const char* executor) {
-    sim::HpuParams hw;
-    hw.cpu = cpu.params();
-    return verify_plan(alg, core::plan_cpu(alg, n, executor), hw);
 }
 
 /// Which hybrid schedule verify_hybrid_run checks, plus its knobs

@@ -1,5 +1,5 @@
 // The pipelined hybrid (DESIGN.md §9) and its transfer engine:
-//  * sim::Stream FIFO arithmetic on the virtual clock;
+//  * the link carries the walker's transfers FIFO on the virtual clock;
 //  * K = 1 reproduces the advanced hybrid's makespan exactly (same float
 //    operations in the same order — EXPECT_EQ, not NEAR);
 //  * the no-win guard keeps the pipelined schedule never worse than the
@@ -22,40 +22,60 @@
 #include "algos/mergesort.hpp"
 #include "analysis/residency.hpp"
 #include "core/pipeline.hpp"
+#include "core/plan.hpp"
 #include "model/pipeline.hpp"
 #include "platforms/platforms.hpp"
-#include "sim/stream.hpp"
 #include "util/rng.hpp"
 
 namespace hpu::core {
 namespace {
 
-TEST(Stream, FifoSchedulingArithmetic) {
-    sim::LinkParams link;
-    link.lambda = 100.0;
-    link.delta = 2.0;
-    sim::Stream s(link);
-    // Chunk ready at 0: starts immediately, occupies [0, 120).
-    const auto e0 = s.push_to_device(10, 0, 0.0);
-    EXPECT_DOUBLE_EQ(e0.when, 120.0);
-    // Ready at 50 but the link is busy until 120: queued 70 ticks.
-    const auto e1 = s.push_to_device(5, 10, 50.0);
-    EXPECT_DOUBLE_EQ(e1.when, 230.0);
-    EXPECT_DOUBLE_EQ(s.chunks()[1].queue_delay(), 70.0);
-    // Ready long after the link drained: the link waits on the producer.
-    const auto e2 = s.push_to_host(20, 0, 500.0);
-    EXPECT_DOUBLE_EQ(e2.when, 640.0);
-    EXPECT_DOUBLE_EQ(s.free_at(), 640.0);
-    EXPECT_DOUBLE_EQ(s.sync().when, 640.0);
-    // busy() is occupied time only — the [230, 500) idle gap is excluded.
-    EXPECT_DOUBLE_EQ(s.busy(), 120.0 + 110.0 + 140.0);
-    EXPECT_TRUE(e0.done(120.0));
-    EXPECT_FALSE(e2.done(120.0));
-    EXPECT_DOUBLE_EQ(e0.wait(130.0), 130.0);
-    EXPECT_DOUBLE_EQ(e2.wait(130.0), 640.0);
-    ASSERT_EQ(s.chunks().size(), 3u);
-    EXPECT_TRUE(s.chunks()[0].to_device);
-    EXPECT_FALSE(s.chunks()[2].to_device);
+// The link is one FIFO resource: the walker starts each transfer once its
+// words are ready and the link has carried everything queued before it,
+// and the transfer lasts λ + δ·w. The chunks shipped in are ready when the
+// device lane starts; a chunk's results when its climb ends. A slow link
+// keeps results queued behind the link, a fast one leaves it idle until
+// each climb ends.
+TEST(PipelinedHybrid, LinkCarriesTransfersFifo) {
+    algos::MergesortCoalesced<std::int32_t> alg;
+    const std::uint64_t n = 1ull << 22;
+    std::uint64_t queued = 0;  // results that waited on the link
+    std::uint64_t idle = 0;    // results the link waited for
+    for (const double delta : {0.01, 1.0, 4.0}) {
+        SCOPED_TRACE(::testing::Message() << "delta=" << delta);
+        sim::HpuParams hw = platforms::hpu1();
+        hw.link.delta = delta;
+        const Plan p = plan_pipelined(alg, hw, n, 0.2, 20, 4);
+        ASSERT_EQ(p.chunks, 4u);
+        ASSERT_FALSE(p.gpu.back().merge);  // results ship back chunk by chunk
+        const verify::SchedulePlan s = price_plan(p, alg, hw);
+        std::vector<const verify::PlanEvent*> link;
+        for (const verify::PlanEvent& e : s.events) {
+            if (e.unit == verify::PlanEvent::Unit::kLink) link.push_back(&e);
+        }
+        ASSERT_EQ(link.size(), 8u);
+        const double lane = link.front()->start;
+        double link_free = lane;
+        for (const verify::PlanEvent* e : link) {
+            double ready = lane;
+            if (e->kind == verify::PlanEvent::Kind::kXferOut) {
+                ready = 0.0;  // the end of the last level over this chunk
+                for (const verify::PlanEvent& g : s.events) {
+                    if (g.unit == verify::PlanEvent::Unit::kGpu && g.offset >= e->offset &&
+                        g.offset + g.words <= e->offset + e->words) {
+                        ready = std::max(ready, g.start + g.duration);
+                    }
+                }
+                ASSERT_GT(ready, lane);
+                (ready < link_free ? queued : idle) += 1;
+            }
+            EXPECT_NEAR(e->start, std::max(ready, link_free), 1e-12 * link_free) << e->label;
+            EXPECT_EQ(e->duration, hw.link.transfer_time(static_cast<double>(e->words)));
+            link_free = e->start + e->duration;
+        }
+    }
+    EXPECT_GT(queued, 0u);
+    EXPECT_GT(idle, 0u);
 }
 
 TEST(PipelinedHybrid, K1ReproducesAdvancedExactly) {

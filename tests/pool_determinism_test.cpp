@@ -275,9 +275,9 @@ constexpr std::size_t kLayerWorkers[] = {1, 3};
 // Raw device layer: non-uniform per-item charges across several waves. A
 // pooled launch is one batch of blocks, none straddling two waves; folding
 // the block slots must reproduce the item-by-item wave model exactly —
-// LaunchResult, DeviceStats, and the per-wave trace records all match a
-// reference computed here — inline and pooled, whatever the wave width,
-// tail wave, or inline fallback.
+// LaunchResult and the per-wave trace records both match a reference
+// computed here — inline and pooled, whatever the wave width, tail wave,
+// or inline fallback.
 TEST(PoolDeterminism, DeviceNonUniformWavesMatchSerial) {
     struct Shape {
         const char* name;
@@ -342,8 +342,6 @@ TEST(PoolDeterminism, DeviceNonUniformWavesMatchSerial) {
                 EXPECT_EQ(r.time, want_time);
                 EXPECT_EQ(r.items, shape.items);
                 EXPECT_EQ(r.waves, want.size());
-                EXPECT_EQ(dev->stats().launches, 1u);
-                EXPECT_EQ(dev->stats().busy_time, want_time);
                 sim::OpCounter total;
                 double max_item_ops = 0.0;
                 ASSERT_EQ(waves.size(), want.size());
@@ -363,7 +361,6 @@ TEST(PoolDeterminism, DeviceNonUniformWavesMatchSerial) {
                 EXPECT_EQ(r.total_ops.compute, total.compute);
                 EXPECT_EQ(r.total_ops.mem_coalesced, total.mem_coalesced);
                 EXPECT_EQ(r.total_ops.mem_strided, total.mem_strided);
-                EXPECT_EQ(dev->stats().total_ops.compute, total.compute);
             }
         }
     }

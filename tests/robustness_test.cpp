@@ -99,7 +99,6 @@ TEST(Robustness, HpuSurvivesFailedRun) {
     util::Rng rng(2);
     auto d = rng.int_vector(64, 0, 128);
     EXPECT_THROW(run_gpu(h, faulty, std::span(d)), std::runtime_error);
-    h.reset();
     algos::MergesortCoalesced<std::int32_t> good;
     auto e = rng.int_vector(64, 0, 128);
     auto expect = e;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -116,17 +117,6 @@ TEST(Device, UniformLaunchTimeMatchesExecution) {
                                  static_cast<double>(util::ceil_div(20, dev.params().g)), 5.0));
 }
 
-TEST(Device, StatsAccumulateAndReset) {
-    Device dev(small_device());
-    dev.launch(3, [](WorkItem& wi) { wi.charge_compute(1); });
-    dev.launch(5, [](WorkItem& wi) { wi.charge_compute(1); });
-    EXPECT_EQ(dev.stats().launches, 2u);
-    EXPECT_EQ(dev.stats().items, 8u);
-    EXPECT_GT(dev.stats().busy_time, 0.0);
-    dev.reset_stats();
-    EXPECT_EQ(dev.stats().launches, 0u);
-}
-
 TEST(Device, GlobalIdsCoverRange) {
     Device dev(small_device(3, 1.0));
     std::vector<int> seen(10, 0);
@@ -155,8 +145,8 @@ TEST(Device, KernelExceptionPropagates) {
     EXPECT_EQ(ran, 3u);
 
     // Pooled, 16 waves in one batch, the throw in the last wave: it still
-    // propagates, and the failed launch records nothing — no stats, no
-    // process counters, no wave traces.
+    // propagates, and the failed launch records nothing — no process
+    // counters, no wave traces.
     util::ThreadPool pool(3);
     Device pooled(small_device(), &pool);
     std::vector<WaveTrace> waves;
@@ -176,10 +166,6 @@ TEST(Device, KernelExceptionPropagates) {
     EXPECT_EQ(delta.work_items, 0u);
     EXPECT_EQ(delta.coalesced_transactions, 0u);
     EXPECT_EQ(delta.strided_transactions, 0u);
-    EXPECT_EQ(pooled.stats().launches, 0u);
-    EXPECT_EQ(pooled.stats().items, 0u);
-    EXPECT_EQ(pooled.stats().busy_time, 0.0);
-    EXPECT_EQ(pooled.stats().total_ops.cpu_ops(), 0u);
     EXPECT_TRUE(waves.empty());
 
     // The device stays usable: the next launch matches an inline one.
@@ -188,7 +174,6 @@ TEST(Device, KernelExceptionPropagates) {
     const LaunchResult rs = Device(small_device()).launch(64, kernel);
     EXPECT_EQ(rp.time, rs.time);
     EXPECT_EQ(rp.total_ops.compute, rs.total_ops.compute);
-    EXPECT_EQ(pooled.stats().launches, 1u);
     EXPECT_EQ(waves.size(), 16u);
 }
 
@@ -255,77 +240,84 @@ TEST(Device, GroupKernelsFoldLikeItemKernels) {
 }
 
 TEST(Buffer, ResidencyIsEnforced) {
-    DeviceBuffer<int> buf(8);
-    EXPECT_THROW(buf.device(), util::HpuError);       // not copied yet
-    EXPECT_THROW(buf.copy_to_host(), util::HpuError);  // nothing on device
-    buf.host()[0] = 42;
-    buf.copy_to_device();
-    EXPECT_EQ(buf.device()[0], 42);
+    std::vector<int> host(8);
+    DeviceBuffer<int> buf{std::span(host)};
+    EXPECT_THROW(buf.device_region(0, 4, 0.0), util::HpuError);        // not copied yet
+    EXPECT_THROW(buf.stream_to_host(0, 4, 0.0, 0.0), util::HpuError);  // nothing on device
+    host[0] = 42;
+    buf.stream_to_device(0, 4, 0.0, 1.0);
+    EXPECT_EQ(buf.device_region(0, 4, 1.0)[0], 42);
+    // [4, 8) has not been copied in.
+    EXPECT_THROW(buf.device_region(2, 4, 1.0), util::HpuError);
+    EXPECT_THROW(buf.stream_to_host(4, 4, 1.0, 2.0), util::HpuError);
 }
 
-TEST(Buffer, HostAndDeviceAreDistinctCopies) {
-    DeviceBuffer<int> buf(4);
-    buf.host()[1] = 7;
-    buf.copy_to_device();
-    buf.device()[1] = 99;          // device-side write
-    EXPECT_EQ(buf.host_view()[1], 7);  // host copy unchanged until readback
-    buf.copy_to_host();
-    EXPECT_EQ(buf.host_view()[1], 99);
+TEST(Buffer, BorrowsTheCallersArrayAndKeepsDeviceWritesOutOfIt) {
+    std::vector<int> host = {1, 2, 3, 4, 5, 6, 7, 8};
+    DeviceBuffer<int> buf{std::span(host)};
+    EXPECT_EQ(buf.size(), host.size());
+    buf.stream_to_device(0, 4, 0.0, 10.0);
+    buf.stream_to_device(4, 4, 10.0, 20.0);
+    host[2] = -3;  // a host write after the copy never reaches the device
+    EXPECT_EQ(buf.device_region(0, 4, 20.0)[2], 3);
+
+    // Each device write reaches the caller's array with its own chunk's
+    // stream_to_host, and not before; the readback overwrites the array.
+    buf.device_region(0, 4, 20.0)[0] = 100;
+    buf.device_region(4, 4, 20.0)[3] = 800;
+    EXPECT_EQ(host[0], 1);
+    EXPECT_EQ(host[7], 8);
+    buf.stream_to_host(4, 4, 20.0, 30.0);
+    EXPECT_EQ(host[0], 1);
+    EXPECT_EQ(host[7], 800);
+    buf.stream_to_host(0, 4, 30.0, 40.0);
+    EXPECT_EQ(host, (std::vector<int>{100, 2, 3, 4, 5, 6, 7, 800}));
 }
 
-TEST(Buffer, PartialCopies) {
-    DeviceBuffer<int> buf(8);
-    // A partial copy refreshes a range; it cannot *establish* validity —
-    // the other 7 device words would be garbage marked valid.
-    EXPECT_THROW(buf.copy_to_device(3, 1), util::HpuError);
-
-    {
-        auto h = buf.host();
-        for (int i = 0; i < 8; ++i) h[i] = i;
-    }
-    buf.copy_to_device();
-    buf.copy_to_device(3, 2);  // refresh of a valid device copy: fine
-    EXPECT_EQ(buf.device_view()[3], 3);
-
-    buf.device()[5] = 55;  // device write → host copy stale
-    // Reading back one word cannot re-validate the 7 stale host words...
-    EXPECT_THROW(buf.copy_to_host(5, 1), util::HpuError);
-    // ...but a full-range copy can.
-    buf.copy_to_host(0, 8);
-    EXPECT_EQ(buf.host_view()[5], 55);
-    EXPECT_EQ(buf.host_view()[3], 3);
-}
-
-TEST(Buffer, PartialCopyRangeChecksDoNotOverflow) {
-    DeviceBuffer<int> buf(8);
-    buf.copy_to_device();
-    EXPECT_THROW(buf.copy_to_device(6, 3), util::HpuError);
-    EXPECT_THROW(buf.copy_to_device(9, 0), util::HpuError);
-    // offset + count wraps around std::size_t; the check must not.
-    EXPECT_THROW(buf.copy_to_device(4, std::numeric_limits<std::size_t>::max()),
-                 util::HpuError);
-    EXPECT_THROW(buf.copy_to_host(4, std::numeric_limits<std::size_t>::max()),
-                 util::HpuError);
+TEST(Buffer, StreamedRangeChecksDoNotOverflow) {
+    std::vector<int> host(8);
+    DeviceBuffer<int> buf{std::span(host)};
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    EXPECT_THROW(buf.stream_to_device(6, 3, 0.0, 1.0), util::HpuError);
+    EXPECT_THROW(buf.stream_to_device(9, 0, 0.0, 1.0), util::HpuError);
+    // offset + count wraps around std::size_t; the checks must not.
+    EXPECT_THROW(buf.stream_to_device(4, kMax, 0.0, 1.0), util::HpuError);
+    buf.stream_to_device(0, 8, 0.0, 1.0);
+    EXPECT_THROW(buf.device_region(6, 3, 1.0), util::HpuError);
+    EXPECT_THROW(buf.device_region(9, 0, 1.0), util::HpuError);
+    EXPECT_THROW(buf.device_region(4, kMax, 1.0), util::HpuError);
+    EXPECT_THROW(buf.stream_to_host(6, 3, 1.0, 2.0), util::HpuError);
+    EXPECT_THROW(buf.stream_to_host(9, 0, 1.0, 2.0), util::HpuError);
+    EXPECT_THROW(buf.stream_to_host(4, kMax, 1.0, 2.0), util::HpuError);
+    // The last word and the empty range at the end are in range.
+    EXPECT_NO_THROW(buf.device_region(7, 1, 1.0));
+    EXPECT_NO_THROW(buf.stream_to_host(8, 0, 1.0, 1.0));
 }
 
 TEST(Buffer, EventTraceRecordsOpsAndPriorState) {
-    DeviceBuffer<int> buf(4);
+    std::vector<int> host(4);
+    DeviceBuffer<int> buf{std::span(host)};
     std::vector<BufferEvent> log;
     buf.set_trace(&log);
-    buf.host()[0] = 1;
-    buf.copy_to_device();
-    buf.device()[0] = 2;
-    buf.copy_to_host();
-    (void)buf.host_view()[0];
-    ASSERT_EQ(log.size(), 5u);
-    EXPECT_EQ(log[0].op, BufferOp::kHostMut);
-    EXPECT_EQ(log[1].op, BufferOp::kCopyToDevice);
-    EXPECT_FALSE(log[1].device_valid_before);  // state *before* the copy
-    EXPECT_EQ(log[2].op, BufferOp::kDeviceMut);
-    EXPECT_EQ(log[3].op, BufferOp::kCopyToHost);
-    EXPECT_FALSE(log[3].host_valid_before);
-    EXPECT_EQ(log[4].op, BufferOp::kHostRead);
-    EXPECT_TRUE(log[4].host_valid_before);
+    buf.stream_to_device(0, 4, 0.0, 5.0);
+    buf.device_region(1, 2, 5.0)[0] = 2;
+    buf.stream_to_host(0, 4, 6.0, 11.0);
+    EXPECT_EQ(host[1], 2);
+    ASSERT_EQ(log.size(), 3u);
+    EXPECT_EQ(log[0].op, BufferOp::kCopyToDevice);
+    EXPECT_FALSE(log[0].device_valid_before);  // state *before* the copy
+    EXPECT_EQ(log[0].start, 0.0);
+    EXPECT_EQ(log[0].ready, 5.0);
+    EXPECT_EQ(log[1].op, BufferOp::kDeviceMut);
+    EXPECT_TRUE(log[1].device_valid_before);
+    EXPECT_TRUE(log[1].host_valid_before);
+    EXPECT_EQ(log[1].offset, 1u);
+    EXPECT_EQ(log[1].count, 2u);
+    EXPECT_EQ(log[1].start, 5.0);
+    EXPECT_EQ(log[2].op, BufferOp::kCopyToHost);
+    EXPECT_FALSE(log[2].host_valid_before);
+    EXPECT_EQ(log[2].ready, 11.0);
+    for (const BufferEvent& e : log) EXPECT_EQ(e.size, 4u);
 }
 
 /// CpuParams::level_time of `tasks` uniform tasks of `ops_each` ops with a
@@ -430,10 +422,8 @@ TEST(Hpu, BundleWiring) {
     Hpu h(hp);
     EXPECT_DOUBLE_EQ(h.params().link.transfer_time(10), 15.0);
     EXPECT_DOUBLE_EQ(h.params().gpu_power(), 8.0);
-    h.gpu().launch(1, [](WorkItem& wi) { wi.charge_compute(1); });
-    EXPECT_EQ(h.gpu().stats().launches, 1u);
-    h.reset();
-    EXPECT_EQ(h.gpu().stats().launches, 0u);
+    const LaunchResult r = h.gpu().launch(1, [](WorkItem& wi) { wi.charge_compute(1); });
+    EXPECT_DOUBLE_EQ(r.time, h.params().gpu.launch_time(1.0, 1.0));
 }
 
 }  // namespace

@@ -9,11 +9,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <sstream>
 
 #include "algos/binary_reduce.hpp"
 #include "algos/mergesort.hpp"
 #include "core/hybrid.hpp"
+#include "core/pipeline.hpp"
 #include "model/advanced.hpp"
 #include "platforms/platforms.hpp"
 #include "trace/counters.hpp"
@@ -312,17 +314,22 @@ TEST(Labels, AnalysisFindingsAndPhaseSpansJoinOnLabels) {
 // Counters registry.
 
 TEST(Counters, FunctionalGpuRunCountsLaunchesWavesAndTransfers) {
-    const auto before = trace::counters().snapshot();
-    sim::Hpu h(platforms::hpu1());
     algos::MergesortCoalesced<std::int32_t> alg;
     const std::uint64_t n = 1 << 13;
-    auto data = random_input(n, 71);
-    // Hermetic against the HPU_VALIDATE env override: this test counts a
-    // plain functional run, so pin validation off explicitly.
+    const auto base = random_input(n, 71);
+    // Hermetic against the HPU_VALIDATE env override: this test counts
+    // plain functional runs, so pin validation off explicitly.
     ExecOptions opts;
     opts.validate = false;
-    run_gpu(h, alg, std::span(data), opts);
-    const auto d = trace::counters().snapshot() - before;
+    const auto counted = [&](auto&& run) {
+        auto data = base;
+        const auto before = trace::counters().snapshot();
+        run(std::span(data));
+        return trace::counters().snapshot() - before;
+    };
+
+    sim::Hpu h(platforms::hpu1());
+    const auto d = counted([&](std::span<std::int32_t> s) { run_gpu(h, alg, s, opts); });
     EXPECT_GE(d.kernel_launches, 13u);  // one per internal level
     EXPECT_GE(d.waves_launched, d.kernel_launches);
     EXPECT_GT(d.work_items, 0u);
@@ -330,6 +337,41 @@ TEST(Counters, FunctionalGpuRunCountsLaunchesWavesAndTransfers) {
     EXPECT_EQ(d.words_transferred, 2 * n);
     EXPECT_GT(d.coalesced_transactions + d.strided_transactions, 0u);
     EXPECT_EQ(d.validation_reexecutions, 0u);
+
+    // Every device lane moves each word of its slice once each way: without
+    // link transfers the array still moves (in zero time), the basic hybrid
+    // ships the whole array, the advanced one the device's 3/4 (α = 0.25).
+    const auto untimed =
+        counted([&](std::span<std::int32_t> s) { run_gpu(h, alg, s, opts, false); });
+    EXPECT_EQ(untimed.transfers, 2u);
+    EXPECT_EQ(untimed.words_transferred, 2 * n);
+    const auto basic =
+        counted([&](std::span<std::int32_t> s) { run_basic_hybrid(h, alg, s, opts); });
+    EXPECT_EQ(basic.transfers, 2u);
+    EXPECT_EQ(basic.words_transferred, 2 * n);
+    AdvancedOptions adv;
+    adv.exec = opts;
+    const auto advanced = counted(
+        [&](std::span<std::int32_t> s) { run_advanced_hybrid(h, alg, s, 0.25, 6, adv); });
+    EXPECT_EQ(advanced.transfers, 2u);
+    EXPECT_EQ(advanced.words_transferred, 2 * (n - n / 4));
+
+    // Pipelined, the same slice ships in four chunks, is merged on the
+    // device and ships back in bulk. A cheap link latency makes the four
+    // chunks pay off at this size.
+    sim::HpuParams cheap = platforms::hpu1();
+    cheap.link.lambda = 10.0;
+    sim::Hpu hc(cheap);
+    PipelinedOptions pip;
+    pip.chunks = 4;
+    pip.exec = opts;
+    std::uint64_t chunks = 0;
+    const auto pipelined = counted([&](std::span<std::int32_t> s) {
+        chunks = run_pipelined_hybrid(hc, alg, s, 0.25, 6, pip).chunks;
+    });
+    ASSERT_EQ(chunks, 4u);
+    EXPECT_EQ(pipelined.transfers, 5u);
+    EXPECT_EQ(pipelined.words_transferred, 2 * (n - n / 4));
 }
 
 TEST(Counters, ValidationReexecutionsAreCounted) {

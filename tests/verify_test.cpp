@@ -378,7 +378,8 @@ TEST(Certificate, ReconstructedPlansPassForEveryExecutorShape) {
     const std::uint64_t n = 1024;
     sim::Hpu h(platforms::hpu1());
     algos::MergesortPlain<std::int32_t> alg;
-    const VerifyReport seq = verify_cpu_run(alg, n, h.cpu(), "sequential");
+    const VerifyReport seq =
+        verify_plan(alg, core::plan_cpu(alg, n, "sequential"), h.params());
     EXPECT_TRUE(seq.certified()) << seq.summary();
     for (const RunShape::Kind kind :
          {RunShape::Kind::kGpu, RunShape::Kind::kBasic, RunShape::Kind::kAdvanced,
