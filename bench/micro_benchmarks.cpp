@@ -1,12 +1,14 @@
 // Google-benchmark microbenchmarks of the simulator substrate itself: how
-// fast the host executes simulated kernels, CPU levels, pool batches,
-// merges, the quickhull partition, the dynamic-tree engine, the §6.3
+// fast the host executes simulated kernels, CPU levels, pool batches, the
+// merge kernel, the quickhull partition, the dynamic-tree engine, the §6.3
 // layout layer and trace recording. These measure the *reproduction
 // harness*, not the paper's system — wall-clock throughput of the
 // simulation determines how large an n the figure benches can sweep.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <sstream>
 #include <thread>
 
@@ -18,6 +20,7 @@
 #include "sim/device.hpp"
 #include "trace/export.hpp"
 #include "util/makespan.hpp"
+#include "util/merge_path.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -91,6 +94,74 @@ void BM_PoolBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolBatch)
     ->ArgsProduct({{1 << 4, 1 << 10, 1 << 16, 1 << 21}, {pooled_workers()}})
+    ->UseRealTime();
+
+// The merge kernel alone (DESIGN.md §15): util::merge_segments of two
+// sorted runs of n/2 int32 keys each, without the simulator or the
+// executors. The input classes stress different paths of the kernel:
+//
+//   random     two independently sorted uniform runs (the generic case)
+//   presorted  run A entirely <= run B: already merged, the bulk tails
+//              dominate and memcpy throughput is the ceiling
+//   reverse    run A entirely > run B: the output is B then A, the
+//              branchless loop drains one side before the tail kicks in
+//   dups       keys from an 8-value range: the stability tie-break is on
+//              every comparison's hot path
+//
+// Arguments: merged size n, parts. One part is the serial blocked loop;
+// workers + 1 parts are Merge Path segments across a pool of nproc − 1
+// workers (at least one) and the calling thread, the participant count
+// the engine's merges target. Items are the merged elements.
+enum class MergeInput { kRandom, kPresorted, kReverse, kDups };
+
+std::int64_t merge_workers() { return std::max<std::int64_t>(pooled_workers(), 1); }
+
+void BM_MergeSegments(benchmark::State& state, MergeInput input) {
+    const auto n = static_cast<std::uint64_t>(state.range(0));
+    const auto parts = static_cast<std::size_t>(state.range(1));
+    const std::uint64_t half = n / 2;
+    const std::int64_t hi = input == MergeInput::kDups ? 7 : static_cast<std::int64_t>(2 * n);
+    util::Rng rng(n ^ static_cast<std::uint64_t>(input));
+    std::vector<std::int32_t> runs(2 * half);
+    // Run [at, at + half) of keys base + [0, hi], sorted.
+    const auto fill = [&](std::uint64_t at, std::int64_t base) {
+        const auto first = runs.begin() + static_cast<std::ptrdiff_t>(at);
+        for (auto it = first; it != first + static_cast<std::ptrdiff_t>(half); ++it) {
+            *it = static_cast<std::int32_t>(base + rng.uniform_int(0, hi));
+        }
+        std::sort(first, first + static_cast<std::ptrdiff_t>(half));
+    };
+    fill(0, input == MergeInput::kReverse ? hi + 1 : 0);
+    fill(half, input == MergeInput::kPresorted ? hi + 1 : 0);
+    std::vector<std::int32_t> dst(runs.size());
+    util::ThreadPool pool(static_cast<std::size_t>(merge_workers()));
+    for (auto _ : state) {
+        util::merge_segments(&pool, runs.data(), half, runs.data() + half, half, dst.data(),
+                             std::less<std::int32_t>{}, parts);
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n));
+}
+// Merged sizes 2^12 .. 2^20 by the two part counts, for every input class.
+const std::vector<std::vector<std::int64_t>> kMergeArgs = {
+    {1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20}, {1, merge_workers() + 1}};
+BENCHMARK_CAPTURE(BM_MergeSegments, random, MergeInput::kRandom)
+    ->ArgsProduct(kMergeArgs)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_MergeSegments, presorted, MergeInput::kPresorted)
+    ->ArgsProduct(kMergeArgs)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_MergeSegments, reverse, MergeInput::kReverse)
+    ->ArgsProduct(kMergeArgs)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_MergeSegments, dups, MergeInput::kDups)
+    ->ArgsProduct(kMergeArgs)
+    ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
 // The trace layer alone: the spans of one traced, profiled and pooled

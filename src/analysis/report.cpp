@@ -11,11 +11,10 @@ const char* to_string(FindingKind k) noexcept {
         case FindingKind::kWriteWriteRace: return "write-write-race";
         case FindingKind::kReadWriteRace: return "read-write-race";
         case FindingKind::kOrderDependent: return "order-dependent";
-        case FindingKind::kRedundantTransfer: return "redundant-transfer";
-        case FindingKind::kInFlightRead: return "in-flight-read";
         case FindingKind::kFootprintViolation: return "footprint-violation";
         case FindingKind::kLaunchSkipped: return "launch-skipped";
         case FindingKind::kExtentOverlap: return "extent-overlap";
+        case FindingKind::kScheduleViolation: return "schedule-violation";
     }
     return "unknown";
 }

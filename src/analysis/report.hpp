@@ -1,8 +1,9 @@
 // Structured output of the hpu::analysis correctness passes (wave race
-// detector, buffer-residency lint, schedule-independence checker). The
-// executors in src/core run the passes when ExecOptions::validate is on and
-// attach the resulting AnalysisReport to their ExecReport, so callers get
-// diagnostics alongside the timing telemetry.
+// detector, schedule-independence checker) and of the check of the
+// executed schedule (verify::check_plan). The executors in src/core run
+// them when ExecOptions::validate is on and attach the resulting
+// AnalysisReport to their ExecReport, so callers get diagnostics alongside
+// the timing telemetry.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +14,7 @@
 namespace hpu::analysis {
 
 enum class Severity : std::uint8_t {
-    kWarning,  ///< suspicious but possibly intended (e.g. a redundant copy)
+    kWarning,  ///< suspicious but possibly intended
     kError,    ///< breaks the independence contract the schedulers rely on
 };
 
@@ -21,23 +22,23 @@ enum class FindingKind : std::uint8_t {
     kWriteWriteRace,     ///< two work-items write the same word in one launch
     kReadWriteRace,      ///< one item reads a word another item writes
     kOrderDependent,     ///< permuted item order changed the launch's output
-    kRedundantTransfer,  ///< full copy to a side that is already valid
-    kInFlightRead,  ///< kernel touched a streamed chunk before it arrived
     kFootprintViolation,  ///< runtime access outside the declared footprint
     kLaunchSkipped,  ///< budget-capped launch surfaced via fail_on_skip
     kExtentOverlap,  ///< two dynamic tasks of one level declare overlapping extents
+    kScheduleViolation,  ///< the executed schedule broke a verify::check_plan invariant
 };
 
 const char* to_string(FindingKind k) noexcept;
 const char* to_string(Severity s) noexcept;
 
 /// One diagnosed defect. `launch` names the owning launch / trace span
-/// (executors label launches "<algo>/<phase>[<tasks> tasks]"); the item and
-/// wave fields are only meaningful for the race/order kinds.
+/// (executors label launches "<algo>/<phase>[<tasks> tasks]"), or the run
+/// ("<algo>/<executor>") for a schedule violation; the item and wave
+/// fields are only meaningful for the race/order kinds.
 struct Finding {
     FindingKind kind;
     Severity severity = Severity::kError;
-    std::string launch;           ///< owning launch or buffer label
+    std::string launch;           ///< owning launch or run label
     std::uint64_t item_a = 0;     ///< first involved work-item (races)
     std::uint64_t item_b = 0;     ///< second involved work-item (races)
     std::uint64_t wave_a = 0;     ///< wave of item_a (item_a / g)

@@ -15,7 +15,8 @@
 // plan walker runs a regular plan, or the expand/combine sweeps run a
 // dynamic tree's (core/irregular.hpp), functionally or analytically,
 // through the one launch primitive (core/launch.hpp), which also records
-// the span tree and the validation findings.
+// the span tree and the validation findings. A validated regular run also
+// checks the schedule it executed with the verifier's checker.
 //
 // Host-parallel functional execution: construct the sim::Hpu (or CpuUnit)
 // with a util::ThreadPool and CPU levels / device waves run pool-parallel.
@@ -27,6 +28,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "core/irregular.hpp"
 #include "core/launch.hpp"
@@ -61,7 +63,6 @@ void observe_run(const ExecOptions& opts, ExecReport& rep, trace::SpanId run,
     if (pool != nullptr) ctx.pool = pool->telemetry();
     ctx.requested_chunks = requested_chunks;
     ctx.settled_chunks = settled_chunks;
-    ctx.thresholds = opts.watchdog;
     rep.obs = obs::observe(*opts.trace, run, ctx);
 }
 
@@ -71,7 +72,9 @@ void observe_run(const ExecOptions& opts, ExecReport& rep, trace::SpanId run,
 /// pre-pass and walks the climbs of a regular plan, or runs the
 /// expand/combine sweeps of a dynamic one (core/irregular.hpp); closes the
 /// run and observes a regular one (the observation models the regular
-/// recurrence).
+/// recurrence). Under validation a regular run logs every launch and
+/// transfer it executes and checks that schedule with verify::check_plan:
+/// each violated invariant is one kScheduleViolation error.
 template <typename T>
 ExecReport run_plan(const Plan& plan, sim::CpuUnit& cpu, sim::Device* dev,
                     const sim::HpuParams& hw, const LevelAlgorithm<T>& alg, std::span<T> data,
@@ -80,7 +83,6 @@ ExecReport run_plan(const Plan& plan, sim::CpuUnit& cpu, sim::Device* dev,
     bind_merge_exec(alg, cpu.pool(), opts);
     ExecReport rep;
     if (opts.verify) rep.verify = verify::verify_plan(alg, plan, hw);
-    rep.trace = opts.trace;
     const ValCtx val = validation_ctx(opts, rep);
     const trace::SpanId run = open_run(opts, alg.name(), plan.executor, data.size());
     if (plan.dynamic()) {
@@ -90,8 +92,21 @@ ExecReport run_plan(const Plan& plan, sim::CpuUnit& cpu, sim::Device* dev,
     }
     const SpanCtx rt{opts.trace, run, 0.0, trace::SpanAttrs::kNoLevel, opts.profile};
     const sim::Ticks pre = host_pre_pass(alg, data, cpu.params(), rt);
-    Walker<T> w{plan, alg, cpu, dev, hw.link, opts, val, data, rep};
+    verify::SchedulePlan executed;
+    Walker<T> w{plan, alg, cpu, dev, hw.link, opts, val, data, rep,
+                val.on() ? &executed : nullptr};
     w.walk(pre, run);
+    if (val.on()) {
+        verify::VerifyReport checked;
+        verify::check_plan(executed, hw, checked);
+        for (const verify::VerifyFinding& f : checked.findings) {
+            analysis::Finding v;
+            v.kind = analysis::FindingKind::kScheduleViolation;
+            v.launch = alg.name() + "/" + plan.executor;
+            v.detail = f.message();
+            val.report->add(std::move(v));
+        }
+    }
     close_run(opts, run, rep.total);
     observe_run(opts, rep, run, hw, alg, cpu.pool(), requested_chunks, rep.chunks);
     return rep;

@@ -45,8 +45,8 @@
 //    of ALL the level's tasks go through the exact race detector with the
 //    full width as the concurrency window (CPU and GPU parts of a split
 //    level overlap in virtual time). The schedule-independence re-run and
-//    the residency lint of the regular path do not apply (divide bodies
-//    mutate the frontier; there is no device buffer object).
+//    the executed-schedule check of the regular path do not apply (divide
+//    bodies mutate the frontier; the levels are not walker steps).
 //  - trace: run → phase(expand/combine) → level(+waves) spans; level
 //    spans carry the level's extent_words and imbalance attributes.
 //  - obs: skipped — the observation's drift model assumes the regular
@@ -147,7 +147,7 @@ struct Sweeps {
     bool on_device = false;  ///< where the frontier lives (kGpu, kBasic)
     /// Per-task predictions of the current level, reused across levels.
     std::vector<model::ObservedTask> pred{};
-    /// The splits' buffers, reused across levels.
+    /// The buffers of the splits and placements, reused across levels.
     model::SplitScratch split{};
 
     void run(trace::SpanId run_span) {
@@ -252,7 +252,7 @@ struct Sweeps {
         if (plan.shape == PlanShape::kBasic) {
             const sim::Ticks sw = hw.link.transfer_time(words);
             const auto pl = model::place_observed_level(hw, est, mult, on_device ? sw : 0.0,
-                                                        on_device ? 0.0 : sw);
+                                                        on_device ? 0.0 : sw, split);
             const bool to_device = pl.unit == model::LevelPlacement::kGpu;
             if (to_device) k = 0;
             if (to_device != on_device && sw > 0.0) {

@@ -14,8 +14,9 @@
 //
 // With ExecOptions::validate on (or HPU_VALIDATE set), every functional
 // level additionally runs the hpu::analysis correctness passes — wave race
-// detection, schedule-independence re-execution, buffer-residency lint —
-// and the findings are attached to ExecReport::analysis.
+// detection, schedule-independence re-execution — a regular run checks the
+// schedule it executed (verify::check_plan), and the findings are attached
+// to ExecReport::analysis.
 //
 // With ExecOptions::trace set, every executor records a hierarchical span
 // tree (run → phase → level → wave) into the given hpu::trace session.
@@ -61,10 +62,11 @@ struct ExecOptions {
     /// enforce this).
     bool functional = true;
     /// Run the hpu::analysis correctness passes on every functional level
-    /// (race detection, schedule-independence re-execution, residency
-    /// lint). Costly — re-executes kernels — so off unless requested here
-    /// or via the HPU_VALIDATE environment variable. No effect on the
-    /// virtual clock. Ignored in analytic mode (nothing executes).
+    /// (race detection, schedule-independence re-execution) and check the
+    /// executed schedule of a regular run. Costly — re-executes kernels —
+    /// so off unless requested here or via the HPU_VALIDATE environment
+    /// variable. No effect on the virtual clock. Ignored in analytic mode
+    /// (nothing executes).
     bool validate = analysis::env_validate_default();
     /// Span tracer sink (see trace/span.hpp); nullptr = tracing off. The
     /// session is not owned and may accumulate several runs. No effect on
@@ -89,14 +91,13 @@ struct ExecOptions {
     analysis::RaceOptions race;
     /// Run the hpu::obs observation over the finished run's span subtree:
     /// (g, γ, λ, δ) re-fit vs the configured parameters, utilization
-    /// derivation, and watchdog findings, attached to ExecReport::obs.
+    /// derivation, and watchdog findings at the default thresholds,
+    /// attached to ExecReport::obs (obs::observe takes other thresholds).
     /// Requires `trace`; no-op without it. Runs strictly after the last
     /// tick is computed and is read-only over the session, so the virtual
     /// clock, the trace, and every other ExecReport field are bit-identical
     /// with observe on or off (enforced by test).
     bool observe = false;
-    /// Thresholds the observation's watchdog checks against.
-    obs::WatchdogThresholds watchdog;
     /// Let functional task bodies split large merges into Merge Path
     /// segments across the host pool (DESIGN.md §15). Wall-clock only:
     /// ExecReports, traces, outputs, and analysis findings are
@@ -125,9 +126,6 @@ struct ExecReport {
     /// Certificate of the static pass (attempted=false unless
     /// ExecOptions::verify was on).
     hpu::verify::VerifyReport verify;
-    /// The trace session spans were recorded into (echoes ExecOptions::
-    /// trace; nullptr when tracing was off).
-    trace::TraceSession* trace = nullptr;
     /// Observation over this run (attempted=false unless ExecOptions::
     /// observe was on and a trace session was attached).
     obs::ObsReport obs;
@@ -277,9 +275,12 @@ struct Launch {
     double imbalance = 0.0;
 };
 
-/// What a launch took, and the level span it recorded (kNoSpan untraced).
+/// What a launch took, its ops in the unit's currency (CPU ops, or device
+/// ops with the strided penalty), and the level span it recorded (kNoSpan
+/// untraced).
 struct Launched {
     sim::Ticks time = 0.0;
+    double ops = 0.0;
     trace::SpanId span = trace::kNoSpan;
 };
 
@@ -317,6 +318,7 @@ Launched launch(sim::CpuUnit& cpu, sim::Device* dev, const LevelAlgorithm<T>& al
             out.time = cp.level_time(static_cast<double>(util::ceil_div(l.tasks, cp.p)),
                                      l.task_ops, cp.contention_factor(l.tasks, l.working_set));
         }
+        out.ops = l.ops;
         if (!tc.on()) return out;
         a.work = l.work;
         a.ops = l.ops;
@@ -342,8 +344,9 @@ Launched launch(sim::CpuUnit& cpu, sim::Device* dev, const LevelAlgorithm<T>& al
             }
         }();
         out.time = r.time;
+        out.ops = static_cast<double>(r.total_ops.cpu_ops());
         if (!tc.on()) return out;
-        a.ops = static_cast<double>(r.total_ops.cpu_ops());
+        a.ops = out.ops;
         a.max_ops = static_cast<double>(r.max_task_ops);
         a.work = a.ops;
         out.span = tc.session->record(l.kind, trace::Unit::kCpu,
@@ -365,12 +368,13 @@ Launched launch(sim::CpuUnit& cpu, sim::Device* dev, const LevelAlgorithm<T>& al
                 }
             },
             l.intra);
-        out.time = r.time;
-        if (!tc.on()) return out;
         const auto& dp = dev->params();
+        out.time = r.time;
+        out.ops = r.total_ops.gpu_ops(dp.strided_penalty);
+        if (!tc.on()) return out;
         a.items = r.items;
         a.waves = r.waves;
-        a.ops = r.total_ops.gpu_ops(dp.strided_penalty);
+        a.ops = out.ops;
         a.max_ops = r.max_item_ops;
         a.work = static_cast<double>(r.total_ops.cpu_ops());
         a.coalesced_transactions = util::ceil_div(r.total_ops.mem_coalesced, dp.coalesce_width);

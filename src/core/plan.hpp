@@ -16,9 +16,11 @@
 //                   (DESIGN.md §9); plan_advanced is its K = 1 case
 //
 // detail::Walker runs a plan functionally or prices it analytically, one
-// detail::launch per level, recording the span tree as it goes;
-// price_plan() prices it into the flat verify::SchedulePlan the static
-// verifier checks. The executors, the verifier and the pipelined
+// detail::launch per level, recording the span tree as it goes, and on
+// request logs every launch and transfer as a flat verify::SchedulePlan:
+// price_plan() prices a plan into the list the static verifier checks,
+// and a validated run checks the list it executed with the same checker
+// (verify::check_plan). The executors, the verifier and the pipelined
 // never-worse guard therefore all read the same plan: the schedule exists
 // once.
 //
@@ -38,7 +40,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/residency.hpp"
 #include "analysis/schedule.hpp"
 #include "core/launch.hpp"
 #include "model/basic.hpp"
@@ -145,8 +146,8 @@ struct Cursor {
 };
 
 /// Runs (functional) or prices (analytic) one plan, filling `rep`. With
-/// `events` set, every priced launch and transfer is also logged as a
-/// verify::PlanEvent.
+/// `events` set, every launch and transfer it runs or prices is also
+/// logged as a verify::PlanEvent on the run's clock.
 template <typename T>
 struct Walker {
     const Plan& plan;
@@ -252,18 +253,12 @@ struct Walker {
         // A functional run streams the caller's slice through one device
         // copy; analytic runs never touch data.
         std::optional<sim::DeviceBuffer<T>> buf;
-        std::vector<sim::BufferEvent> buf_events;
-        if (opts.functional) {
-            buf.emplace(data.subspan(plan.device_offset));
-            if (val.on()) buf->set_trace(&buf_events);
-        }
-        // Moves [offset, offset + words) of the slice over the link schedule
-        // [start, end).
-        auto move_words = [&](bool in, std::uint64_t offset, std::uint64_t words,
-                              sim::Ticks start, sim::Ticks end) {
+        if (opts.functional) buf.emplace(data.subspan(plan.device_offset));
+        // Moves [offset, offset + words) of the slice.
+        auto move_words = [&](bool in, std::uint64_t offset, std::uint64_t words) {
             if (!buf) return;
-            if (in) buf->stream_to_device(offset, words, start, end);
-            else buf->stream_to_host(offset, words, start, end);
+            if (in) buf->stream_to_device(offset, words);
+            else buf->stream_to_host(offset, words);
         };
 
         // One link transfer of [offset, offset + words) of the slice, ready
@@ -274,7 +269,7 @@ struct Walker {
             const sim::Ticks x = link.transfer_time(words);
             const sim::Ticks start = std::max(ready, link_free);
             link_free = start + x;
-            move_words(in, offset, words, start, link_free);
+            move_words(in, offset, words);
             const sim::Ticks dur = plan.streamed ? link_free - start : x;
             rep.transfer += dur;
             Cursor at = lane;
@@ -291,7 +286,7 @@ struct Walker {
         };
 
         // Without link transfers the slice still moves, in zero time.
-        if (!plan.ship) move_words(true, 0, W, lane.at, lane.at);
+        if (!plan.ship) move_words(true, 0, W);
         std::vector<sim::Ticks> arrived(plan.gpu.size(), lane.at);
         for (std::size_t c = 0; c < plan.gpu.size(); ++c) {
             const Climb& ch = plan.gpu[c];
@@ -306,7 +301,7 @@ struct Walker {
             Cursor cur = lane;
             cur.restart(ch.merge ? gpu_free : std::max(gpu_free, arrived[c]));
             const std::span<T> dspan =
-                buf ? buf->device_region(ch.offset - plan.device_offset, ch.words, cur.at)
+                buf ? buf->device_region(ch.offset - plan.device_offset, ch.words)
                     : std::span<T>{};
             device_climb(ch, dspan, cur, parent, c == 0 || ch.merge);
             rep.gpu_busy += cur.k;
@@ -316,7 +311,7 @@ struct Walker {
 
         sim::Ticks end = gpu_free;
         if (!plan.ship) {
-            move_words(false, 0, W, gpu_free, gpu_free);
+            move_words(false, 0, W);
         } else if (plan.gpu.back().merge || !plan.streamed) {
             end = transfer(false, "xfer-out", 0, W, gpu_free);
         } else {
@@ -326,7 +321,6 @@ struct Walker {
                                ch.words, done[c]);
             }
         }
-        if (val.on()) analysis::lint_residency(buf_events, name + "/device-buffer", *val.report);
         return end;
     }
 
@@ -405,15 +399,16 @@ struct Walker {
         const SpanCtx tc{opts.trace, parent, cur.now(), trace::SpanAttrs::kNoLevel,
                          opts.profile};
         if (opts.functional && alg.has_leaf_work()) {
-            return run(l, tc, verify::Phase::kLeaf, alg.base_size(),
-                       [&](std::uint64_t j, sim::OpCounter& ops) {
-                           alg.run_leaf(region, count, j, ops);
-                       });
+            return logged(l, tc, c.offset, c.words,
+                          run(l, tc, verify::Phase::kLeaf, alg.base_size(),
+                              [&](std::uint64_t j, sim::OpCounter& ops) {
+                                  alg.run_leaf(region, count, j, ops);
+                              }));
         }
         l.task_ops = alg.recurrence().leaf_cost;
         l.work = static_cast<double>(count) * l.task_ops;
         l.ops = l.work;
-        return priced(l, tc, c.offset, c.words);
+        return logged(l, tc, c.offset, c.words, launch(cpu, dev, alg, l, tc, nullptr));
     }
 
     /// Level `i` of a climb's slice, `tasks` tasks wide.
@@ -429,29 +424,33 @@ struct Walker {
         // also when this lane holds only a slice of it.
         if (!gpu) l.working_set = alg.level_working_set_bytes(plan.n);
         const SpanCtx tc{opts.trace, parent, cur.now(), i, opts.profile};
+        const std::uint64_t words = tasks * plan.task_size(i);
         if (!opts.functional) {
             const double work = alg.recurrence().task_cost(static_cast<double>(plan.n),
                                                            static_cast<double>(i));
             l.task_ops = gpu ? work * alg.device_ops_multiplier(dev->params()) : work;
             l.work = static_cast<double>(tasks) * work;
             l.ops = static_cast<double>(tasks) * l.task_ops;
-            return priced(l, tc, c.offset, tasks * plan.task_size(i));
+            return logged(l, tc, c.offset, words, launch(cpu, dev, alg, l, tc, nullptr));
         }
         if (!gpu) {
-            return run(l, tc, verify::Phase::kCpuTask, region.size() / tasks,
-                       [&](std::uint64_t j, sim::OpCounter& ops) {
-                           alg.run_task(region, tasks, j, ops);
-                       });
+            return logged(l, tc, c.offset, words,
+                          run(l, tc, verify::Phase::kCpuTask, region.size() / tasks,
+                              [&](std::uint64_t j, sim::OpCounter& ops) {
+                                  alg.run_task(region, tasks, j, ops);
+                              }));
         }
         // The level runs in work-groups. Validation also re-executes it one
         // item at a time, in a permuted order, to catch order-dependent
         // kernels the declared access sets miss.
         std::vector<T> before;
         if (val.on()) before.assign(region.begin(), region.end());
-        const sim::Ticks t = run(l, tc, verify::Phase::kDeviceTask, region.size() / tasks,
-                                 [&](std::uint64_t first, std::span<sim::OpCounter> ops) {
-                                     alg.run_device_group(region, tasks, first, ops);
-                                 });
+        const sim::Ticks t =
+            logged(l, tc, c.offset, words,
+                   run(l, tc, verify::Phase::kDeviceTask, region.size() / tasks,
+                       [&](std::uint64_t first, std::span<sim::OpCounter> ops) {
+                           alg.run_device_group(region, tasks, first, ops);
+                       }));
         if (!val.on()) return t;
         const std::vector<T> after(region.begin(), region.end());
         auto finding = analysis::check_schedule_independence(
@@ -482,63 +481,59 @@ struct Walker {
             l.task_ops = item.gpu_ops(dev->params().strided_penalty);
             l.work = static_cast<double>(c.words) * static_cast<double>(item.cpu_ops());
             l.ops = static_cast<double>(c.words) * l.task_ops;
-            return priced(l, tc, c.offset, c.words);
+            return logged(l, tc, c.offset, c.words, launch(cpu, dev, alg, l, tc, nullptr));
         }
         const std::uint64_t w0 = tc.wall_start();
         alg.run_elementwise_level(region, c.words / size);
         const Launched out =
             launch(cpu, dev, alg, l, tc, [&](std::uint64_t, sim::OpCounter& ops) { ops += item; });
         annotate_wall(tc, out.span, w0);  // the host pass is the level's data work
-        return out.time;
+        return logged(l, tc, c.offset, c.words, out);
     }
 
     /// One functional launch; under validation every task's accesses are
     /// logged and the launch is race-checked as `phase`.
     template <typename Body>
-    sim::Ticks run(const Launch& l, const SpanCtx& tc, verify::Phase phase,
-                   std::uint64_t task_size, Body&& body) {
-        if (!val.on()) return launch(cpu, dev, alg, l, tc, body).time;
+    Launched run(const Launch& l, const SpanCtx& tc, verify::Phase phase,
+                 std::uint64_t task_size, Body&& body) {
+        if (!val.on()) return launch(cpu, dev, alg, l, tc, body);
         std::vector<sim::ItemAccessLog> logs(l.tasks);
-        sim::Ticks t = 0.0;
+        Launched out;
         if constexpr (kGroupBody<Body>) {
-            t = launch(cpu, dev, alg, l, tc,
-                       [&](std::uint64_t first, std::span<sim::OpCounter> ops) {
-                           for (std::size_t i = 0; i < ops.size(); ++i) {
-                               ops[i].trace = &logs[first + i];
-                           }
-                           body(first, ops);
-                       })
-                    .time;
+            out = launch(cpu, dev, alg, l, tc,
+                         [&](std::uint64_t first, std::span<sim::OpCounter> ops) {
+                             for (std::size_t i = 0; i < ops.size(); ++i) {
+                                 ops[i].trace = &logs[first + i];
+                             }
+                             body(first, ops);
+                         });
         } else {
-            t = launch(cpu, dev, alg, l, tc,
-                       [&](std::uint64_t j, sim::OpCounter& ops) {
-                           ops.trace = &logs[j];
-                           body(j, ops);
-                       })
-                    .time;
+            out = launch(cpu, dev, alg, l, tc, [&](std::uint64_t j, sim::OpCounter& ops) {
+                ops.trace = &logs[j];
+                body(j, ops);
+            });
         }
         const std::uint64_t width =
             l.unit == trace::Unit::kGpu ? dev->params().g : cpu.params().p;
         check_launch(alg, phase, logs, width, task_size,
                      launch_label(alg.name(), l.phase, l.tasks), val);
-        return t;
+        return out;
     }
 
-    /// One priced launch, logged as a plan event when pricing for the
-    /// verifier.
-    sim::Ticks priced(const Launch& l, const SpanCtx& tc, std::uint64_t offset,
-                      std::uint64_t words) {
-        const sim::Ticks t = launch(cpu, dev, alg, l, tc, nullptr).time;
+    /// The time of launch `out` over [offset, offset + words) of the array,
+    /// logged first as a plan event when a checker asked for the list.
+    sim::Ticks logged(const Launch& l, const SpanCtx& tc, std::uint64_t offset,
+                      std::uint64_t words, const Launched& out) {
         if (events != nullptr) {
             events->events.push_back(
                 {l.unit == trace::Unit::kGpu ? verify::PlanEvent::Unit::kGpu
                                              : verify::PlanEvent::Unit::kCpu,
                  l.kind == trace::SpanKind::kLeaves ? verify::PlanEvent::Kind::kLeaves
                                                     : verify::PlanEvent::Kind::kLevel,
-                 tc.at, t, l.tasks, offset, words, l.ops,
+                 tc.at, out.time, l.tasks, offset, words, out.ops,
                  std::string(l.phase) + "[" + std::to_string(l.tasks) + "]"});
         }
-        return t;
+        return out.time;
     }
 };
 

@@ -9,8 +9,8 @@ namespace hpu::metrics {
 
 namespace {
 
-/// Escapes a string for a Prometheus HELP line / JSON literal (the shared
-/// subset: backslash, quote, newline).
+/// Escapes a string for a Prometheus HELP line (backslash, quote,
+/// newline).
 std::string escape(const std::string& s) {
     std::string out;
     out.reserve(s.size());
@@ -66,19 +66,6 @@ void prom_histogram(std::ostream& os, const RegistrySnapshot::HistogramValue& h)
     os << h.name << "_count " << h.hist.count << "\n";
 }
 
-void json_histogram(std::ostream& os, const util::HistogramSnapshot& h) {
-    os << "{\"count\":" << h.count << ",\"sum\":" << h.sum << ",\"min\":" << h.min
-       << ",\"max\":" << h.max << ",\"mean\":";
-    write_number(os, h.mean());
-    os << ",\"buckets\":[";
-    const std::size_t last = last_used_bucket(h);
-    for (std::size_t i = 0; i <= last; ++i) {
-        if (i != 0) os << ",";
-        os << "{\"le\":" << le_bound(i) << ",\"count\":" << h.buckets[i] << "}";
-    }
-    os << "]}";
-}
-
 }  // namespace
 
 void export_prometheus(const RegistrySnapshot& snap, std::ostream& os) {
@@ -95,39 +82,6 @@ void export_prometheus(const RegistrySnapshot& snap, std::ostream& os) {
         os << "\n";
     }
     for (const auto& h : snap.histograms) prom_histogram(os, h);
-}
-
-void export_json(const RegistrySnapshot& snap, std::ostream& os) {
-    os << "{\"counters\":{";
-    bool first = true;
-    for (const auto& c : snap.counters) {
-        if (!first) os << ",";
-        first = false;
-        os << "\"" << escape(c.name) << "\":" << c.value;
-    }
-    os << "},\"gauges\":{";
-    first = true;
-    for (const auto& g : snap.gauges) {
-        if (!first) os << ",";
-        first = false;
-        os << "\"" << escape(g.name) << "\":";
-        // JSON has no Inf/NaN literals; a gauge that is not finite exports
-        // as null.
-        if (std::isfinite(g.value)) {
-            write_number(os, g.value);
-        } else {
-            os << "null";
-        }
-    }
-    os << "},\"histograms\":{";
-    first = true;
-    for (const auto& h : snap.histograms) {
-        if (!first) os << ",";
-        first = false;
-        os << "\"" << escape(h.name) << "\":";
-        json_histogram(os, h.hist);
-    }
-    os << "}}\n";
 }
 
 bool write_prometheus_file(const RegistrySnapshot& snap, const std::string& path) {

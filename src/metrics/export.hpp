@@ -1,9 +1,8 @@
-// Serializers of a RegistrySnapshot: Prometheus text exposition format
-// (scrape-ready; linted in CI by tools/check_prom.py) and a JSON mirror for
-// ad-hoc tooling. Log2Histogram bucket i holds values <= 2^i - 1, which is
-// exactly a cumulative Prometheus bucket with le="2^i - 1"; buckets above
-// the highest non-empty one are elided (the +Inf bucket always closes the
-// series).
+// Serializer of a RegistrySnapshot: Prometheus text exposition format
+// (scrape-ready; linted in CI by tools/check_prom.py). Log2Histogram
+// bucket i holds values <= 2^i - 1, which is exactly a cumulative
+// Prometheus bucket with le="2^i - 1"; buckets above the highest non-empty
+// one are elided (the +Inf bucket always closes the series).
 #pragma once
 
 #include <iosfwd>
@@ -17,11 +16,6 @@ namespace hpu::metrics {
 /// then the samples. Histograms expand to _bucket{le="..."} / _sum /
 /// _count series with cumulative counts.
 void export_prometheus(const RegistrySnapshot& snap, std::ostream& os);
-
-/// JSON object {"counters":{...},"gauges":{...},"histograms":{...}} with
-/// the same data (histograms keep their per-bucket counts plus
-/// count/sum/min/max).
-void export_json(const RegistrySnapshot& snap, std::ostream& os);
 
 bool write_prometheus_file(const RegistrySnapshot& snap, const std::string& path);
 

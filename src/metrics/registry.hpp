@@ -5,8 +5,8 @@
 // snapshots — publish_pool adds a ThreadPool telemetry snapshot (wall-clock
 // side), publish_counters a trace::counters() snapshot (virtual-clock
 // side), obs::publish_obs the watchdog's findings — so one scrape covers
-// both clocks. The exporters in metrics/export.hpp serialize a snapshot as
-// Prometheus text format or JSON.
+// both clocks. metrics/export.hpp serializes a snapshot as Prometheus text
+// format.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "model/observed.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 namespace hpu::model {
@@ -17,52 +18,36 @@ double device_ops(const ObservedTask& t, double mult) {
 
 /// waves[k] for every split k ∈ [0, W]: the wave times of the device part
 /// [k, W) as sim::Device::launch charges them — per wave of g tasks from k
-/// on, the wave time of its slowest task. waves[W] = 0. O(W): a sliding
-/// maximum of width g (a ring of at most g + 1 tasks, device ops
-/// decreasing from head to back), then the wave sums S[k] = M[k] + S[k + g]
-/// from the right.
+/// on, the wave time of its slowest task. waves[W] = 0. O(W) without
+/// data-dependent branches: in blocks of g tasks, the wave [k, k + g) is a
+/// suffix of k's block and a prefix of the next one, so its slowest task is
+/// the larger of a running suffix maximum and the next block's prefix
+/// maximum; the wave sums S[k] = M[k] + S[k + g] follow from the right.
 std::span<const double> wave_sums(const sim::HpuParams& hw, std::span<const ObservedTask> tasks,
                                   double mult, SplitScratch& s) {
+    constexpr double kNone = -std::numeric_limits<double>::infinity();
     const std::size_t w = tasks.size();
     const std::size_t g = std::min<std::uint64_t>(hw.gpu.g, w + 1);
-    const std::size_t cap = g + 1;
     s.waves.resize(w + 1);
     s.waves[w] = 0.0;
-    s.window.resize(cap);
-    std::size_t head = 0, size = 0;
-    auto at = [&](std::size_t i) -> std::pair<std::size_t, double>& {
-        return s.window[head + i < cap ? head + i : head + i - cap];
-    };
-    for (std::size_t k = w; k-- > 0;) {
-        const double ops = device_ops(tasks[k], mult);
-        while (size > 0 && at(size - 1).second <= ops) --size;
-        at(size++) = {k, ops};
-        if (at(0).first >= k + g) {
-            head = head + 1 < cap ? head + 1 : 0;
-            --size;
+    s.prefix.resize(g);
+    for (std::size_t end = w; end > 0;) {
+        const std::size_t begin = (end - 1) / g * g;
+        // prefix[i]: the slowest of the first i tasks after the block.
+        double slowest = kNone;
+        for (std::size_t i = 0; i < g; ++i) {
+            s.prefix[i] = slowest;
+            if (end + i < w) slowest = std::max(slowest, device_ops(tasks[end + i], mult));
         }
-        s.waves[k] = hw.gpu.wave_time(at(0).second) + (k + g < w ? s.waves[k + g] : 0.0);
+        double suffix = kNone;
+        for (std::size_t k = end; k-- > begin;) {
+            suffix = std::max(suffix, device_ops(tasks[k], mult));
+            s.waves[k] = hw.gpu.wave_time(std::max(suffix, s.prefix[k - begin])) +
+                         (k + g < w ? s.waves[k + g] : 0.0);
+        }
+        end = begin;
     }
     return s.waves;
-}
-
-/// The device price of the whole level (split k = 0, no transfers): the
-/// launch overhead plus its wave times, summed right to left like the
-/// suffix sums of wave_sums. 0 for an empty level.
-double whole_level_device_price(const sim::HpuParams& hw, std::span<const ObservedTask> tasks,
-                                double mult) {
-    const std::size_t w = tasks.size(), g = hw.gpu.g;
-    if (w == 0) return 0.0;
-    double waves = 0.0;
-    for (std::size_t b = (w - 1) / g * g;; b -= g) {
-        double slowest = device_ops(tasks[b], mult);
-        for (std::size_t j = b + 1; j < std::min(b + g, w); ++j) {
-            slowest = std::max(slowest, device_ops(tasks[j], mult));
-        }
-        waves = hw.gpu.wave_time(slowest) + waves;
-        if (b == 0) break;
-    }
-    return hw.gpu.launch_overhead + waves;
 }
 
 }  // namespace
@@ -112,7 +97,7 @@ ObservedSplit split_observed_level(const sim::HpuParams& hw,
 ObservedPlacement place_observed_level(const sim::HpuParams& hw,
                                        std::span<const ObservedTask> tasks,
                                        double device_multiplier, double cpu_extra,
-                                       double gpu_extra) {
+                                       double gpu_extra, SplitScratch& scratch) {
     double total = 0.0, max_cost = 0.0;
     for (const ObservedTask& t : tasks) {
         total += t.cost;
@@ -120,7 +105,13 @@ ObservedPlacement place_observed_level(const sim::HpuParams& hw,
     }
     ObservedPlacement pl;
     pl.cpu_est = cpu_makespan(hw.cpu, total, max_cost) + cpu_extra;
-    pl.gpu_est = whole_level_device_price(hw, tasks, device_multiplier) + gpu_extra;
+    // The device part of split k = 0 without its transfers: 0 for an
+    // empty level.
+    const double device =
+        tasks.empty()
+            ? 0.0
+            : hw.gpu.launch_overhead + wave_sums(hw, tasks, device_multiplier, scratch)[0];
+    pl.gpu_est = device + gpu_extra;
     pl.unit = pl.cpu_est <= pl.gpu_est ? LevelPlacement::kCpu : LevelPlacement::kGpu;
     return pl;
 }

@@ -18,7 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "sim/params.hpp"
@@ -62,14 +61,13 @@ ObservedSplit split_observed_level(const sim::HpuParams& hw,
                                    std::span<const ObservedTask> tasks,
                                    double device_multiplier, bool include_transfers);
 
-/// Buffers a split works in. Hand one to every split of a run (the
-/// dynamic-tree sweeps keep one per run), and a split allocates only for a
-/// level wider than every level before it; it holds about 8 bytes a task
-/// of the widest level.
+/// Buffers a split or a placement works in. Hand one to every split and
+/// placement of a run (the dynamic-tree sweeps keep one per run), and a
+/// level allocates only when it is wider than every level before it; it
+/// holds about 8 bytes a task of the widest level.
 struct SplitScratch {
-    std::vector<double> waves;  ///< wave sums of the device part [k, W), per k
-    /// Sliding maximum of the wave starting at k: (task, device ops).
-    std::vector<std::pair<std::size_t, double>> window;
+    std::vector<double> waves;   ///< wave sums of the device part [k, W), per k
+    std::vector<double> prefix;  ///< prefix maxima of a block of g tasks
 };
 
 /// The same split, working in `scratch`.
@@ -80,10 +78,10 @@ ObservedSplit split_observed_level(const sim::HpuParams& hw,
 
 /// Whole-level placement for the basic-style irregular schedule: the level
 /// runs entirely on one unit, priced as split_observed_level prices k = 0
-/// (device) and k = width (CPU); equal prices keep the CPU. `cpu_extra` /
-/// `gpu_extra` are the residency switch costs (ticks) the engine would pay
-/// to place the level on that unit given where the frontier currently
-/// lives.
+/// (device, without transfers) and k = width (CPU), working in `scratch`;
+/// equal prices keep the CPU. `cpu_extra` / `gpu_extra` are the residency
+/// switch costs (ticks) the engine would pay to place the level on that
+/// unit given where the frontier currently lives.
 enum class LevelPlacement { kCpu, kGpu };
 
 struct ObservedPlacement {
@@ -95,6 +93,6 @@ struct ObservedPlacement {
 ObservedPlacement place_observed_level(const sim::HpuParams& hw,
                                        std::span<const ObservedTask> tasks,
                                        double device_multiplier, double cpu_extra,
-                                       double gpu_extra);
+                                       double gpu_extra, SplitScratch& scratch);
 
 }  // namespace hpu::model

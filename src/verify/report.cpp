@@ -81,59 +81,4 @@ std::string VerifyReport::summary() const {
     return os.str();
 }
 
-namespace {
-
-void json_escape(std::ostringstream& os, const std::string& s) {
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\') os << '\\';
-        os << c;
-    }
-    os << '"';
-}
-
-}  // namespace
-
-std::string VerifyReport::to_json() const {
-    std::ostringstream os;
-    os << "{\"algorithm\":";
-    json_escape(os, algorithm);
-    os << ",\"executor\":";
-    json_escape(os, executor);
-    os << ",\"n\":" << n << ",\"attempted\":" << (attempted ? "true" : "false")
-       << ",\"race_free\":" << (race_free() ? "true" : "false")
-       << ",\"certified\":" << (certified() ? "true" : "false") << ",\"checks_passed\":"
-       << checks_passed << ",\"proofs\":[";
-    for (std::size_t i = 0; i < proofs.size(); ++i) {
-        const PhaseProof& pp = proofs[i];
-        if (i > 0) os << ",";
-        os << "{\"phase\":";
-        json_escape(os, to_string(pp.phase));
-        os << ",\"status\":";
-        json_escape(os, to_string(pp.status));
-        os << ",\"rules\":";
-        json_escape(os, pp.rules);
-        os << ",\"pairs_checked\":" << pp.pairs_checked;
-        if (pp.counterexample.has_value()) {
-            const Counterexample& ce = *pp.counterexample;
-            os << ",\"counterexample\":{\"n\":" << ce.n << ",\"level\":" << ce.level
-               << ",\"count\":" << ce.count << ",\"sz\":" << ce.sz << ",\"j_a\":" << ce.j_a
-               << ",\"j_b\":" << ce.j_b << ",\"word\":" << ce.word << ",\"write_write\":"
-               << (ce.write_write ? "true" : "false") << "}";
-        }
-        os << "}";
-    }
-    os << "],\"findings\":[";
-    for (std::size_t i = 0; i < findings.size(); ++i) {
-        if (i > 0) os << ",";
-        os << "{\"kind\":";
-        json_escape(os, to_string(findings[i].kind));
-        os << ",\"detail\":";
-        json_escape(os, findings[i].detail);
-        os << "}";
-    }
-    os << "]}";
-    return os.str();
-}
-
 }  // namespace hpu::verify

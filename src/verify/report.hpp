@@ -96,7 +96,6 @@ struct VerifyReport {
     bool certified() const;
 
     std::string summary() const;
-    std::string to_json() const;
 };
 
 }  // namespace hpu::verify

@@ -177,17 +177,21 @@ void check_plan(const SchedulePlan& plan, const sim::HpuParams& hw, VerifyReport
         }
     }
 
-    // --- Pipelined chunk double-buffer safety: input chunks are pairwise
-    // disjoint in space, and no kernel overlaps a chunk still in flight.
-    for (std::size_t i = 0; i < xfers_in.size(); ++i) {
-        for (std::size_t k = i + 1; k < xfers_in.size(); ++k) {
-            if (!region_overlap(*xfers_in[i], *xfers_in[k])) {
-                ++rep.checks_passed;
-            } else {
-                std::ostringstream os;
-                os << xfers_in[i]->label << " and " << xfers_in[k]->label
-                   << " stream overlapping element ranges";
-                finding(rep, VerifyFinding::Kind::kChunkOverlap, os.str());
+    // --- Pipelined chunk double-buffer safety: the chunks shipped each way
+    // are pairwise disjoint in space (no word crosses the link twice in one
+    // direction), and no kernel overlaps a chunk still in flight.
+    for (const std::vector<const PlanEvent*>* xfers : {&xfers_in, &xfers_out}) {
+        for (std::size_t i = 0; i < xfers->size(); ++i) {
+            for (std::size_t k = i + 1; k < xfers->size(); ++k) {
+                const PlanEvent& a = *(*xfers)[i];
+                const PlanEvent& b = *(*xfers)[k];
+                if (!region_overlap(a, b)) {
+                    ++rep.checks_passed;
+                } else {
+                    std::ostringstream os;
+                    os << a.label << " and " << b.label << " stream overlapping element ranges";
+                    finding(rep, VerifyFinding::Kind::kChunkOverlap, os.str());
+                }
             }
         }
     }

@@ -1,12 +1,13 @@
-// Static schedule verification: the executors' planned event sequences
-// (levels, leaf sweeps, transfers) re-expressed as a flat SchedulePlan and
-// checked against the resource invariants the paper's schedulers promise —
-// per-event capacity conservation (a CPU slot fits at most p task-streams,
-// a device launch at most g lanes per wave), per-unit serialization,
-// transfer-before-use precedence, pipelined chunk double-buffer safety,
-// and the pipelined never-worse guard. Violations become VerifyFindings on
-// the run's certificate; invariants that hold bump checks_passed. The
-// plans come from core/plan.hpp, priced by the walker that runs them.
+// Schedule verification: the executors' event sequences (levels, leaf
+// sweeps, transfers) as a flat SchedulePlan, checked against the resource
+// invariants the paper's schedulers promise — per-event capacity
+// conservation (a CPU slot fits at most p task-streams, a device launch at
+// most g lanes per wave), per-unit serialization, transfer-before-use
+// precedence, pipelined chunk double-buffer safety, and the pipelined
+// never-worse guard. Violations become VerifyFindings; invariants that
+// hold bump checks_passed. The lists come from the plan walker of
+// core/plan.hpp: priced before a run for its certificate, or logged as a
+// validated run executes them.
 #pragma once
 
 #include <cstdint>

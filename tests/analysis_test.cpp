@@ -1,8 +1,8 @@
-// Tests of the hpu::analysis correctness passes (ISSUE 1): the wave race
-// detector, the buffer-residency lint, and the schedule-independence
-// checker — first against hand-built traces, then end-to-end through the
-// executors with seeded defective algorithms, and finally as a clean sweep
-// over every real algorithm × executor combination with validation on.
+// Tests of the hpu::analysis correctness passes: the wave race detector
+// and the schedule-independence checker — first against hand-built traces,
+// then end-to-end through the executors with seeded defective algorithms,
+// and finally as a clean sweep over every real algorithm × executor
+// combination with validation on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,7 +21,6 @@
 #include "algos/mergesort_blocked.hpp"
 #include "analysis/race.hpp"
 #include "analysis/report.hpp"
-#include "analysis/residency.hpp"
 #include "analysis/schedule.hpp"
 #include "analysis/validate.hpp"
 #include "core/executors.hpp"
@@ -33,12 +32,6 @@
 
 namespace hpu::analysis {
 namespace {
-
-std::uint64_t count_kind(const AnalysisReport& r, FindingKind k) {
-    std::uint64_t c = 0;
-    for (const auto& f : r.findings) c += f.kind == k ? 1 : 0;
-    return c;
-}
 
 // ---------------------------------------------------------------- races
 
@@ -145,39 +138,6 @@ TEST(RaceDetector, FindingCapCountsSuppressed) {
     detect_races(items, 4, "unit/cap", rep);
     EXPECT_EQ(rep.findings.size(), 8u);
     EXPECT_EQ(rep.findings_suppressed, 11u);
-}
-
-// ------------------------------------------------------------- residency
-
-TEST(ResidencyLint, FlagsRedundantFullTransfer) {
-    std::vector<int> host(8);
-    sim::DeviceBuffer<int> buf{std::span(host)};
-    std::vector<sim::BufferEvent> log;
-    buf.set_trace(&log);
-    buf.stream_to_device(0, 8, 0.0, 1.0);
-    buf.stream_to_device(0, 8, 1.0, 2.0);  // device copy already valid — moves nothing new
-    buf.device_region(0, 8, 2.0)[0] = 7;
-    buf.stream_to_host(0, 8, 2.0, 3.0);
-    buf.stream_to_host(0, 8, 3.0, 4.0);  // host copy already valid
-    AnalysisReport rep;
-    lint_residency(log, "unit/buf", rep);
-    EXPECT_EQ(count_kind(rep, FindingKind::kRedundantTransfer), 2u);
-    EXPECT_EQ(rep.findings[0].severity, Severity::kWarning);
-    EXPECT_TRUE(rep.clean());  // warnings do not make a run unclean
-}
-
-TEST(ResidencyLint, CleanForCanonicalRoundTrip) {
-    std::vector<int> host(8);
-    sim::DeviceBuffer<int> buf{std::span(host)};
-    std::vector<sim::BufferEvent> log;
-    buf.set_trace(&log);
-    host[0] = 1;
-    buf.stream_to_device(0, 8, 0.0, 1.0);
-    buf.device_region(0, 8, 1.0)[0] = 2;
-    buf.stream_to_host(0, 8, 1.0, 2.0);
-    AnalysisReport rep;
-    lint_residency(log, "unit/buf", rep);
-    EXPECT_TRUE(rep.findings.empty());
 }
 
 // -------------------------------------------------------------- schedule
@@ -523,9 +483,9 @@ std::vector<std::int32_t> random_input(std::uint64_t n, std::uint64_t seed) {
 
 /// Runs one algorithm through every executor with validation on and
 /// requires a finding-free report each time (the Alg. 3 independence
-/// contract, now checked rather than assumed). Every device lane streams
-/// its slice and takes its climbs as timed accesses, so the residency
-/// lint checks each of them, including run_gpu without link transfers.
+/// contract, now checked rather than assumed). Every regular run also
+/// checks the schedule it executed, run_gpu without link transfers
+/// included.
 template <typename Alg>
 void expect_clean_everywhere(Alg& alg, std::uint64_t n) {
     sim::Hpu h(platforms::hpu1());

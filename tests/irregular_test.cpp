@@ -180,8 +180,17 @@ TEST(ObservedSplit, DeviceEstimateEqualsTheLaunchCharge) {
                     })
             .time;
     };
-    const auto pl = model::place_observed_level(hw, est, 1.0, 0.0, 0.0);
+    model::SplitScratch scratch;
+    const auto pl = model::place_observed_level(hw, est, 1.0, 0.0, 0.0, scratch);
     EXPECT_EQ(pl.gpu_est, charge(0));
+    // Every suffix of the level, as a level of its own: whole waves, a
+    // partial last wave, and fewer tasks than lanes.
+    for (std::uint64_t k = 1; k < est.size(); ++k) {
+        const std::span<const model::ObservedTask> rest = std::span(est).subspan(k);
+        EXPECT_EQ(model::place_observed_level(hw, rest, 1.0, 0.0, 0.0, scratch).gpu_est,
+                  charge(k))
+            << "k=" << k;
+    }
     const auto sp = model::split_observed_level(hw, est, 1.0, /*include_transfers=*/false);
     ASSERT_GT(sp.cpu_tasks, 0u);
     ASSERT_LT(sp.cpu_tasks, est.size());
@@ -217,7 +226,9 @@ TEST(ObservedSplit, PerTaskDeviceOpsPriceTheLaunchExactly) {
             .time;
     };
     const double bogus = 1000.0;
-    EXPECT_EQ(model::place_observed_level(hw, est, bogus, 0.0, 0.0).gpu_est, charge(0));
+    model::SplitScratch scratch;
+    EXPECT_EQ(model::place_observed_level(hw, est, bogus, 0.0, 0.0, scratch).gpu_est,
+              charge(0));
     const auto sp = model::split_observed_level(hw, est, bogus, /*include_transfers=*/false);
     ASSERT_GT(sp.cpu_tasks, 0u);
     ASSERT_LT(sp.cpu_tasks, est.size());
@@ -242,7 +253,8 @@ TEST(ObservedSplit, ExactTiesKeepTheLargerCpuPrefix) {
         EXPECT_EQ(sp.gpu_est, 0.0);
         EXPECT_EQ(sp.alpha, 1.0);
     }
-    const auto pl = model::place_observed_level(hw, est, 1.0, 0.0, 0.0);
+    model::SplitScratch scratch;
+    const auto pl = model::place_observed_level(hw, est, 1.0, 0.0, 0.0, scratch);
     EXPECT_EQ(pl.cpu_est, pl.gpu_est);
     EXPECT_EQ(pl.unit, model::LevelPlacement::kCpu);
     // At γ = 1 the device part costs 1 tick for any k < 4, so k = 0, 1, 2

@@ -144,23 +144,6 @@ TEST(Exporters, PrometheusTextFormatIsWellFormed) {
     EXPECT_EQ(text.find("le=\"255\""), std::string::npos);
 }
 
-TEST(Exporters, JsonSnapshotIsBalanced) {
-    util::Log2Histogram h;
-    h.record(5);
-    metrics::RegistrySnapshot snap;
-    snap.counters.push_back({"hpu_a_total", "", 1});
-    snap.gauges.push_back({"hpu_b", "", 1.25});
-    snap.histograms.push_back({"hpu_c", "", h.snapshot()});
-    std::ostringstream os;
-    metrics::export_json(snap, os);
-    const std::string json = os.str();
-    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-              std::count(json.begin(), json.end(), '}'));
-    EXPECT_NE(json.find("\"hpu_a_total\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"hpu_b\":1.25"), std::string::npos);
-    EXPECT_NE(json.find("\"hpu_c\":{\"count\":1"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // ThreadPool telemetry.
 

@@ -316,7 +316,6 @@ TEST(Estimate, UnderfilledDeviceLeavesGNonIdentifiable) {
     ExecOptions opts;
     opts.trace = &session;
     opts.observe = true;
-    opts.watchdog.gpu_occupancy_floor = 0.0;
     sim::Hpu h(platforms::hpu1());
     const ExecReport rep = run_gpu(h, alg, std::span(data), opts);
 

@@ -8,8 +8,8 @@
 //  * functional and analytic clocks agree, and the functional run sorts;
 //  * the PipelinedModel's overlap formula tracks the executor within a
 //    drift bound, and its K = 1 degeneration is exact;
-//  * the residency lint flags kernels touching streamed chunks that have
-//    not arrived (kInFlightRead), and a validated pipelined run is clean;
+//  * a validated run checks the schedule it executed: a pipelined run is
+//    clean, and a plan that ships the device slice twice is flagged;
 //  * the trace records one transfer span per streamed chunk, nested under
 //    the gpu phase span.
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "algos/mergesort.hpp"
-#include "analysis/residency.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "model/pipeline.hpp"
@@ -287,37 +286,9 @@ TEST(PipelinedModel, OverlapFormulaTracksExecutor) {
     }
 }
 
-TEST(PipelinedAnalysis, InFlightReadFlaggedAndValidatedRunClean) {
-    // Synthetic log: a kernel touches a streamed chunk 200 ticks before it
-    // arrives.
-    std::vector<sim::BufferEvent> log(2);
-    log[0].op = sim::BufferOp::kCopyToDevice;
-    log[0].offset = 0;
-    log[0].count = 100;
-    log[0].size = 200;
-    log[0].start = 0.0;
-    log[0].ready = 500.0;
-    log[1].op = sim::BufferOp::kDeviceMut;
-    log[1].device_valid_before = true;
-    log[1].offset = 0;
-    log[1].count = 100;
-    log[1].size = 200;
-    log[1].start = 300.0;
-    log[1].ready = 300.0;
-    analysis::AnalysisReport bad;
-    analysis::lint_residency(log, "test-buffer", bad);
-    EXPECT_TRUE(bad.has(analysis::FindingKind::kInFlightRead));
-    EXPECT_FALSE(bad.clean());
-
-    // Same kernel sequenced on the chunk's arrival: clean.
-    log[1].start = 600.0;
-    log[1].ready = 600.0;
-    analysis::AnalysisReport good;
-    analysis::lint_residency(log, "test-buffer", good);
-    EXPECT_FALSE(good.has(analysis::FindingKind::kInFlightRead));
-
-    // Integration: a validated functional pipelined run reports no
-    // findings — its launches are sequenced on the stream's events.
+TEST(PipelinedAnalysis, ValidatedRunExecutesACleanSchedule) {
+    // A validated functional pipelined run reports no findings: its
+    // launches are sequenced on the arrival of their chunks.
     algos::MergesortCoalesced<std::int32_t> alg;
     const std::uint64_t n = 1ull << 14;
     util::Rng rng(5);
@@ -328,8 +299,37 @@ TEST(PipelinedAnalysis, InFlightReadFlaggedAndValidatedRunClean) {
     pip.exec.validate = true;
     sim::Hpu h(platforms::hpu1());
     const auto rep = run_pipelined_hybrid(h, alg, std::span(data), 0.3, 8, pip);
-    EXPECT_FALSE(rep.analysis.has(analysis::FindingKind::kInFlightRead));
+    EXPECT_FALSE(rep.analysis.has(analysis::FindingKind::kScheduleViolation));
     EXPECT_TRUE(rep.analysis.clean()) << rep.analysis.summary();
+}
+
+TEST(PipelinedAnalysis, DuplicatedDeviceClimbIsAScheduleViolation) {
+    // A defective advanced plan: the device climb is listed twice, so the
+    // slice ships in twice and the first climb runs while the second copy
+    // is still crossing the link. Only a validated run checks the schedule
+    // it executed, and flags it.
+    algos::MergesortCoalesced<std::int32_t> alg;
+    const std::uint64_t n = 1ull << 14;
+    util::Rng rng(5);
+    const auto base = rng.int_vector(n, 0, static_cast<std::int64_t>(2 * n));
+    sim::Hpu h(platforms::hpu1());
+    Plan plan = plan_advanced(alg, h.params(), n, 0.3, 8);
+    ASSERT_EQ(plan.gpu.size(), 1u);
+    plan.gpu.push_back(plan.gpu.front());
+    for (const bool validate : {false, true}) {
+        auto data = base;
+        ExecOptions opts;
+        opts.validate = validate;
+        const ExecReport rep = detail::run_plan(plan, h.cpu(), &h.gpu(), h.params(), alg,
+                                                std::span(data), opts);
+        if (validate) {
+            EXPECT_TRUE(rep.analysis.has(analysis::FindingKind::kScheduleViolation))
+                << rep.analysis.summary();
+            EXPECT_FALSE(rep.analysis.clean());
+        } else {
+            EXPECT_TRUE(rep.analysis.findings.empty()) << rep.analysis.summary();
+        }
+    }
 }
 
 TEST(PipelinedTrace, OneTransferSpanPerChunkNestedUnderGpuPhase) {

@@ -242,35 +242,35 @@ TEST(Device, GroupKernelsFoldLikeItemKernels) {
 TEST(Buffer, ResidencyIsEnforced) {
     std::vector<int> host(8);
     DeviceBuffer<int> buf{std::span(host)};
-    EXPECT_THROW(buf.device_region(0, 4, 0.0), util::HpuError);        // not copied yet
-    EXPECT_THROW(buf.stream_to_host(0, 4, 0.0, 0.0), util::HpuError);  // nothing on device
+    EXPECT_THROW(buf.device_region(0, 4), util::HpuError);   // not copied yet
+    EXPECT_THROW(buf.stream_to_host(0, 4), util::HpuError);  // nothing on device
     host[0] = 42;
-    buf.stream_to_device(0, 4, 0.0, 1.0);
-    EXPECT_EQ(buf.device_region(0, 4, 1.0)[0], 42);
+    buf.stream_to_device(0, 4);
+    EXPECT_EQ(buf.device_region(0, 4)[0], 42);
     // [4, 8) has not been copied in.
-    EXPECT_THROW(buf.device_region(2, 4, 1.0), util::HpuError);
-    EXPECT_THROW(buf.stream_to_host(4, 4, 1.0, 2.0), util::HpuError);
+    EXPECT_THROW(buf.device_region(2, 4), util::HpuError);
+    EXPECT_THROW(buf.stream_to_host(4, 4), util::HpuError);
 }
 
 TEST(Buffer, BorrowsTheCallersArrayAndKeepsDeviceWritesOutOfIt) {
     std::vector<int> host = {1, 2, 3, 4, 5, 6, 7, 8};
     DeviceBuffer<int> buf{std::span(host)};
     EXPECT_EQ(buf.size(), host.size());
-    buf.stream_to_device(0, 4, 0.0, 10.0);
-    buf.stream_to_device(4, 4, 10.0, 20.0);
+    buf.stream_to_device(0, 4);
+    buf.stream_to_device(4, 4);
     host[2] = -3;  // a host write after the copy never reaches the device
-    EXPECT_EQ(buf.device_region(0, 4, 20.0)[2], 3);
+    EXPECT_EQ(buf.device_region(0, 4)[2], 3);
 
     // Each device write reaches the caller's array with its own chunk's
     // stream_to_host, and not before; the readback overwrites the array.
-    buf.device_region(0, 4, 20.0)[0] = 100;
-    buf.device_region(4, 4, 20.0)[3] = 800;
+    buf.device_region(0, 4)[0] = 100;
+    buf.device_region(4, 4)[3] = 800;
     EXPECT_EQ(host[0], 1);
     EXPECT_EQ(host[7], 8);
-    buf.stream_to_host(4, 4, 20.0, 30.0);
+    buf.stream_to_host(4, 4);
     EXPECT_EQ(host[0], 1);
     EXPECT_EQ(host[7], 800);
-    buf.stream_to_host(0, 4, 30.0, 40.0);
+    buf.stream_to_host(0, 4);
     EXPECT_EQ(host, (std::vector<int>{100, 2, 3, 4, 5, 6, 7, 800}));
 }
 
@@ -278,46 +278,20 @@ TEST(Buffer, StreamedRangeChecksDoNotOverflow) {
     std::vector<int> host(8);
     DeviceBuffer<int> buf{std::span(host)};
     constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-    EXPECT_THROW(buf.stream_to_device(6, 3, 0.0, 1.0), util::HpuError);
-    EXPECT_THROW(buf.stream_to_device(9, 0, 0.0, 1.0), util::HpuError);
+    EXPECT_THROW(buf.stream_to_device(6, 3), util::HpuError);
+    EXPECT_THROW(buf.stream_to_device(9, 0), util::HpuError);
     // offset + count wraps around std::size_t; the checks must not.
-    EXPECT_THROW(buf.stream_to_device(4, kMax, 0.0, 1.0), util::HpuError);
-    buf.stream_to_device(0, 8, 0.0, 1.0);
-    EXPECT_THROW(buf.device_region(6, 3, 1.0), util::HpuError);
-    EXPECT_THROW(buf.device_region(9, 0, 1.0), util::HpuError);
-    EXPECT_THROW(buf.device_region(4, kMax, 1.0), util::HpuError);
-    EXPECT_THROW(buf.stream_to_host(6, 3, 1.0, 2.0), util::HpuError);
-    EXPECT_THROW(buf.stream_to_host(9, 0, 1.0, 2.0), util::HpuError);
-    EXPECT_THROW(buf.stream_to_host(4, kMax, 1.0, 2.0), util::HpuError);
+    EXPECT_THROW(buf.stream_to_device(4, kMax), util::HpuError);
+    buf.stream_to_device(0, 8);
+    EXPECT_THROW(buf.device_region(6, 3), util::HpuError);
+    EXPECT_THROW(buf.device_region(9, 0), util::HpuError);
+    EXPECT_THROW(buf.device_region(4, kMax), util::HpuError);
+    EXPECT_THROW(buf.stream_to_host(6, 3), util::HpuError);
+    EXPECT_THROW(buf.stream_to_host(9, 0), util::HpuError);
+    EXPECT_THROW(buf.stream_to_host(4, kMax), util::HpuError);
     // The last word and the empty range at the end are in range.
-    EXPECT_NO_THROW(buf.device_region(7, 1, 1.0));
-    EXPECT_NO_THROW(buf.stream_to_host(8, 0, 1.0, 1.0));
-}
-
-TEST(Buffer, EventTraceRecordsOpsAndPriorState) {
-    std::vector<int> host(4);
-    DeviceBuffer<int> buf{std::span(host)};
-    std::vector<BufferEvent> log;
-    buf.set_trace(&log);
-    buf.stream_to_device(0, 4, 0.0, 5.0);
-    buf.device_region(1, 2, 5.0)[0] = 2;
-    buf.stream_to_host(0, 4, 6.0, 11.0);
-    EXPECT_EQ(host[1], 2);
-    ASSERT_EQ(log.size(), 3u);
-    EXPECT_EQ(log[0].op, BufferOp::kCopyToDevice);
-    EXPECT_FALSE(log[0].device_valid_before);  // state *before* the copy
-    EXPECT_EQ(log[0].start, 0.0);
-    EXPECT_EQ(log[0].ready, 5.0);
-    EXPECT_EQ(log[1].op, BufferOp::kDeviceMut);
-    EXPECT_TRUE(log[1].device_valid_before);
-    EXPECT_TRUE(log[1].host_valid_before);
-    EXPECT_EQ(log[1].offset, 1u);
-    EXPECT_EQ(log[1].count, 2u);
-    EXPECT_EQ(log[1].start, 5.0);
-    EXPECT_EQ(log[2].op, BufferOp::kCopyToHost);
-    EXPECT_FALSE(log[2].host_valid_before);
-    EXPECT_EQ(log[2].ready, 11.0);
-    for (const BufferEvent& e : log) EXPECT_EQ(e.size, 4u);
+    EXPECT_NO_THROW(buf.device_region(7, 1));
+    EXPECT_NO_THROW(buf.stream_to_host(8, 0));
 }
 
 /// CpuParams::level_time of `tasks` uniform tasks of `ops_each` ops with a

@@ -355,7 +355,7 @@ TEST(Certificate, ParallelTailRunIsCleanAndCertified) {
     EXPECT_EQ(rep.levels_gpu, 12u);
 }
 
-TEST(Certificate, PipelinedRunAttachesJsonCertificate) {
+TEST(Certificate, PipelinedRunAttachesCertificate) {
     const std::uint64_t n = 4096;
     sim::Hpu h(platforms::hpu1());
     algos::MergesortPlain<std::int32_t> alg;
@@ -368,9 +368,6 @@ TEST(Certificate, PipelinedRunAttachesJsonCertificate) {
     ASSERT_TRUE(rep.verify.attempted);
     EXPECT_TRUE(rep.verify.certified()) << rep.verify.summary();
     EXPECT_EQ(rep.verify.executor, "pipelined-hybrid");
-    const std::string json = rep.verify.to_json();
-    EXPECT_NE(json.find("\"executor\":\"pipelined-hybrid\""), std::string::npos);
-    EXPECT_NE(json.find("\"certified\":true"), std::string::npos);
     EXPECT_NE(rep.verify.summary().find("certified"), std::string::npos);
 }
 
@@ -495,6 +492,16 @@ TEST(ScheduleChecker, OverlappingInputChunksAreChunkOverlap) {
     VerifyReport rep;
     check_plan(plan, platforms::hpu1(), rep);
     EXPECT_GE(count_kind(rep, VerifyFinding::Kind::kChunkOverlap), 1u);
+}
+
+TEST(ScheduleChecker, OverlappingOutputChunksAreChunkOverlap) {
+    SchedulePlan plan;
+    plan.executor = "unit";
+    plan.events.push_back(xfer(PlanEvent::Kind::kXferOut, 0.0, 1.0, 0, 64));
+    plan.events.push_back(xfer(PlanEvent::Kind::kXferOut, 1.0, 1.0, 32, 64));  // [32,96)
+    VerifyReport rep;
+    check_plan(plan, platforms::hpu1(), rep);
+    EXPECT_EQ(count_kind(rep, VerifyFinding::Kind::kChunkOverlap), 1u);
 }
 
 TEST(ScheduleChecker, ComputeOverInFlightChunkIsChunkOverlap) {

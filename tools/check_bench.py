@@ -18,14 +18,7 @@ $HPU_BENCH_TOLERANCE or 0.5). --min-speedup remains for hosts where a
 known absolute floor makes sense, but it is flaky by construction on
 shared runners — prefer the baseline gate.
 
-Also understands the merge-microbench artifact (bench/micro_merge.cpp,
-``"bench": "merge"``): validates the entry schema (known input classes,
-positive sizes/parts, non-negative seconds) and requires at least one
-parallel (parts > 1) entry so the sweep actually exercised the Merge Path
-segmentation. The wallclock-only gates (--min-speedup, --baseline) do not
-apply to merge artifacts.
-
-Usage: tools/check_bench.py <BENCH_wallclock.json | BENCH_merge.json>
+Usage: tools/check_bench.py BENCH_wallclock.json
            [--min-speedup S] [--min-entries N]
            [--baseline B.json] [--tolerance T]
 """
@@ -42,41 +35,10 @@ EXECUTORS = {"sequential", "multicore", "gpu", "basic", "advanced", "pipelined"}
 TOP_KEYS = {"bench", "algo", "platform", "host_concurrency", "entries"}
 ENTRY_KEYS = {"size", "executor", "workers", "seconds", "speedup_vs_serial"}
 
-MERGE_INPUTS = {"random", "presorted", "reverse", "dups"}
-MERGE_ENTRY_KEYS = {"size", "input", "parts", "workers", "seconds"}
-
 
 def fail(msg):
     print(f"check_bench: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
-
-
-def check_merge(doc, entries, artifact):
-    """Schema check for the merge-microbench artifact."""
-    seen_parallel = False
-    for i, e in enumerate(entries):
-        if not isinstance(e, dict):
-            fail(f"entry {i} is not an object")
-        missing = MERGE_ENTRY_KEYS - e.keys()
-        if missing:
-            fail(f"entry {i} lacks keys: {sorted(missing)}")
-        if e["input"] not in MERGE_INPUTS:
-            fail(f"entry {i} has unknown input class '{e['input']}'")
-        if not isinstance(e["size"], int) or e["size"] < 2:
-            fail(f"entry {i} has invalid size {e['size']}")
-        if not isinstance(e["parts"], int) or e["parts"] < 1:
-            fail(f"entry {i} has invalid parts {e['parts']}")
-        if not isinstance(e["workers"], int) or e["workers"] < 0:
-            fail(f"entry {i} has invalid workers {e['workers']}")
-        if not isinstance(e["seconds"], (int, float)) or e["seconds"] < 0:
-            fail(f"entry {i} has invalid seconds {e['seconds']}")
-        if e["parts"] > 1:
-            seen_parallel = True
-    if not seen_parallel:
-        fail("no parallel (parts > 1) entries — the sweep never exercised "
-             "the Merge Path segmentation")
-    print(f"check_bench: OK: {len(entries)} merge entries on "
-          f"{doc['host_concurrency']}-way host in {artifact}")
 
 
 def main():
@@ -107,8 +69,8 @@ def main():
     missing = TOP_KEYS - doc.keys()
     if missing:
         fail(f"missing top-level keys: {sorted(missing)}")
-    if doc["bench"] not in ("wallclock", "merge"):
-        fail(f"bench is '{doc['bench']}', expected 'wallclock' or 'merge'")
+    if doc["bench"] != "wallclock":
+        fail(f"bench is '{doc['bench']}', expected 'wallclock'")
     if not isinstance(doc["host_concurrency"], int) or doc["host_concurrency"] < 1:
         fail("host_concurrency is not a positive integer")
     entries = doc["entries"]
@@ -116,10 +78,6 @@ def main():
         fail("entries is not a list")
     if len(entries) < args.min_entries:
         fail(f"only {len(entries)} entries, expected at least {args.min_entries}")
-
-    if doc["bench"] == "merge":
-        check_merge(doc, entries, args.artifact)
-        return
 
     best = 0.0
     seen_pooled = False
